@@ -3,8 +3,11 @@
 The disk-cover side of the problem is deliberately heuristic: the fleet
 size is the ceiling of area over disk area, and positions come from a
 small deterministic search over row-based lattices (aligned and
-quarter-pitch staggered variants), scored by worst-case distance from
-rectangle points to their nearest UAV ground projection.  The depot
+quarter-pitch staggered variants).  A candidate's score is its sampled
+covering radius: the largest distance from the points of a regular
+``res x res`` grid over the rectangle to their nearest UAV ground
+projection, found by one k-d tree (``scipy.spatial.cKDTree``) query per
+candidate in O(res^2 log m) time and O(res^2) memory.  The depot
 (recall-and-supplement center, RSC) absorbs fleet-size differences
 between consecutive deployments by padding the shorter position list.
 """
@@ -17,6 +20,7 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .patterns import Rect
 
@@ -77,18 +81,16 @@ def _candidate(
     staggered: bool,
     margin: float,
 ) -> np.ndarray:
-    rows = len(counts)
-    ys = _axis_positions(rect_h, rows, margin)
-    pts = []
+    ys = _axis_positions(rect_h, len(counts), margin)
+    xs = []
     for i, m in enumerate(counts):
-        xs = _axis_positions(rect_w, m, margin)
+        row = _axis_positions(rect_w, m, margin)
         if staggered and m > 1:
             # alternate quarter-pitch shifts; stays inside for margin >= 0.25
             pitch = rect_w / (m - 1.0 + 2.0 * margin)
-            xs = xs + (0.25 if i % 2 else -0.25) * pitch
-        for x in xs:
-            pts.append((x, ys[i]))
-    return np.array(pts)
+            row = row + (0.25 if i % 2 else -0.25) * pitch
+        xs.append(row)
+    return np.column_stack((np.concatenate(xs), np.repeat(ys, counts)))
 
 
 def _hex_candidate(rect_w: float, rect_h: float, counts: Sequence[int], margin: float) -> np.ndarray:
@@ -97,28 +99,25 @@ def _hex_candidate(rect_w: float, rect_h: float, counts: Sequence[int], margin: 
     The genuine hexagonal covering lattice; only well formed when
     consecutive row counts differ by exactly one.
     """
-    rows = len(counts)
-    ys = _axis_positions(rect_h, rows, margin)
+    ys = _axis_positions(rect_h, len(counts), margin)
     m_long = max(counts)
     xs_long = _axis_positions(rect_w, m_long, margin)
     pitch = rect_w / (m_long - 1.0 + 2.0 * margin) if m_long > 1 else rect_w
-    pts = []
-    for i, m in enumerate(counts):
-        if m == m_long:
-            xs = xs_long
-        else:
-            xs = xs_long[:m] + 0.5 * pitch
-        for x in xs:
-            pts.append((x, ys[i]))
-    return np.array(pts)
+    xs = [xs_long if m == m_long else xs_long[:m] + 0.5 * pitch for m in counts]
+    return np.column_stack((np.concatenate(xs), np.repeat(ys, counts)))
 
 
-def _worst_cover_distance(rect_w: float, rect_h: float, pts: np.ndarray, res: int) -> float:
+def _grid(rect_w: float, rect_h: float, res: int) -> np.ndarray:
+    """The res x res sample points of the rectangle, shape (res^2, 2)."""
     gx = np.linspace(0.0, rect_w, res)
     gy = np.linspace(0.0, rect_h, res)
-    grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
-    d2 = ((grid[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1)).max())
+    return np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
+
+
+def _worst_cover_distance(grid: np.ndarray, pts: np.ndarray) -> float:
+    """Largest distance from a grid point to its nearest point of ``pts``."""
+    dist, _ = cKDTree(pts).query(grid)
+    return float(dist.max())
 
 
 @lru_cache(maxsize=4096)
@@ -132,6 +131,7 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float,
     lo = max(1, r0 - 8)
     hi = min(count, r0 + 8)
     margins = (0.5, 0.42, 0.34, 0.27)
+    coarse = _grid(rect_w, rect_h, 36)
     candidates = []
     for rows in range(lo, hi + 1):
         counts = _row_counts(count, rows)
@@ -140,7 +140,7 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float,
             variants += [(1, m) for m in margins]
         for kind, margin in variants:
             pts = _candidate(rect_w, rect_h, counts, kind == 1, margin)
-            score = _worst_cover_distance(rect_w, rect_h, pts, 36)
+            score = _worst_cover_distance(coarse, pts)
             candidates.append((score, rows, kind, margin, pts))
         # alternating m/m-1 rows admit the true hexagonal lattice
         for start in (0, 1):
@@ -149,15 +149,15 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float,
                 continue
             for margin in margins:
                 pts = _hex_candidate(rect_w, rect_h, alt, margin)
-                score = _worst_cover_distance(rect_w, rect_h, pts, 36)
+                score = _worst_cover_distance(coarse, pts)
                 candidates.append((score, rows, 2 + start, margin, pts))
     # coarse shortlist, then a fine pass: the coarse grid can misrank
     # near-tied lattices by a few percent
     candidates.sort(key=lambda c: c[:4])
-    fine_res = 120 if count <= 256 else 72
+    fine_grid = _grid(rect_w, rect_h, 120 if count <= 256 else 72)
     best = None
     for score, rows, staggered, margin, pts in candidates[:8]:
-        fine = _worst_cover_distance(rect_w, rect_h, pts, fine_res)
+        fine = _worst_cover_distance(fine_grid, pts)
         key = (fine, rows, staggered, margin)
         if best is None or key < best[0]:
             best = (key, pts)

@@ -99,6 +99,18 @@ class BracketError(RuntimeError):
         self.cap = cap
 
 
+class ConvergenceError(BracketError):
+    """The bisection ran out of iterations before the derivative vanished."""
+
+    def __init__(self, iterations: int, ratio: float, slope: float):
+        RuntimeError.__init__(
+            self,
+            f"altitude-ratio bisection did not converge in {iterations} iterations "
+            f"(last ratio {ratio:g}, derivative {slope:g})",
+        )
+        self.iterations = iterations
+
+
 def _excess(r: float, h: float, env: Environment) -> float:
     """Average excess loss factor eta1 + P0*(eta0 - eta1)."""
     p = los_probability(r, h, env)
@@ -214,24 +226,27 @@ def _altitude_ratio_cached(env: Environment, params: AltitudeSearchParams) -> fl
         h_max *= params.bracket_scale
         if h_max > params.bracket_cap:
             raise BracketError(params.bracket_cap)
-    h_star = h_min
+    h_star, d = h_min, d_min
     for _ in range(params.max_iterations):
         h_star = 0.5 * (h_min + h_max)
         d = slope(h_star)
         if abs(d) < params.tolerance:
-            break
+            return h_star
         if d >= 0.0:
             h_max = h_star
         else:
             h_min = h_star
-    return h_star
+    raise ConvergenceError(params.max_iterations, h_star, d)
 
 
 def optimal_altitude_ratio(env: Environment, params: AltitudeSearchParams | None = None) -> float:
     """Altitude-to-radius ratio h1* minimizing the normalized power.
 
     Bracketed bisection on the analytic derivative; depends only on the
-    environment, so results are cached per (env, params).
+    environment, so results are cached per (env, params).  Raises
+    :class:`BracketError` when no bracket exists below the cap, and its
+    subclass :class:`ConvergenceError` when ``max_iterations`` run out
+    before the derivative falls below ``tolerance``.
     """
     return _altitude_ratio_cached(env, params or AltitudeSearchParams())
 

@@ -262,21 +262,22 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
     if "area" in sc:
         bounds = Rect(*_parse_floats(sc["area"], 4, "area"))
 
-    energy = base.energy
+    # defaults normalize the battery to the parsed area and zone count,
+    # whether or not an [energy] section is present
+    energy = _table_defaults_energy(bounds.area, max(1, len(
+        [s for s in parser.sections() if s.startswith("subregion")]
+    )))
     if parser.has_section("energy"):
         g = parser["energy"]
-        defaults = _table_defaults_energy(bounds.area, max(1, len(
-            [s for s in parser.sections() if s.startswith("subregion")]
-        )))
         energy = EnergyParams(
-            p_circuit=float(g.get("p_circuit", defaults.p_circuit)),
-            battery_j=float(g.get("battery_j", defaults.battery_j)),
-            p_horizontal=float(g.get("p_horizontal", defaults.p_horizontal)),
-            p_ascend=float(g.get("p_ascend", defaults.p_ascend)),
-            p_descend=float(g.get("p_descend", defaults.p_descend)),
-            v_horizontal=float(g.get("v_horizontal", defaults.v_horizontal)),
-            v_ascend=float(g.get("v_ascend", defaults.v_ascend)),
-            v_descend=float(g.get("v_descend", defaults.v_descend)),
+            p_circuit=float(g.get("p_circuit", energy.p_circuit)),
+            battery_j=float(g.get("battery_j", energy.battery_j)),
+            p_horizontal=float(g.get("p_horizontal", energy.p_horizontal)),
+            p_ascend=float(g.get("p_ascend", energy.p_ascend)),
+            p_descend=float(g.get("p_descend", energy.p_descend)),
+            v_horizontal=float(g.get("v_horizontal", energy.v_horizontal)),
+            v_ascend=float(g.get("v_ascend", energy.v_ascend)),
+            v_descend=float(g.get("v_descend", energy.v_descend)),
         )
 
     subregions = []
@@ -352,9 +353,10 @@ def dump_scenario(scenario: Scenario) -> str:
     w(f"start_hours = {scenario.start_s / 3600.0!r}\n")
     w(f"seed = {scenario.seed}\n")
     w(f"include_initial_launch = {str(scenario.include_initial_launch).lower()}\n")
-    if scenario.env.name == "custom":
+    if not _is_preset(scenario.env):
         e = scenario.env
         w("\n[environment]\n")
+        w(f"name = {e.name}\n")
         w(f"a = {e.a!r}\nb = {e.b!r}\neta_los = {e.eta_los!r}\neta_nlos = {e.eta_nlos!r}\n")
     r = scenario.radio
     w("\n[radio]\n")
@@ -392,6 +394,14 @@ def dump_scenario(scenario: Scenario) -> str:
             series = scenario.explicit_densities[scenario.subregions.index(sub)]
             w("densities = " + " ".join(repr(v) for v in series) + "\n")
     return buf.getvalue()
+
+
+def _is_preset(env: Environment) -> bool:
+    """Whether ``env`` is exactly the preset its name selects."""
+    try:
+        return environment_preset(env.name) == env
+    except ValueError:
+        return False
 
 
 def _match_preset(pattern: DensityPattern) -> Optional[str]:

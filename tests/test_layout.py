@@ -1,11 +1,20 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrf.layout import (
     Deployment,
     SubregionDeployment,
+    _candidate,
+    _grid,
+    _row_counts,
+    _unit_layout,
+    _worst_cover_distance,
     build_deployment,
     layout_positions,
     num_uavs,
@@ -217,3 +226,80 @@ def test_deployment_csv_schema():
     assert len(lines) == 1 + dep.total_count
     first = lines[1].split(",")
     assert first[0] == "A" and float(first[4]) == 200.0
+
+
+def brute_force_cover_distance(rect_w: float, rect_h: float, pts: np.ndarray, res: int) -> float:
+    """Reference score: every grid point against every UAV, (res^2, m, 2) tensor."""
+    gx = np.linspace(0.0, rect_w, res)
+    gy = np.linspace(0.0, rect_h, res)
+    grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
+    d2 = ((grid[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.min(axis=1)).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rect_w=st.floats(min_value=1.0, max_value=5000.0),
+    rect_h=st.floats(min_value=1.0, max_value=5000.0),
+    m=st.integers(min_value=2, max_value=150),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    lattice=st.booleans(),
+    res=st.sampled_from([36, 72, 120]),
+)
+def test_cover_distance_matches_brute_force(rect_w, rect_h, m, seed, lattice, res):
+    if lattice:
+        # row lattices put many grid points at tied distances
+        rows = 1 + seed % min(m, 12)
+        pts = _candidate(rect_w, rect_h, _row_counts(m, rows), seed % 2 == 1, 0.27 + 0.01 * (seed % 24))
+    else:
+        pts = np.random.default_rng(seed).uniform((0.0, 0.0), (rect_w, rect_h), size=(m, 2))
+    got = _worst_cover_distance(_grid(rect_w, rect_h, res), pts)
+    assert got == brute_force_cover_distance(rect_w, rect_h, pts, res)
+
+
+# sha256 prefixes of the float64 positions: any change to the score, the
+# candidates or the tie-breaks that moves a lattice shows up here
+LAYOUT_DIGESTS = {
+    (500.0, 1000.0, 1): "abc39f01b118bcea",
+    (500.0, 1000.0, 2): "eb9e01a6d9c551f3",
+    (500.0, 1000.0, 3): "8dfc0889d0a49776",
+    (500.0, 1000.0, 5): "1358f8d68ccb635d",
+    (500.0, 1000.0, 8): "f16f4a04991972f2",
+    (500.0, 1000.0, 13): "33756b0dac08549d",
+    (500.0, 1000.0, 23): "47016598325e4acd",
+    (500.0, 1000.0, 40): "c8392ce7949aa4be",
+    (500.0, 1000.0, 77): "e664c2fd3e997f93",
+    (500.0, 1000.0, 128): "f9ebc75b98c48706",
+    (500.0, 1000.0, 221): "b5d331dd290e4155",
+    (500.0, 1000.0, 256): "9cc3bdb754b55538",
+    (500.0, 1000.0, 257): "56efae1d337da294",
+    (500.0, 1000.0, 300): "fabc0f7bc9c11f70",
+    (1000.0, 1000.0, 4): "2b587b11a25b980e",
+    (1000.0, 1000.0, 37): "ea0655693b0b529a",
+    (1000.0, 1000.0, 165): "9c8910606759d330",
+    (1000.0, 1000.0, 259): "ba621d48a08b58f1",
+    (1000.0, 1000.0, 400): "894c31c4cf8fea89",
+    (1000.0, 1000.0, 555): "64c614b6780cd275",
+    (1000.0, 1000.0, 759): "337e7af27c497eaa",
+    (1000.0, 1000.0, 800): "9e4cf196d30de1db",
+}
+
+
+def test_unit_layout_positions_unchanged():
+    got = {
+        case: hashlib.sha256(np.array(_unit_layout(*case), dtype=float).tobytes()).hexdigest()[:16]
+        for case in LAYOUT_DIGESTS
+    }
+    assert got == LAYOUT_DIGESTS
+
+
+def test_unit_layout_memory_bounded():
+    # a score that builds the (res^2, m, 2) distance tensor needs 60+ MB here
+    _unit_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        _unit_layout(1000.0, 1000.0, 759)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

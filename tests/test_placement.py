@@ -7,6 +7,7 @@ from uavrf.channel import Environment, RadioConfig, avg_path_loss
 from uavrf.placement import (
     AltitudeSearchParams,
     BracketError,
+    ConvergenceError,
     EnergyParams,
     SlotPlacement,
     min_static_rf,
@@ -110,6 +111,16 @@ def test_altitude_bracket_failure(radio):
     env = Environment(a=1.0, b=1.0, eta_los=1.0, eta_nlos=1.0)
     with pytest.raises(BracketError):
         optimal_altitude_ratio(env, AltitudeSearchParams(bracket_cap=1e4))
+
+
+def test_altitude_unconverged_search_raises(urban):
+    # two bisection steps cannot reach |derivative| < 1e-300; the search
+    # must fail loudly (a BracketError, so the CLI exits with code 3)
+    params = AltitudeSearchParams(max_iterations=2, tolerance=1e-300)
+    with pytest.raises(ConvergenceError, match="did not converge in 2 iterations") as info:
+        optimal_altitude_ratio(urban, params)
+    assert isinstance(info.value, BracketError)
+    assert info.value.iterations == 2
 
 
 def test_optimal_altitude_scales_with_radius(urban, radio):

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uavrf.channel import Environment, environment_preset
 from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset
 from uavrf.scenario import (
     Scenario,
@@ -196,3 +199,98 @@ density_band = 1e-7 1e-6
     assert set(got.coefficients) == set(pattern.coefficients)
     for k in pattern.coefficients:
         assert got.coefficients[k] == pytest.approx(pattern.coefficients[k], rel=1e-12)
+
+
+def test_missing_energy_section_normalizes_like_empty_one():
+    text = """
+[scenario]
+area = 0 0 2000 2000
+
+[subregion A]
+rect = 0 0 1000 2000
+pattern = preset:E
+
+[subregion B]
+rect = 1000 0 1000 2000
+pattern = preset:R
+"""
+    without = parse_scenario(text)
+    with_empty = parse_scenario(text + "\n[energy]\n")
+    # each 2e6 m^2 zone gets S / (pi E_b) = 1
+    assert without.energy.battery_j == pytest.approx(636619.8, abs=0.1)
+    assert without == with_empty
+
+
+def test_renamed_custom_environment_roundtrips():
+    env = Environment(a=5.0, b=0.3, eta_los=0.5, eta_nlos=12.0, name="myenv")
+    sc = dataclasses.replace(reference_scenario(), env=env)
+    assert parse_scenario(dump_scenario(sc)) == sc
+
+
+def test_modified_preset_environment_roundtrips():
+    env = dataclasses.replace(environment_preset("urban"), eta_nlos=30.0)
+    sc = dataclasses.replace(reference_scenario(), env=env)
+    back = parse_scenario(dump_scenario(sc))
+    assert back.env.eta_nlos == 30.0
+    assert back == sc
+
+
+_PRESETS = [environment_preset(n) for n in ("urban", "dense-urban", "suburban")]
+_positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+_coordinate = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+_extent = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
+_density = st.floats(min_value=1e-9, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def _environments(draw):
+    name = draw(st.one_of(
+        st.sampled_from(["urban", "dense-urban", "suburban", "custom", "Urban"]),
+        st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True),
+    ))
+    constants = draw(st.one_of(
+        st.sampled_from([(e.a, e.b, e.eta_los, e.eta_nlos) for e in _PRESETS]),
+        st.tuples(_positive, _positive, _positive, _positive).map(
+            lambda c: (c[0], c[1], min(c[2:]), max(c[2:]))
+        ),
+    ))
+    return Environment(*constants, name=name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    env=_environments(),
+    by_name=st.booleans(),
+    area=st.tuples(_coordinate, _coordinate, _extent, _extent),
+    bands=st.lists(
+        st.one_of(st.none(), st.tuples(_density, _density).map(lambda b: tuple(sorted(b)))),
+        min_size=1,
+        max_size=3,
+    ),
+    energy_section=st.booleans(),
+)
+def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section):
+    x, y, w, h = area
+    lines = ["[scenario]", "name = drawn", f"area = {x!r} {y!r} {w!r} {h!r}"]
+    if by_name and env in _PRESETS:
+        lines.append(f"environment = {env.name}")
+    else:
+        lines += [
+            "", "[environment]", f"name = {env.name}", f"a = {env.a!r}", f"b = {env.b!r}",
+            f"eta_los = {env.eta_los!r}", f"eta_nlos = {env.eta_nlos!r}",
+        ]
+    if energy_section:
+        lines += ["", "[energy]"]
+    # zones of half a column each, separated by gaps, inside the area
+    step = w / len(bands)
+    for i, band in enumerate(bands):
+        lines += ["", f"[subregion Z{i}]", f"rect = {x + i * step!r} {y!r} {step / 2!r} {h / 2!r}",
+                  "pattern = preset:" + "ERTOC"[i]]
+        if band is not None:
+            lines.append(f"density_band = {band[0]!r} {band[1]!r}")
+    sc = parse_scenario("\n".join(lines) + "\n")
+    assert sc.env == env
+    assert sc.bounds == Rect(x, y, w, h)
+    assert sc.density_bands == tuple(bands)
+    assert sc.energy.battery_j == w * h / len(bands) / math.pi
+    assert parse_scenario(dump_scenario(sc)) == sc
