@@ -45,9 +45,11 @@ print("\nDeviation bound: quadrupling the samples halves the error term:")
 for n in (1000, 4000, 16000):
     print(f"  n = {n:6d} -> eps = {vc_epsilon(1000.0, n, 0.05):.5f}")
 
-print("\nSampling budget for two zones under an inflation cap of 10 /s:")
+# Lambda is below 1e-2 here, so a cap above about 0.05 /s is met by one
+# sample per zone and would show no difference between the zones
+print("\nSampling budget for two zones under an inflation cap of 1e-4 /s:")
 budget = LearningBudget(hypothesis_volume=1000.0, confidence_delta=0.05,
-                        max_training_error=0.0, max_rf_increment=10.0)
+                        max_training_error=0.0, max_rf_increment=1e-4)
 for lam_pair in ((0.1, 0.9), (0.3, 0.7), (0.5, 0.5)):
     eigs = [subregion_eigenvalue(l, 0.5, urban, radio, area, battery) for l in lam_pair]
     alloc = min_sampling_numbers(eigs, budget)

@@ -336,6 +336,18 @@ def static_rf_at_optimal_altitude(
     )
 
 
+def check_circuit_power(p_circuit: float) -> None:
+    """Raise unless the circuit power admits an optimal placement.
+
+    At P_cu = 0 the optimal radius is 0 (see :func:`optimal_radius`):
+    the fleet size and the static recall frequency degenerate.
+    """
+    if p_circuit <= 0:
+        raise ValueError(
+            f"circuit power p_circuit must be positive for an optimal placement, got {p_circuit!r} W"
+        )
+
+
 def min_static_rf(
     lam: float,
     energy: EnergyParams,
@@ -350,6 +362,7 @@ def min_static_rf(
     """
     if lam <= 0:
         raise ValueError("density must be positive")
+    check_circuit_power(energy.p_circuit)
     h1 = optimal_altitude_ratio(env, params)
     p1 = optimal_normalized_power(env, radio, params)
     r_star = (energy.p_circuit / (lam * radio.snr_gap * p1)) ** 0.25

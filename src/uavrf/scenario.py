@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -63,6 +64,13 @@ class Scenario:
     def __post_init__(self):
         if not self.subregions:
             raise ScenarioError("scenario needs at least one subregion")
+        _check_name("scenario name", self.name)
+        _check_name("environment name", self.env.name)
+        labels = [sub.label for sub in self.subregions]
+        for label in labels:
+            _check_name("subregion label", label)
+        if len(set(labels)) != len(labels):
+            raise ScenarioError(f"subregion labels must be distinct, got {labels!r}")
         if len(self.density_bands) != len(self.subregions):
             raise ScenarioError("density_bands must align with subregions")
         if self.horizon_s <= 0 or self.slot_s <= 0:
@@ -107,6 +115,21 @@ class Scenario:
             energy=replace(
                 self.energy, p_horizontal=p_m, p_ascend=p_m, p_descend=p_m
             ),
+        )
+
+
+# what the scenario file format cannot carry in a name: '%' starts an
+# interpolation, '#' after whitespace an inline comment, a line break ends
+# the value, and surrounding whitespace is stripped on reading
+_UNWRITABLE_NAME = re.compile(r"%|[\n\r]|(^|\s)#|^\s|\s$")
+
+
+def _check_name(what: str, name: str) -> None:
+    if _UNWRITABLE_NAME.search(name):
+        raise ScenarioError(
+            f"{what} {name!r} cannot be written to a scenario file: it must not "
+            "contain '%', a line break, or a '#' at its start or after whitespace, "
+            "nor start or end with whitespace"
         )
 
 
@@ -287,7 +310,7 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
         if not section.startswith("subregion"):
             continue
         s = parser[section]
-        label = s.get("label", section.split(None, 1)[1] if " " in section else section)
+        label = s.get("label", section.split(None, 1)[-1])
         rect = Rect(*_parse_floats(s["rect"], 4, f"{section} rect"))
         pattern = _parse_pattern_ref(s.get("pattern", "preset:E"), base_dir)
         band = None

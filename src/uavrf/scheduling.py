@@ -24,6 +24,19 @@ plan seen at step zero; in particular it is bounded by both the Lazy
 and the Diligent baselines.  With free mobility the diligent plan costs
 exactly zero, so updates happen at every slot where the density vector
 changed, and with prohibitive mobility the hold plan wins immediately.
+
+An update at slot k costs its staleness up to k, plus its move energy,
+plus the excess of holding the slot-k placement from k on.  Staleness
+plus excess is a lower bound that needs no assignment solve, because
+move energy is nonnegative.  Each step therefore visits the updates in
+ascending bound (a stable sort, so equal bounds stay in slot order) and
+stops at the first bound above the incumbent: no later update can win,
+the ordering trick of PELT-style pruning (Killick, Fearnhead & Eckley
+2012).  Ties resolve as in a scan in slot order: holding beats an update
+of equal value, the earliest of equal updates wins, and the diligent
+plan wins only when strictly cheaper.  Slots with equal radii share one
+deployment, so move energies are solved once per ordered pair of
+distinct deployments, and a move between equal ones costs nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +51,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .layout import Deployment, build_deployment, pad_with_rsc
-from .placement import EnergyParams, optimal_altitude_ratio, optimal_normalized_power
+from .placement import (
+    EnergyParams,
+    check_circuit_power,
+    optimal_altitude_ratio,
+    optimal_normalized_power,
+)
 from .scenario import Scenario, slot_densities
 
 
@@ -197,7 +215,10 @@ class _Precomputed:
 
     STAT[k, t] is the area-wide static recall frequency during slot t
     with every subregion holding its slot-k optimal placement; OPT[t]
-    is the same with placements re-optimized each slot.
+    is the same with placements re-optimized each slot.  SUFFIX[k, t]
+    sums the excess max(STAT - OPT, 0) times the slot length over slots
+    t..n-1.  Slots with equal radii columns share one deployment id, and
+    deployments and pair energies are cached per id.
     """
 
     _cache: dict = {}
@@ -214,6 +235,7 @@ class _Precomputed:
                 "use a density band to rescale patterns that clamp to zero"
             )
         env, radio, energy = scenario.env, scenario.radio, scenario.energy
+        check_circuit_power(energy.p_circuit)
         self.energy = energy
         self.p1 = optimal_normalized_power(env, radio)
         self.h1 = optimal_altitude_ratio(env)
@@ -230,8 +252,13 @@ class _Precomputed:
         c2 = spe[:, None] * q * self.p1 * self.radii**2            # (B, n)
         self.stat = c1.sum(axis=0)[:, None] + c2.T @ self.lams     # (n, n): k rows, t cols
         self.opt = 2.0 * (spe[:, None] * np.sqrt(self.lams * q * energy.p_circuit * self.p1)).sum(axis=0)
-        self.excess = np.maximum(self.stat - self.opt[None, :], 0.0) * self.mu
-        self.suffix = np.flip(np.cumsum(np.flip(self.excess, axis=1), axis=1), axis=1)
+        # built in place, so that no temporary n x n array raises the peak memory
+        self.suffix = np.subtract(self.stat, self.opt[None, :])
+        np.maximum(self.suffix, 0.0, out=self.suffix)
+        self.suffix *= self.mu
+        reversed_rows = self.suffix[:, ::-1]
+        np.cumsum(reversed_rows, axis=1, out=reversed_rows)
+        _, self.deployment_ids = np.unique(self.radii.T, axis=0, return_inverse=True)
         self._deployments: Dict[int, Deployment] = {}
         self._pair_energy: Dict[Tuple[int, int], float] = {}
 
@@ -254,7 +281,8 @@ class _Precomputed:
         return c1 + c2 @ lam
 
     def deployment(self, k: int) -> Deployment:
-        dep = self._deployments.get(k)
+        key = int(self.deployment_ids[k])
+        dep = self._deployments.get(key)
         if dep is None:
             radii = self.radii[:, k]
             dep = build_deployment(
@@ -263,17 +291,16 @@ class _Precomputed:
                 radii * self.h1,
                 self.scenario.rsc_position,
             )
-            self._deployments[k] = dep
+            self._deployments[key] = dep
         return dep
 
     def pair_energy(self, i: int, j: int) -> float:
-        key = (i, j)
+        key = (int(self.deployment_ids[i]), int(self.deployment_ids[j]))
+        if key[0] == key[1]:
+            return 0.0
         value = self._pair_energy.get(key)
         if value is None:
-            if np.array_equal(self.radii[:, i], self.radii[:, j]):
-                value = 0.0
-            else:
-                value, _ = mobility_energy_at(self.deployment(i), self.deployment(j), self.energy)
+            value, _ = mobility_energy_at(self.deployment(i), self.deployment(j), self.energy)
             self._pair_energy[key] = value
         return value
 
@@ -306,8 +333,8 @@ def _assemble(
             changed = False
         else:
             mob = pre.pair_energy(epoch_slots[i - 1], k)
-            changed = not np.array_equal(
-                pre.radii[:, epoch_slots[i - 1]], pre.radii[:, k]
+            changed = bool(
+                pre.deployment_ids[epoch_slots[i - 1]] != pre.deployment_ids[k]
             )
         mobility_total += mob
         epochs.append(
@@ -336,8 +363,13 @@ def smgd_schedule(
 ) -> Schedule:
     """Greedy sequential epoch selection (see module docstring).
 
-    ``trace=True`` disables candidate pruning and records every plan
-    value per step; the chosen plan is identical either way.
+    Update candidates are visited best-first by their static lower bound
+    until a bound exceeds the incumbent; hold wins ties, then the
+    earliest update, and diligent wins only when strictly cheaper.
+    ``candidate_evaluations`` counts every candidate, pruned or not.
+    ``trace=True`` disables pruning, scores every candidate in ascending
+    slot order and records every plan value per step; the chosen plan
+    is identical either way.
     """
     if energy is not None:
         scenario = dataclasses.replace(scenario, energy=energy)
@@ -350,27 +382,32 @@ def smgd_schedule(
     for j in range(n - 2, -1, -1):
         dil_suffix[j] = dil_suffix[j + 1] + pre.pair_energy(j, j + 1) / eb
 
+    diagonal = np.diagonal(pre.suffix)
     epoch_slots = [0]
     traces: List[StepTrace] = [] if trace else None
     evaluations = 0
     cur = 0
     while True:
         hold_value = float(pre.suffix[cur, cur])
-        evaluations += 1
-        best_value, best_action = hold_value, ("hold", None)
+        evaluations += n - cur
+        best_value, best_k = hold_value, None
         update_values: Dict[int, float] = {}
-        base = float(pre.suffix[cur, cur])
-        for k in range(cur + 1, n):
-            evaluations += 1
-            stale = base - float(pre.suffix[cur, k])
-            bound = stale + float(pre.suffix[k, k])
-            if not trace and bound > best_value:
-                continue  # mobility only adds cost; cannot beat the incumbent
-            value = stale + pre.pair_energy(cur, k) / eb + float(pre.suffix[k, k])
+        stale = hold_value - pre.suffix[cur, cur + 1 :]
+        tail = diagonal[cur + 1 :]  # excess of holding slot k's placement from k on
+        bound = stale + tail  # mobility only adds cost to an update plan
+        order = range(len(bound)) if trace else np.argsort(bound, kind="stable")
+        for i in order:
+            if not trace and bound[i] > best_value:
+                break  # every later candidate has a larger bound
+            k = cur + 1 + int(i)
+            value = float(stale[i]) + pre.pair_energy(cur, k) / eb + float(tail[i])
             if trace:
                 update_values[k] = value
-            if value < best_value:
-                best_value, best_action = value, ("update", k)
+            if value < best_value or (
+                value == best_value and best_k is not None and k < best_k
+            ):
+                best_value, best_k = value, k
+        best_action = ("hold", None) if best_k is None else ("update", best_k)
         dil_value = None
         if cur + 1 < n:
             dil_value = float(dil_suffix[cur])

@@ -178,6 +178,12 @@ def test_optimal_radius_degenerate_inputs(urban, radio):
         optimal_radius(0.0, 0.5, urban, radio)
 
 
+def test_min_static_rf_zero_circuit_power_names_it(urban, radio):
+    energy = EnergyParams(p_circuit=0.0, battery_j=1e6 / math.pi)
+    with pytest.raises(ValueError, match="circuit power"):
+        min_static_rf(0.1, energy, 1e6, urban, radio)
+
+
 def test_transmit_equals_circuit_at_optimum(urban, dense_urban, suburban, radio):
     h1 = {e.name: optimal_altitude_ratio(e) for e in (urban, dense_urban, suburban)}
     for env in (urban, dense_urban, suburban):

@@ -263,3 +263,23 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         LearningBudget(hypothesis_volume=10.0, confidence_delta=1.0,
                        max_training_error=0.0, max_rf_increment=1.0)
+
+
+def test_sampling_demo_sparse_zone_needs_more_samples(capsys):
+    import re
+    import runpy
+    from pathlib import Path
+
+    demo = Path(__file__).resolve().parents[1] / "demos" / "05_sampling_budgets.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    rows = re.findall(
+        r"densities \(([\d.]+), ([\d.]+)\): samples \((\d+), (\d+)\)", capsys.readouterr().out
+    )
+    assert len(rows) == 3
+    for lam_a, lam_b, n_a, n_b in rows:
+        lam_a, lam_b, n_a, n_b = float(lam_a), float(lam_b), int(n_a), int(n_b)
+        assert min(n_a, n_b) >= 1000  # the cap binds: no zone is served by a token sample
+        if lam_a < lam_b:
+            assert n_a > n_b
+        else:
+            assert n_a == n_b

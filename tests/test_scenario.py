@@ -257,6 +257,14 @@ def _environments(draw):
     return Environment(*constants, name=name)
 
 
+# names drawn mostly from characters the format carries, some from any text
+_names = st.one_of(
+    st.from_regex(r"[A-Za-z0-9_.:;=\[\]#-]([A-Za-z0-9 _.:;=\[\]#%-]{0,6}[A-Za-z0-9_.:;=\]#-])?",
+                  fullmatch=True),
+    st.text(max_size=6),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     env=_environments(),
@@ -268,8 +276,9 @@ def _environments(draw):
         max_size=3,
     ),
     energy_section=st.booleans(),
+    names=st.lists(_names, min_size=5, max_size=5),
 )
-def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section):
+def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section, names):
     x, y, w, h = area
     lines = ["[scenario]", "name = drawn", f"area = {x!r} {y!r} {w!r} {h!r}"]
     if by_name and env in _PRESETS:
@@ -294,3 +303,45 @@ def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section):
     assert sc.density_bands == tuple(bands)
     assert sc.energy.battery_j == w * h / len(bands) / math.pi
     assert parse_scenario(dump_scenario(sc)) == sc
+    # every scenario that constructs with these names must reload as itself
+    try:
+        named = dataclasses.replace(
+            sc,
+            name=names[0],
+            env=dataclasses.replace(sc.env, name=names[1]),
+            subregions=tuple(
+                dataclasses.replace(sub, label=label)
+                for sub, label in zip(sc.subregions, names[2:])
+            ),
+        )
+    except ScenarioError:
+        return
+    assert parse_scenario(dump_scenario(named)) == named
+
+
+@pytest.mark.parametrize("field", ["name", "env", "label"])
+@pytest.mark.parametrize(
+    "bad", ["50%", "a%b", "a #b", "a\t#b", "#a", "a\nb", "a\rb", " a", "a "]
+)
+def test_unwritable_names_rejected(field, bad):
+    base = reference_scenario()
+    with pytest.raises(ValueError, match="cannot be written"):
+        if field == "name":
+            dataclasses.replace(base, name=bad)
+        elif field == "env":
+            dataclasses.replace(base, env=dataclasses.replace(base.env, name=bad))
+        else:
+            sub = dataclasses.replace(base.subregions[0], label=bad)
+            dataclasses.replace(base, subregions=(sub,) + base.subregions[1:])
+
+
+def test_duplicate_subregion_labels_rejected():
+    base = reference_scenario()
+    sub = dataclasses.replace(base.subregions[1], label=base.subregions[0].label)
+    with pytest.raises(ValueError, match="distinct"):
+        dataclasses.replace(base, subregions=(base.subregions[0], sub))
+
+
+def test_subregion_section_without_label_or_name():
+    sc = parse_scenario("[subregion ]\nrect = 0 0 10 10\n")
+    assert sc.subregions[0].label == "subregion"

@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrf.channel import RadioConfig, environment_preset
 from uavrf.layout import Deployment, SubregionDeployment, build_deployment
@@ -17,6 +20,7 @@ from uavrf.placement import (
 from uavrf.scenario import Scenario, reference_scenario, slot_densities
 from uavrf.scheduling import (
     Assignment,
+    _Precomputed,
     baseline_schedule,
     cost_matrix,
     dynamic_rf,
@@ -457,3 +461,151 @@ def test_constant_density_lazy_equals_diligent():
     assert dil.static_integral == pytest.approx(lazy.static_integral, rel=1e-14)
     assert dil.mobility_total_j == 0.0  # identical placements, no moves
     assert dil.avg_dynamic_rf == pytest.approx(lazy.avg_dynamic_rf, rel=1e-14)
+
+
+def test_zero_circuit_power_names_it():
+    sc = toy_scenario([[1e-6, 2e-6, 3e-6]])
+    sc = dataclasses.replace(sc, energy=dataclasses.replace(sc.energy, p_circuit=0.0))
+    with pytest.raises(ValueError, match="circuit power"):
+        smgd_schedule(sc)
+
+
+def _ascending_scan_smgd(sc):
+    """Reference SMGD: candidates in ascending slot order, each pruned only
+    when its static bound exceeds the running incumbent, with a pair
+    energy per slot pair.  Returns the epoch slots, the candidate count,
+    the update count and the average dynamic recall frequency."""
+    pre = _Precomputed(sc, sc.horizon_s)
+    n, eb, mu = pre.n, sc.energy.battery_j, pre.mu
+    deployments = {}
+    energies = {}
+
+    def deployment(k):
+        if k not in deployments:
+            radii = pre.radii[:, k]
+            deployments[k] = build_deployment(
+                sc.subregions, radii, radii * pre.h1, sc.rsc_position
+            )
+        return deployments[k]
+
+    def pair_energy(i, j):
+        if (i, j) not in energies:
+            if np.array_equal(pre.radii[:, i], pre.radii[:, j]):
+                energies[i, j] = 0.0
+            else:
+                energies[i, j] = mobility_energy_at(deployment(i), deployment(j), sc.energy)[0]
+        return energies[i, j]
+
+    dil_suffix = np.zeros(n + 1)
+    for j in range(n - 2, -1, -1):
+        dil_suffix[j] = dil_suffix[j + 1] + pair_energy(j, j + 1) / eb
+    slots, evaluations, cur = [0], 0, 0
+    while True:
+        base = float(pre.suffix[cur, cur])
+        evaluations += 1
+        best_value, best = base, None
+        for k in range(cur + 1, n):
+            evaluations += 1
+            stale = base - float(pre.suffix[cur, k])
+            if stale + float(pre.suffix[k, k]) > best_value:
+                continue
+            value = stale + pair_energy(cur, k) / eb + float(pre.suffix[k, k])
+            if value < best_value:
+                best_value, best = value, k
+        if cur + 1 < n and float(dil_suffix[cur]) < best_value:
+            best = cur + 1
+        if best is None:
+            break
+        cur = best
+        slots.append(cur)
+    static_total = mobility_total = 0.0
+    updates = 0
+    for i, k in enumerate(slots):
+        end = slots[i + 1] if i + 1 < len(slots) else n
+        static_total += float(pre.stat[k, k:end].sum()) * mu
+        if i > 0:
+            mobility_total += pair_energy(slots[i - 1], k)
+            updates += not np.array_equal(pre.radii[:, slots[i - 1]], pre.radii[:, k])
+    avg = (static_total + mobility_total / eb) / sc.horizon_s
+    return slots, evaluations, updates, avg
+
+
+_band = st.floats(min_value=1e-8, max_value=2e-6, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    start_slot=st.integers(min_value=0, max_value=4031),
+    n_slots=st.integers(min_value=1, max_value=432),
+    pm=st.one_of(st.sampled_from([0.0, 0.05, 1.5, 50.0]), st.floats(0.0, 100.0)),
+    bands=st.tuples(
+        *[st.one_of(
+            _band.map(lambda lam: (lam, lam)),
+            st.tuples(_band, _band).map(lambda b: tuple(sorted(b))),
+        )] * 2
+    ),
+)
+def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
+    # pm = 0 and flat bands make many plans tie: hold must beat an equal
+    # update, the earliest of equal updates must win, and diligent wins
+    # only when strictly cheaper
+    sc = dataclasses.replace(
+        reference_scenario(),
+        start_s=start_slot * 600.0,
+        horizon_s=n_slots * 600.0,
+        density_bands=bands,
+    ).with_mobility_power(pm)
+    slots, evaluations, updates, avg = _ascending_scan_smgd(sc)
+    sched = smgd_schedule(sc)
+    assert sched.update_slots == slots
+    assert sched.avg_dynamic_rf.hex() == avg.hex()
+    assert sched.update_count == updates
+    assert sched.candidate_evaluations == evaluations
+    if n_slots <= 36:
+        traced = smgd_schedule(sc, trace=True)
+        assert traced.update_slots == slots
+        assert traced.avg_dynamic_rf.hex() == avg.hex()
+        for step in traced.trace:
+            assert list(step.update_values) == list(range(step.slot + 1, n_slots))
+
+
+def test_smgd_equal_updates_earliest_wins(monkeypatch):
+    # slot 2's update has the smaller static bound, so the best-first scan
+    # visits it first; its pair energy is set so that both updates cost
+    # exactly the same, and the earlier slot must still win
+    sc = toy_scenario([[1.0e-6, 1.1e-6, 3.0e-6]], pm=1.0)
+    pre = _Precomputed.for_scenario(sc, sc.horizon_s)
+    eb = sc.energy.battery_j
+    stale = [float(pre.suffix[0, 0]) - float(pre.suffix[0, k]) for k in (1, 2)]
+    bound = [s + float(pre.suffix[k, k]) for s, k in zip(stale, (1, 2))]
+    assert bound[1] < bound[0] < float(pre.suffix[0, 0])
+    energy_02 = (bound[0] - stale[1] - float(pre.suffix[2, 2])) * eb
+    for _ in range(64):
+        tied = stale[1] + energy_02 / eb + float(pre.suffix[2, 2])
+        if tied == bound[0]:
+            break
+        energy_02 = math.nextafter(energy_02, math.inf if tied < bound[0] else -math.inf)
+    assert tied == bound[0]
+    energies = {(0, 1): 0.0, (0, 2): energy_02, (1, 2): 1e9 * eb}
+    monkeypatch.setattr(
+        _Precomputed, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0)
+    )
+    assert smgd_schedule(sc).update_slots[:2] == [0, 1]
+    assert smgd_schedule(sc, trace=True).update_slots[:2] == [0, 1]
+
+
+def test_precomputed_build_keeps_two_slot_tables():
+    # a 2-week horizon: the static table and the suffix sums are the only
+    # n x n arrays, and the suffix sums are built in their own buffer
+    sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0)
+    optimal_altitude_ratio(sc.env)  # fill the per-environment caches untraced
+    optimal_normalized_power(sc.env, sc.radio)
+    tracemalloc.start()
+    try:
+        pre = _Precomputed(sc, sc.horizon_s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pre.n == 2016
+    table_bytes = pre.n * pre.n * 8
+    assert peak < 2.5 * table_bytes
