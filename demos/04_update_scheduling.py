@@ -4,17 +4,20 @@ Runs the reference two-zone day at three mobility powers.  With cheap
 mobility the greedy re-optimizes at every density change; with costly
 mobility it holds the initial placement; in between it alternates lazy
 and diligent stretches.  Its average never exceeds either baseline.
+Only the move energies depend on the mobility power, so every call
+shares one plan: the static tables are built once for the whole sweep.
 """
 
-from uavrf import baseline_schedule, reference_scenario, smgd_schedule
+from uavrf import SchedulePlan, baseline_schedule, reference_scenario, smgd_schedule
 
 scenario = reference_scenario()
+plan = SchedulePlan(scenario)
 
 for pm in (0.05, 1.5, 50.0):
     sc = scenario.with_mobility_power(pm)
-    greedy = smgd_schedule(sc)
-    lazy = baseline_schedule("lazy", sc)
-    diligent = baseline_schedule("diligent", sc)
+    greedy = smgd_schedule(sc, plan=plan)
+    lazy = baseline_schedule("lazy", sc, plan=plan)
+    diligent = baseline_schedule("diligent", sc, plan=plan)
     print(f"mobility power {pm:5.2f} W:")
     print(f"  greedy   : {greedy.avg_dynamic_rf:.6e} /s, {greedy.update_count:3d} updates, "
           f"{greedy.mobility_total_j:9.1f} J moved")
@@ -25,6 +28,6 @@ for pm in (0.05, 1.5, 50.0):
     print(f"  -> greedy saves {saving:.1%} against the worse baseline")
 
 print("update instants at 1.5 W (hours):")
-sched = smgd_schedule(scenario.with_mobility_power(1.5))
+sched = smgd_schedule(scenario.with_mobility_power(1.5), plan=plan)
 hours = [round(e.tau / 3600.0, 2) for e in sched.epochs if e.changed]
 print(f"  {hours}")

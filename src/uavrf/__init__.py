@@ -78,6 +78,7 @@ from .scenario import (
 from .scheduling import (
     Assignment,
     Schedule,
+    SchedulePlan,
     baseline_schedule,
     cost_matrix,
     dynamic_rf,

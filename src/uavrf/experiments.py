@@ -37,7 +37,7 @@ from .sampling import (
     subregion_eigenvalue,
 )
 from .scenario import Scenario
-from .scheduling import Schedule, baseline_schedule, smgd_schedule
+from .scheduling import Schedule, SchedulePlan, baseline_schedule, smgd_schedule
 
 FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
@@ -163,9 +163,10 @@ def _epoch_rows(pm: float, method: str, schedule: Schedule):
 def run_update_epochs(scenario: Scenario, out_dir: str) -> List[str]:
     """Greedy update epochs across the mobility-power grid."""
     rows = []
+    plan = SchedulePlan(scenario)
     for pm in MOBILITY_POWER_GRID:
         sc = scenario.with_mobility_power(pm)
-        rows.extend(_epoch_rows(pm, "smgd", smgd_schedule(sc)))
+        rows.extend(_epoch_rows(pm, "smgd", smgd_schedule(sc, plan=plan)))
     path = write_csv(
         os.path.join(out_dir, "fig7_update_epochs.csv"),
         (
@@ -188,12 +189,13 @@ def run_policy_comparison(
 ) -> List[str]:
     """Average dynamic recall frequency of the three update policies."""
     rows = []
+    plan = SchedulePlan(scenario)  # only the move energies depend on pm
     for pm in pm_grid:
         sc = scenario.with_mobility_power(pm)
         values: Dict[str, Schedule] = {
-            "smgd": smgd_schedule(sc),
-            "lazy": baseline_schedule("lazy", sc),
-            "diligent": baseline_schedule("diligent", sc),
+            "smgd": smgd_schedule(sc, plan=plan),
+            "lazy": baseline_schedule("lazy", sc, plan=plan),
+            "diligent": baseline_schedule("diligent", sc, plan=plan),
         }
         worst = max(s.avg_dynamic_rf for s in values.values())
         for method, sched in values.items():
@@ -220,8 +222,9 @@ def run_start_time_sweep(scenario: Scenario, out_dir: str) -> List[str]:
     rows = []
     for start_hour in range(0, 24, 2):
         sc = dataclasses.replace(scenario, start_s=start_hour * 3600.0)
-        greedy = smgd_schedule(sc)
-        lazy = baseline_schedule("lazy", sc)
+        plan = SchedulePlan(sc)
+        greedy = smgd_schedule(sc, plan=plan)
+        lazy = baseline_schedule("lazy", sc, plan=plan)
         rows.append((start_hour, lazy.avg_dynamic_rf, greedy.avg_dynamic_rf))
     path = write_csv(
         os.path.join(out_dir, "fig9_start_time_sweep.csv"),

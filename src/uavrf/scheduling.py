@@ -37,6 +37,20 @@ of equal value, the earliest of equal updates wins, and the diligent
 plan wins only when strictly cheaper.  Slots with equal radii share one
 deployment, so move energies are solved once per ordered pair of
 distinct deployments, and a move between equal ones costs nothing.
+
+Only the move energies depend on the mobility powers and speeds.  The
+rest (densities, radii, the n x n static tables, deployments) lives in
+a :class:`SchedulePlan` built once per scenario and horizon.  A sweep
+over mobility powers builds one plan and passes it to every call,
+
+    plan = SchedulePlan(scenario)
+    for pm in (0.05, 1.5, 50.0):
+        sc = scenario.with_mobility_power(pm)
+        smgd_schedule(sc, plan=plan), baseline_schedule("lazy", sc, plan=plan)
+
+and a sweep over start times builds one plan per start.  A call
+without ``plan`` builds its own, used for that call only; a plan built
+for other non-mobility inputs raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -183,6 +197,17 @@ class Schedule:
         return [int(round(e.tau // self.slot_s)) for e in self.epochs]
 
 
+def _static_rf(scenario: Scenario, lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Per-slot area-wide static RF of fixed radii under densities ``lams`` (B, m)."""
+    energy = scenario.energy
+    areas = np.array([s.area for s in scenario.subregions])
+    spe = areas / (math.pi * energy.battery_j)  # S_b / (pi E_b)
+    p1 = optimal_normalized_power(scenario.env, scenario.radio)
+    c1 = (spe * energy.p_circuit / radii**2).sum()
+    c2 = spe * scenario.radio.snr_gap * p1 * radii**2
+    return c1 + c2 @ lams
+
+
 def interval_avg_rf(
     t_start: float,
     t_end: float,
@@ -202,29 +227,48 @@ def interval_avg_rf(
             raise ValueError("interval bounds must be multiples of the slot length")
     if t_end <= t_start:
         raise ValueError("interval must have positive length")
-    pre = _Precomputed.for_scenario(scenario, t_end)
     k0 = int(round(t_start / mu))
-    k1 = int(round(t_end / mu))
+    lams = slot_densities(scenario, t_end)[:, k0:]
     radii = np.array(deployment.radii())
-    static = float(pre.static_with_radii(radii, k0, k1).sum()) * mu
+    static = float(_static_rf(scenario, lams, radii).sum()) * mu
     return (static + mobility_j / scenario.energy.battery_j) / (t_end - t_start)
 
 
-class _Precomputed:
-    """Per-scenario tables shared by the schedulers.
+# the fields of ``EnergyParams`` that only move energies depend on
+_MOBILITY_FIELDS = (
+    "p_horizontal", "p_ascend", "p_descend", "v_horizontal", "v_ascend", "v_descend"
+)
+
+
+def _without_mobility(energy: EnergyParams) -> EnergyParams:
+    return dataclasses.replace(energy, **dict.fromkeys(_MOBILITY_FIELDS, 1.0))
+
+
+def _plan_inputs(scenario: Scenario) -> Scenario:
+    """What a plan depends on: the scenario without its mobility fields."""
+    return dataclasses.replace(scenario, energy=_without_mobility(scenario.energy))
+
+
+class SchedulePlan:
+    """What scheduling one scenario over one horizon needs, mobility aside.
 
     STAT[k, t] is the area-wide static recall frequency during slot t
     with every subregion holding its slot-k optimal placement; OPT[t]
     is the same with placements re-optimized each slot.  SUFFIX[k, t]
     sums the excess max(STAT - OPT, 0) times the slot length over slots
     t..n-1.  Slots with equal radii columns share one deployment id, and
-    deployments and pair energies are cached per id.
+    deployments are cached per id.
+
+    None of this depends on the flight powers and speeds of the
+    scenario's energy, so one plan serves every scheduler call of a
+    mobility-power sweep.  Move energies come from :meth:`with_energy`,
+    cached on the plan per energy model.  The two tables take 8 n^2
+    bytes each: keep a plan only as long as the sweep that uses it.
     """
 
-    _cache: dict = {}
-
-    def __init__(self, scenario: Scenario, horizon_s: float):
-        self.scenario = scenario
+    def __init__(self, scenario: Scenario, horizon_s: float | None = None):
+        horizon_s = scenario.horizon_s if horizon_s is None else horizon_s
+        self.scenario = _plan_inputs(scenario)  # mobility fields reset
         self.horizon_s = horizon_s
         self.mu = scenario.slot_s
         self.n = int(round(horizon_s / scenario.slot_s))
@@ -236,22 +280,18 @@ class _Precomputed:
             )
         env, radio, energy = scenario.env, scenario.radio, scenario.energy
         check_circuit_power(energy.p_circuit)
-        self.energy = energy
-        self.p1 = optimal_normalized_power(env, radio)
+        p1 = optimal_normalized_power(env, radio)
         self.h1 = optimal_altitude_ratio(env)
         areas = np.array([s.area for s in scenario.subregions])
-        self.areas = areas
         q = radio.snr_gap
         eb = energy.battery_j
         # R*[b, k] and per-slot optima
-        self.radii = (energy.p_circuit / (self.lams * q * self.p1)) ** 0.25
+        self.radii = (energy.p_circuit / (self.lams * q * p1)) ** 0.25
         spe = areas / (math.pi * eb)  # S_b / (pi E_b)
-        self._spe = spe
-        self._q = q
         c1 = spe[:, None] * energy.p_circuit / self.radii**2       # (B, n)
-        c2 = spe[:, None] * q * self.p1 * self.radii**2            # (B, n)
+        c2 = spe[:, None] * q * p1 * self.radii**2                 # (B, n)
         self.stat = c1.sum(axis=0)[:, None] + c2.T @ self.lams     # (n, n): k rows, t cols
-        self.opt = 2.0 * (spe[:, None] * np.sqrt(self.lams * q * energy.p_circuit * self.p1)).sum(axis=0)
+        self.opt = 2.0 * (spe[:, None] * np.sqrt(self.lams * q * energy.p_circuit * p1)).sum(axis=0)
         # built in place, so that no temporary n x n array raises the peak memory
         self.suffix = np.subtract(self.stat, self.opt[None, :])
         np.maximum(self.suffix, 0.0, out=self.suffix)
@@ -260,25 +300,37 @@ class _Precomputed:
         np.cumsum(reversed_rows, axis=1, out=reversed_rows)
         _, self.deployment_ids = np.unique(self.radii.T, axis=0, return_inverse=True)
         self._deployments: Dict[int, Deployment] = {}
-        self._pair_energy: Dict[Tuple[int, int], float] = {}
+        self._pair_energies: Dict[EnergyParams, Dict[Tuple[int, int], float]] = {}
 
-    @classmethod
-    def for_scenario(cls, scenario: Scenario, horizon_s: float) -> "_Precomputed":
-        key = (id(scenario), horizon_s)
-        hit = cls._cache.get(key)
-        if hit is None or hit.scenario is not scenario:
-            hit = cls(scenario, horizon_s)
-            if len(cls._cache) >= 8:
-                cls._cache.pop(next(iter(cls._cache)))
-            cls._cache[key] = hit  # holds the scenario alive, so ids stay unique
-        return hit
+    def check(self, scenario: Scenario, horizon_s: float) -> None:
+        """Raise ``ValueError`` unless this plan fits ``scenario`` and the horizon.
 
-    def static_with_radii(self, radii: np.ndarray, k0: int, k1: int) -> np.ndarray:
-        """Per-slot static RF over slots [k0, k1) with fixed radii."""
-        lam = self.lams[:, k0:k1]
-        c1 = (self._spe * self.energy.p_circuit / radii**2).sum()
-        c2 = self._spe * self._q * self.p1 * radii**2
-        return c1 + c2 @ lam
+        Every scenario field must match except the mobility fields of
+        its energy.
+        """
+        if horizon_s != self.horizon_s:
+            raise ValueError(
+                f"plan was built for a {self.horizon_s:g} s horizon, not {horizon_s:g} s"
+            )
+        inputs = _plan_inputs(scenario)
+        if inputs != self.scenario:
+            differ = [
+                f.name
+                for f in dataclasses.fields(Scenario)
+                if getattr(inputs, f.name) != getattr(self.scenario, f.name)
+            ]
+            raise ValueError(
+                f"plan was built for another scenario: {', '.join(differ)} differ "
+                "(only the mobility powers and speeds may)"
+            )
+
+    def with_energy(self, energy: EnergyParams) -> "_Moves":
+        """Move energies between this plan's deployments under ``energy``."""
+        if _without_mobility(energy) != self.scenario.energy:
+            raise ValueError(
+                "plan was built for another circuit power or battery capacity"
+            )
+        return _Moves(self, energy, self._pair_energies.setdefault(energy, {}))
 
     def deployment(self, k: int) -> Deployment:
         key = int(self.deployment_ids[k])
@@ -294,32 +346,63 @@ class _Precomputed:
             self._deployments[key] = dep
         return dep
 
+
+class _Moves:
+    """Move energies of one energy model between the deployments of a plan.
+
+    Pair energies go to a dict that the plan keeps per energy model, so
+    every scheduler call at the same mobility solves each pair once.
+    """
+
+    def __init__(
+        self, plan: SchedulePlan, energy: EnergyParams, cache: Dict[Tuple[int, int], float]
+    ):
+        self.plan = plan
+        self.energy = energy
+        self._pair_energy = cache
+
     def pair_energy(self, i: int, j: int) -> float:
-        key = (int(self.deployment_ids[i]), int(self.deployment_ids[j]))
+        ids = self.plan.deployment_ids
+        key = (int(ids[i]), int(ids[j]))
         if key[0] == key[1]:
             return 0.0
         value = self._pair_energy.get(key)
         if value is None:
-            value, _ = mobility_energy_at(self.deployment(i), self.deployment(j), self.energy)
+            value, _ = mobility_energy_at(
+                self.plan.deployment(i), self.plan.deployment(j), self.energy
+            )
             self._pair_energy[key] = value
         return value
 
     def launch_energy(self, k: int) -> float:
         """Energy to launch the slot-k fleet from the depot."""
-        rsc = self.scenario.rsc_position
+        rsc = self.plan.scenario.rsc_position
         return sum(
-            move_energy(rsc, pos, self.energy) for pos in self.deployment(k).all_positions()
+            move_energy(rsc, pos, self.energy) for pos in self.plan.deployment(k).all_positions()
         )
+
+
+def _moves_for(
+    scenario: Scenario, horizon_s: float | None, plan: SchedulePlan | None
+) -> _Moves:
+    """The move energies of ``scenario`` on ``plan``, or on a fresh plan."""
+    horizon = scenario.horizon_s if horizon_s is None else horizon_s
+    if plan is None:
+        plan = SchedulePlan(scenario, horizon)
+    else:
+        plan.check(scenario, horizon)
+    return plan.with_energy(scenario.energy)
 
 
 def _assemble(
     method: str,
-    pre: _Precomputed,
+    moves: _Moves,
     epoch_slots: List[int],
     scenario: Scenario,
     evaluations: int = 0,
     trace: Optional[List[StepTrace]] = None,
 ) -> Schedule:
+    pre = moves.plan
     mu = pre.mu
     eb = scenario.energy.battery_j
     epochs: List[ScheduleEpoch] = []
@@ -329,10 +412,10 @@ def _assemble(
         end = epoch_slots[i + 1] if i + 1 < len(epoch_slots) else pre.n
         static_total += float(pre.stat[k, k:end].sum()) * mu
         if i == 0:
-            mob = pre.launch_energy(k) if scenario.include_initial_launch else 0.0
+            mob = moves.launch_energy(k) if scenario.include_initial_launch else 0.0
             changed = False
         else:
-            mob = pre.pair_energy(epoch_slots[i - 1], k)
+            mob = moves.pair_energy(epoch_slots[i - 1], k)
             changed = bool(
                 pre.deployment_ids[epoch_slots[i - 1]] != pre.deployment_ids[k]
             )
@@ -360,6 +443,8 @@ def smgd_schedule(
     horizon_s: float | None = None,
     energy: EnergyParams | None = None,
     trace: bool = False,
+    *,
+    plan: SchedulePlan | None = None,
 ) -> Schedule:
     """Greedy sequential epoch selection (see module docstring).
 
@@ -369,18 +454,20 @@ def smgd_schedule(
     ``candidate_evaluations`` counts every candidate, pruned or not.
     ``trace=True`` disables pruning, scores every candidate in ascending
     slot order and records every plan value per step; the chosen plan
-    is identical either way.
+    is identical either way.  ``plan`` shares the tables with other
+    calls on the same scenario and horizon (see :class:`SchedulePlan`);
+    without it the call builds its own.
     """
     if energy is not None:
         scenario = dataclasses.replace(scenario, energy=energy)
-    horizon = scenario.horizon_s if horizon_s is None else horizon_s
-    pre = _Precomputed.for_scenario(scenario, horizon)
+    moves = _moves_for(scenario, horizon_s, plan)
+    pre = moves.plan
     n = pre.n
     eb = scenario.energy.battery_j
     # diligent continuation cost from each slot: all remaining consecutive moves
     dil_suffix = np.zeros(n + 1)
     for j in range(n - 2, -1, -1):
-        dil_suffix[j] = dil_suffix[j + 1] + pre.pair_energy(j, j + 1) / eb
+        dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
 
     diagonal = np.diagonal(pre.suffix)
     epoch_slots = [0]
@@ -400,7 +487,7 @@ def smgd_schedule(
             if not trace and bound[i] > best_value:
                 break  # every later candidate has a larger bound
             k = cur + 1 + int(i)
-            value = float(stale[i]) + pre.pair_energy(cur, k) / eb + float(tail[i])
+            value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(tail[i])
             if trace:
                 update_values[k] = value
             if value < best_value or (
@@ -429,7 +516,7 @@ def smgd_schedule(
             break
         cur = best_action[1] if best_action[0] == "update" else cur + 1
         epoch_slots.append(cur)
-    return _assemble("smgd", pre, epoch_slots, scenario, evaluations, traces)
+    return _assemble("smgd", moves, epoch_slots, scenario, evaluations, traces)
 
 
 def baseline_schedule(
@@ -437,39 +524,42 @@ def baseline_schedule(
     scenario: Scenario,
     horizon_s: float | None = None,
     energy: EnergyParams | None = None,
+    *,
+    plan: SchedulePlan | None = None,
 ) -> Schedule:
-    """The two reference policies: never update, or update every slot."""
+    """The two reference policies: never update, or update every slot.
+
+    ``plan`` is shared as in :func:`smgd_schedule`.
+    """
     if energy is not None:
         scenario = dataclasses.replace(scenario, energy=energy)
-    horizon = scenario.horizon_s if horizon_s is None else horizon_s
-    pre = _Precomputed.for_scenario(scenario, horizon)
     kind = kind.lower()
-    if kind == "lazy":
-        slots = [0]
-    elif kind == "diligent":
-        slots = list(range(pre.n))
-    else:
+    if kind not in ("lazy", "diligent"):
         raise ValueError(f"kind must be 'lazy' or 'diligent', got {kind!r}")
-    return _assemble(kind, pre, slots, scenario)
+    moves = _moves_for(scenario, horizon_s, plan)
+    slots = [0] if kind == "lazy" else list(range(moves.plan.n))
+    return _assemble(kind, moves, slots, scenario)
 
 
 def dynamic_rf(schedule: Schedule, scenario: Scenario, horizon_s: float | None = None) -> float:
     """Recompute the average dynamic recall frequency from a schedule.
 
-    Independent reassembly of the static integral and mobility charges;
-    agrees with ``schedule.avg_dynamic_rf`` to float precision.
+    Independent reassembly of the static integral and mobility charges
+    from the densities and the closed-form static recall frequency of
+    each epoch's radii, without the scheduler's tables; agrees with
+    ``schedule.avg_dynamic_rf`` to float precision.
     """
     horizon = schedule.horizon_s if horizon_s is None else horizon_s
     mu = schedule.slot_s
     n = int(round(horizon / mu))
-    pre = _Precomputed.for_scenario(scenario, horizon)
+    lams = slot_densities(scenario, horizon)
     slots = schedule.update_slots
     total_static = 0.0
     total_mobility = sum(e.mobility_j for e in schedule.epochs)
     for i, k in enumerate(slots):
         end = slots[i + 1] if i + 1 < len(slots) else n
         radii = np.array(schedule.epochs[i].deployment.radii())
-        total_static += float(pre.static_with_radii(radii, k, end).sum()) * mu
+        total_static += float(_static_rf(scenario, lams[:, k:end], radii).sum()) * mu
     return (total_static + total_mobility / scenario.energy.battery_j) / horizon
 
 
@@ -478,10 +568,11 @@ def exhaustive_schedule(
 ) -> Tuple[float, List[int]]:
     """Exact minimum over every update-slot subset (exponential; toys only)."""
     horizon = scenario.horizon_s if horizon_s is None else horizon_s
-    pre = _Precomputed.for_scenario(scenario, horizon)
-    n = pre.n
+    n = int(round(horizon / scenario.slot_s))
     if n > 16:
         raise ValueError("exhaustive search is limited to 16 slots")
+    pre = SchedulePlan(scenario, horizon)
+    moves = pre.with_energy(scenario.energy)
     eb = scenario.energy.battery_j
     best_value, best_slots = math.inf, [0]
     for r in range(n):
@@ -493,7 +584,7 @@ def exhaustive_schedule(
                 end = slots[i + 1] if i + 1 < len(slots) else n
                 static += float(pre.stat[k, k:end].sum()) * pre.mu
                 if i > 0:
-                    mobility += pre.pair_energy(slots[i - 1], k)
+                    mobility += moves.pair_energy(slots[i - 1], k)
             value = (static + mobility / eb) / horizon
             if value < best_value:
                 best_value, best_slots = value, slots

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavrf import experiments, scheduling
 from uavrf.channel import RadioConfig, environment_preset
 from uavrf.layout import Deployment, SubregionDeployment, build_deployment
 from uavrf.patterns import Rect, Subregion, constant_pattern
@@ -20,7 +21,8 @@ from uavrf.placement import (
 from uavrf.scenario import Scenario, reference_scenario, slot_densities
 from uavrf.scheduling import (
     Assignment,
-    _Precomputed,
+    SchedulePlan,
+    _Moves,
     baseline_schedule,
     cost_matrix,
     dynamic_rf,
@@ -475,7 +477,7 @@ def _ascending_scan_smgd(sc):
     when its static bound exceeds the running incumbent, with a pair
     energy per slot pair.  Returns the epoch slots, the candidate count,
     the update count and the average dynamic recall frequency."""
-    pre = _Precomputed(sc, sc.horizon_s)
+    pre = SchedulePlan(sc, sc.horizon_s)
     n, eb, mu = pre.n, sc.energy.battery_j, pre.mu
     deployments = {}
     energies = {}
@@ -574,7 +576,7 @@ def test_smgd_equal_updates_earliest_wins(monkeypatch):
     # visits it first; its pair energy is set so that both updates cost
     # exactly the same, and the earlier slot must still win
     sc = toy_scenario([[1.0e-6, 1.1e-6, 3.0e-6]], pm=1.0)
-    pre = _Precomputed.for_scenario(sc, sc.horizon_s)
+    pre = SchedulePlan(sc, sc.horizon_s)
     eb = sc.energy.battery_j
     stale = [float(pre.suffix[0, 0]) - float(pre.suffix[0, k]) for k in (1, 2)]
     bound = [s + float(pre.suffix[k, k]) for s, k in zip(stale, (1, 2))]
@@ -588,7 +590,7 @@ def test_smgd_equal_updates_earliest_wins(monkeypatch):
     assert tied == bound[0]
     energies = {(0, 1): 0.0, (0, 2): energy_02, (1, 2): 1e9 * eb}
     monkeypatch.setattr(
-        _Precomputed, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0)
+        _Moves, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0)
     )
     assert smgd_schedule(sc).update_slots[:2] == [0, 1]
     assert smgd_schedule(sc, trace=True).update_slots[:2] == [0, 1]
@@ -602,10 +604,160 @@ def test_precomputed_build_keeps_two_slot_tables():
     optimal_normalized_power(sc.env, sc.radio)
     tracemalloc.start()
     try:
-        pre = _Precomputed(sc, sc.horizon_s)
+        pre = SchedulePlan(sc, sc.horizon_s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert pre.n == 2016
     table_bytes = pre.n * pre.n * 8
     assert peak < 2.5 * table_bytes
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _warm_caches(sc):
+    # fill the per-environment caches untraced
+    optimal_altitude_ratio(sc.env)
+    optimal_normalized_power(sc.env, sc.radio)
+
+
+def test_policy_comparison_keeps_one_plan(tmp_path):
+    # one week over the pm grid: a single plan holds the two n x n tables,
+    # where one plan per pm would hold three pairs of them
+    sc = dataclasses.replace(reference_scenario(), horizon_s=7 * 86400.0)
+    _warm_caches(sc)
+    _, peak = _traced_peak(lambda: experiments.run_policy_comparison(sc, str(tmp_path)))
+    n = sc.n_slots
+    assert n == 1008
+    assert peak < 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize(
+    "runner, plans",
+    [
+        (experiments.run_policy_comparison, 1),
+        (experiments.run_update_epochs, 1),
+        (experiments.run_start_time_sweep, 12),  # one per start hour
+    ],
+)
+def test_sweeps_build_one_plan_each(runner, plans, tmp_path, monkeypatch):
+    builds = []
+
+    def spy(scenario, horizon_s=None):
+        builds.append(horizon_s)
+        return slot_densities(scenario, horizon_s)
+
+    monkeypatch.setattr(scheduling, "slot_densities", spy)
+    runner(reference_scenario(), str(tmp_path))
+    assert len(builds) == plans
+
+
+def _schedule_bits(sched):
+    return (
+        sched.method,
+        sched.update_slots,
+        sched.avg_dynamic_rf.hex(),
+        sched.mobility_total_j.hex(),
+        sched.update_count,
+        sched.candidate_evaluations,
+    )
+
+
+def test_shared_plan_matches_fresh_plans():
+    base = dataclasses.replace(
+        reference_scenario(), horizon_s=2 * 86400.0, start_s=3 * 86400.0
+    )
+    plan = SchedulePlan(base)
+    for pm in (0.0, 0.05, 1.5, 50.0):
+        sc = base.with_mobility_power(pm)
+        shared = [
+            smgd_schedule(sc, plan=plan),
+            baseline_schedule("lazy", sc, plan=plan),
+            baseline_schedule("diligent", sc, plan=plan),
+        ]
+        fresh = [
+            smgd_schedule(sc),
+            baseline_schedule("lazy", sc),
+            baseline_schedule("diligent", sc),
+        ]
+        assert [_schedule_bits(s) for s in shared] == [_schedule_bits(s) for s in fresh]
+    # the energy argument and the mobility speeds are mobility inputs too
+    slow = dataclasses.replace(base.energy, p_horizontal=2.0, v_horizontal=3.0, v_descend=0.5)
+    assert _schedule_bits(smgd_schedule(base, energy=slow, plan=plan)) == _schedule_bits(
+        smgd_schedule(base, energy=slow)
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda sc: dataclasses.replace(
+            sc, energy=dataclasses.replace(sc.energy, p_circuit=2 * sc.energy.p_circuit)
+        ),
+        lambda sc: dataclasses.replace(
+            sc, energy=dataclasses.replace(sc.energy, battery_j=2 * sc.energy.battery_j)
+        ),
+        lambda sc: dataclasses.replace(sc, density_bands=((1e-7, 2e-6), sc.density_bands[1])),
+        lambda sc: dataclasses.replace(sc, start_s=sc.start_s + 600.0),
+        lambda sc: dataclasses.replace(sc, horizon_s=sc.horizon_s + 600.0),
+    ],
+    ids=["p_circuit", "battery", "density_band", "start", "horizon"],
+)
+def test_plan_for_other_inputs_raises(change):
+    base = reference_scenario()
+    plan = SchedulePlan(base)
+    other = change(base).with_mobility_power(1.5)
+    with pytest.raises(ValueError, match="plan was built for"):
+        smgd_schedule(other, plan=plan)
+    with pytest.raises(ValueError, match="plan was built for"):
+        baseline_schedule("lazy", other, plan=plan)
+
+
+def test_plan_for_other_horizon_argument_raises():
+    base = reference_scenario()
+    plan = SchedulePlan(base, 43200.0)
+    smgd_schedule(base, 43200.0, plan=plan)
+    with pytest.raises(ValueError, match="horizon"):
+        smgd_schedule(base, plan=plan)
+    with pytest.raises(ValueError, match="circuit power or battery"):
+        plan.with_energy(dataclasses.replace(base.energy, p_circuit=1.0))
+
+
+def test_exhaustive_limit_checked_before_tables():
+    sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0)
+    _warm_caches(sc)
+
+    def call():
+        with pytest.raises(ValueError, match="16 slots"):
+            exhaustive_schedule(sc)
+
+    _, peak = _traced_peak(call)
+    assert peak < 1e6
+
+
+def test_reassembly_reads_no_tables():
+    # an equal but distinct scenario object: nothing may be reused by
+    # identity, and neither function may build the n x n tables
+    sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0).with_mobility_power(1.5)
+    sched = baseline_schedule("diligent", sc)
+    assert len(sched.epochs) == 2016
+    same = dataclasses.replace(sc)
+    assert same == sc and same is not sc
+    _warm_caches(sc)
+    again, peak = _traced_peak(lambda: dynamic_rf(sched, same))
+    assert abs(again - sched.avg_dynamic_rf) <= 1e-9 * sched.avg_dynamic_rf
+    assert peak < 5e6
+    lazy = baseline_schedule("lazy", sc)
+    avg, peak = _traced_peak(
+        lambda: interval_avg_rf(0.0, sc.horizon_s, lazy.epochs[0].deployment, 0.0, same)
+    )
+    assert avg == pytest.approx(lazy.avg_dynamic_rf, rel=1e-9)
+    assert peak < 5e6
