@@ -5,7 +5,8 @@ mobility the greedy re-optimizes at every density change; with costly
 mobility it holds the initial placement; in between it alternates lazy
 and diligent stretches.  Its average never exceeds either baseline.
 Only the move energies depend on the mobility power, so every call
-shares one plan: the static tables are built once for the whole sweep.
+shares one plan: densities, radii and deployments are computed once for
+the whole sweep, and the plan's memory grows linearly with the horizon.
 """
 
 from uavrf import SchedulePlan, baseline_schedule, reference_scenario, smgd_schedule

@@ -28,7 +28,6 @@ from .layout import (
     layout_positions,
     num_uavs,
     pad_with_rsc,
-    reposition_count,
 )
 from .patterns import (
     DensityPattern,
@@ -83,7 +82,6 @@ from .scheduling import (
     cost_matrix,
     dynamic_rf,
     exhaustive_schedule,
-    interval_avg_rf,
     mobility_energy_at,
     move_energy,
     smgd_schedule,

@@ -44,7 +44,13 @@ from .placement import (
 )
 from .quadrature import QuadratureError
 from .sampling import LearningBudget, min_sampling_numbers, subregion_eigenvalue
-from .scenario import ScenarioError, default_scenario, load_scenario, slot_densities
+from .scenario import (
+    ScenarioError,
+    default_scenario,
+    load_scenario,
+    reference_scenario,
+    slot_densities,
+)
 from .scheduling import baseline_schedule, smgd_schedule
 
 EXIT_OK = 0
@@ -53,7 +59,17 @@ EXIT_NUMERICAL = 3
 
 
 def _load(args) -> "Scenario":
-    scenario = load_scenario(args.config) if args.config else default_scenario()
+    """The ``--config`` file, else the reference day for the multi-slot
+    commands and the default scenario for the others; then ``--env`` and
+    ``--seed`` apply to whichever was picked."""
+    if args.config:
+        scenario = load_scenario(args.config)
+    elif args.command in ("schedule", "sampling", "compare") or (
+        args.command == "figure" and args.name in ("fig7", "fig8", "fig9")
+    ):
+        scenario = reference_scenario()
+    else:
+        scenario = default_scenario()
     if args.env:
         scenario = dataclasses.replace(scenario, env=environment_preset(args.env))
     if args.seed is not None:
@@ -149,10 +165,6 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_schedule(args) -> int:
     scenario = _load(args)
-    if args.config is None:
-        from .scenario import reference_scenario
-
-        scenario = reference_scenario(seed=args.seed if args.seed is not None else 12060)
     if args.horizon_hours is not None:
         scenario = dataclasses.replace(scenario, horizon_s=args.horizon_hours * 3600.0)
     if args.pm is not None:
@@ -191,10 +203,6 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_sampling(args) -> int:
     scenario = _load(args)
-    if args.config is None:
-        from .scenario import reference_scenario
-
-        scenario = reference_scenario(seed=args.seed if args.seed is not None else 12060)
     lams = slot_densities(scenario)[:, args.at_slot]
     eigs = [
         subregion_eigenvalue(
@@ -231,10 +239,6 @@ def _cmd_sampling(args) -> int:
 
 def _cmd_figure(args) -> int:
     scenario = _load(args)
-    if args.config is None and args.name in ("fig7", "fig8", "fig9"):
-        from .scenario import reference_scenario
-
-        scenario = reference_scenario(seed=args.seed if args.seed is not None else 12060)
     for path in run_figure(scenario, args.name, args.out):
         print(f"wrote {path}")
     return EXIT_OK
@@ -242,10 +246,6 @@ def _cmd_figure(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = _load(args)
-    if args.config is None:
-        from .scenario import reference_scenario
-
-        scenario = reference_scenario(seed=args.seed if args.seed is not None else 12060)
     pm_grid = args.pm if args.pm else list(MOBILITY_POWER_GRID)
     for path in run_policy_comparison(scenario, args.out, pm_grid):
         print(f"wrote {path}")

@@ -36,13 +36,6 @@ def num_uavs(area: float, radius: float) -> int:
     return max(1, math.ceil(area / (math.pi * radius * radius)))
 
 
-def reposition_count(n_before: int, n_after: int) -> int:
-    """Number of UAVs involved in an update: max of the two fleet sizes."""
-    if n_before < 0 or n_after < 0:
-        raise ValueError("fleet sizes must be nonnegative")
-    return max(n_before, n_after)
-
-
 def _row_counts(count: int, rows: int) -> list[int]:
     """Split ``count`` into ``rows`` balanced parts, extras to central rows."""
     base, extra = divmod(count, rows)

@@ -39,18 +39,20 @@ deployment, so move energies are solved once per ordered pair of
 distinct deployments, and a move between equal ones costs nothing.
 
 Only the move energies depend on the mobility powers and speeds.  The
-rest (densities, radii, the n x n static tables, deployments) lives in
-a :class:`SchedulePlan` built once per scenario and horizon.  A sweep
-over mobility powers builds one plan and passes it to every call,
+rest (densities, radii, the static-cost coefficients, deployments) lives
+in a :class:`SchedulePlan` built once per scenario, in memory linear in
+the number of slots.  A sweep over mobility powers builds one plan and
+passes it to every call,
 
     plan = SchedulePlan(scenario)
     for pm in (0.05, 1.5, 50.0):
         sc = scenario.with_mobility_power(pm)
         smgd_schedule(sc, plan=plan), baseline_schedule("lazy", sc, plan=plan)
 
-and a sweep over start times builds one plan per start.  A call
-without ``plan`` builds its own, used for that call only; a plan built
-for other non-mobility inputs raises ``ValueError``.
+and a sweep over start times builds one plan per start.  The horizon
+and the energy model come from the scenario alone.  A call without
+``plan`` builds its own, used for that call only; a plan built for other
+non-mobility inputs, the horizon included, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -208,32 +210,6 @@ def _static_rf(scenario: Scenario, lams: np.ndarray, radii: np.ndarray) -> np.nd
     return c1 + c2 @ lams
 
 
-def interval_avg_rf(
-    t_start: float,
-    t_end: float,
-    deployment: Deployment,
-    mobility_j: float,
-    scenario: Scenario,
-) -> float:
-    """Average recall frequency [1/s] over [t_start, t_end].
-
-    The placement is the one fixed at t_start; densities vary per slot;
-    ``mobility_j`` is the energy of the update closing the interval
-    (zero when the interval runs to the horizon without an update).
-    """
-    mu = scenario.slot_s
-    for t in (t_start, t_end):
-        if abs(t / mu - round(t / mu)) > 1e-9:
-            raise ValueError("interval bounds must be multiples of the slot length")
-    if t_end <= t_start:
-        raise ValueError("interval must have positive length")
-    k0 = int(round(t_start / mu))
-    lams = slot_densities(scenario, t_end)[:, k0:]
-    radii = np.array(deployment.radii())
-    static = float(_static_rf(scenario, lams, radii).sum()) * mu
-    return (static + mobility_j / scenario.energy.battery_j) / (t_end - t_start)
-
-
 # the fields of ``EnergyParams`` that only move energies depend on
 _MOBILITY_FIELDS = (
     "p_horizontal", "p_ascend", "p_descend", "v_horizontal", "v_ascend", "v_descend"
@@ -250,29 +226,32 @@ def _plan_inputs(scenario: Scenario) -> Scenario:
 
 
 class SchedulePlan:
-    """What scheduling one scenario over one horizon needs, mobility aside.
+    """What scheduling one scenario needs, mobility aside.
 
-    STAT[k, t] is the area-wide static recall frequency during slot t
-    with every subregion holding its slot-k optimal placement; OPT[t]
-    is the same with placements re-optimized each slot.  SUFFIX[k, t]
-    sums the excess max(STAT - OPT, 0) times the slot length over slots
-    t..n-1.  Slots with equal radii columns share one deployment id, and
-    deployments are cached per id.
+    Every array is per slot, so a plan takes O(B n) memory for B
+    subregions and n slots: the densities LAMS (B, n), the slot-optimal
+    radii (B, n), the static-cost coefficients C1 (n,) and C2 (B, n),
+    the per-slot optimum OPT (n,) and TAIL (n,).  :meth:`static` is the
+    area-wide static recall frequency over a range of slots with every
+    subregion holding its slot-k optimal placement, and
+    :meth:`excess_suffix` sums its excess max(static - OPT, 0) times the
+    slot length from each slot to the horizon; both are computed on
+    demand.  TAIL[k] is the excess of holding slot k's placement from k
+    to the horizon.  Slots with equal radii columns share one deployment
+    id, and deployments are cached per id.
 
     None of this depends on the flight powers and speeds of the
     scenario's energy, so one plan serves every scheduler call of a
     mobility-power sweep.  Move energies come from :meth:`with_energy`,
-    cached on the plan per energy model.  The two tables take 8 n^2
-    bytes each: keep a plan only as long as the sweep that uses it.
+    cached on the plan per energy model.
     """
 
-    def __init__(self, scenario: Scenario, horizon_s: float | None = None):
-        horizon_s = scenario.horizon_s if horizon_s is None else horizon_s
+    def __init__(self, scenario: Scenario):
         self.scenario = _plan_inputs(scenario)  # mobility fields reset
-        self.horizon_s = horizon_s
+        self.horizon_s = scenario.horizon_s
         self.mu = scenario.slot_s
-        self.n = int(round(horizon_s / scenario.slot_s))
-        self.lams = slot_densities(scenario, horizon_s)
+        self.n = scenario.n_slots
+        self.lams = slot_densities(scenario)
         if np.any(self.lams <= 0):
             raise ValueError(
                 "scheduling needs strictly positive densities everywhere; "
@@ -288,30 +267,34 @@ class SchedulePlan:
         # R*[b, k] and per-slot optima
         self.radii = (energy.p_circuit / (self.lams * q * p1)) ** 0.25
         spe = areas / (math.pi * eb)  # S_b / (pi E_b)
-        c1 = spe[:, None] * energy.p_circuit / self.radii**2       # (B, n)
-        c2 = spe[:, None] * q * p1 * self.radii**2                 # (B, n)
-        self.stat = c1.sum(axis=0)[:, None] + c2.T @ self.lams     # (n, n): k rows, t cols
+        self.c1 = (spe[:, None] * energy.p_circuit / self.radii**2).sum(axis=0)  # (n,)
+        self.c2 = spe[:, None] * q * p1 * self.radii**2                           # (B, n)
         self.opt = 2.0 * (spe[:, None] * np.sqrt(self.lams * q * energy.p_circuit * p1)).sum(axis=0)
-        # built in place, so that no temporary n x n array raises the peak memory
-        self.suffix = np.subtract(self.stat, self.opt[None, :])
-        np.maximum(self.suffix, 0.0, out=self.suffix)
-        self.suffix *= self.mu
-        reversed_rows = self.suffix[:, ::-1]
-        np.cumsum(reversed_rows, axis=1, out=reversed_rows)
+        self.tail = np.array([self.excess_suffix(k)[0] for k in range(self.n)])
         _, self.deployment_ids = np.unique(self.radii.T, axis=0, return_inverse=True)
         self._deployments: Dict[int, Deployment] = {}
         self._pair_energies: Dict[EnergyParams, Dict[Tuple[int, int], float]] = {}
 
-    def check(self, scenario: Scenario, horizon_s: float) -> None:
-        """Raise ``ValueError`` unless this plan fits ``scenario`` and the horizon.
+    def static(self, k: int, t0: int, t1: int) -> np.ndarray:
+        """Static recall frequency in slots t0..t1-1 of the slot-k placement."""
+        return self.c1[k] + self.c2[:, k] @ self.lams[:, t0:t1]
 
-        Every scenario field must match except the mobility fields of
-        its energy.
+    def excess_suffix(self, k: int) -> np.ndarray:
+        """Excess of the slot-k placement over OPT, summed from each slot t >= k on."""
+        excess = self.static(k, k, self.n)
+        excess -= self.opt[k:]
+        np.maximum(excess, 0.0, out=excess)
+        excess *= self.mu
+        reversed_excess = excess[::-1]
+        np.cumsum(reversed_excess, out=reversed_excess)
+        return excess
+
+    def check(self, scenario: Scenario) -> None:
+        """Raise ``ValueError`` unless this plan fits ``scenario``.
+
+        Every scenario field must match, the horizon included, except the
+        mobility fields of its energy.
         """
-        if horizon_s != self.horizon_s:
-            raise ValueError(
-                f"plan was built for a {self.horizon_s:g} s horizon, not {horizon_s:g} s"
-            )
         inputs = _plan_inputs(scenario)
         if inputs != self.scenario:
             differ = [
@@ -382,15 +365,12 @@ class _Moves:
         )
 
 
-def _moves_for(
-    scenario: Scenario, horizon_s: float | None, plan: SchedulePlan | None
-) -> _Moves:
+def _moves_for(scenario: Scenario, plan: SchedulePlan | None) -> _Moves:
     """The move energies of ``scenario`` on ``plan``, or on a fresh plan."""
-    horizon = scenario.horizon_s if horizon_s is None else horizon_s
     if plan is None:
-        plan = SchedulePlan(scenario, horizon)
+        plan = SchedulePlan(scenario)
     else:
-        plan.check(scenario, horizon)
+        plan.check(scenario)
     return plan.with_energy(scenario.energy)
 
 
@@ -410,7 +390,7 @@ def _assemble(
     mobility_total = 0.0
     for i, k in enumerate(epoch_slots):
         end = epoch_slots[i + 1] if i + 1 < len(epoch_slots) else pre.n
-        static_total += float(pre.stat[k, k:end].sum()) * mu
+        static_total += float(pre.static(k, k, end).sum()) * mu
         if i == 0:
             mob = moves.launch_energy(k) if scenario.include_initial_launch else 0.0
             changed = False
@@ -439,12 +419,7 @@ def _assemble(
 
 
 def smgd_schedule(
-    scenario: Scenario,
-    horizon_s: float | None = None,
-    energy: EnergyParams | None = None,
-    trace: bool = False,
-    *,
-    plan: SchedulePlan | None = None,
+    scenario: Scenario, *, trace: bool = False, plan: SchedulePlan | None = None
 ) -> Schedule:
     """Greedy sequential epoch selection (see module docstring).
 
@@ -454,13 +429,11 @@ def smgd_schedule(
     ``candidate_evaluations`` counts every candidate, pruned or not.
     ``trace=True`` disables pruning, scores every candidate in ascending
     slot order and records every plan value per step; the chosen plan
-    is identical either way.  ``plan`` shares the tables with other
-    calls on the same scenario and horizon (see :class:`SchedulePlan`);
-    without it the call builds its own.
+    is identical either way.  ``plan`` is shared with other calls on
+    the same scenario (see :class:`SchedulePlan`); without it the call
+    builds its own.
     """
-    if energy is not None:
-        scenario = dataclasses.replace(scenario, energy=energy)
-    moves = _moves_for(scenario, horizon_s, plan)
+    moves = _moves_for(scenario, plan)
     pre = moves.plan
     n = pre.n
     eb = scenario.energy.battery_j
@@ -469,18 +442,18 @@ def smgd_schedule(
     for j in range(n - 2, -1, -1):
         dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
 
-    diagonal = np.diagonal(pre.suffix)
     epoch_slots = [0]
     traces: List[StepTrace] = [] if trace else None
     evaluations = 0
     cur = 0
     while True:
-        hold_value = float(pre.suffix[cur, cur])
+        suffix = pre.excess_suffix(cur)
+        hold_value = float(suffix[0])
         evaluations += n - cur
         best_value, best_k = hold_value, None
         update_values: Dict[int, float] = {}
-        stale = hold_value - pre.suffix[cur, cur + 1 :]
-        tail = diagonal[cur + 1 :]  # excess of holding slot k's placement from k on
+        stale = hold_value - suffix[1:]
+        tail = pre.tail[cur + 1 :]  # excess of holding slot k's placement from k on
         bound = stale + tail  # mobility only adds cost to an update plan
         order = range(len(bound)) if trace else np.argsort(bound, kind="stable")
         for i in order:
@@ -520,36 +493,30 @@ def smgd_schedule(
 
 
 def baseline_schedule(
-    kind: str,
-    scenario: Scenario,
-    horizon_s: float | None = None,
-    energy: EnergyParams | None = None,
-    *,
-    plan: SchedulePlan | None = None,
+    kind: str, scenario: Scenario, *, plan: SchedulePlan | None = None
 ) -> Schedule:
     """The two reference policies: never update, or update every slot.
 
     ``plan`` is shared as in :func:`smgd_schedule`.
     """
-    if energy is not None:
-        scenario = dataclasses.replace(scenario, energy=energy)
     kind = kind.lower()
     if kind not in ("lazy", "diligent"):
         raise ValueError(f"kind must be 'lazy' or 'diligent', got {kind!r}")
-    moves = _moves_for(scenario, horizon_s, plan)
+    moves = _moves_for(scenario, plan)
     slots = [0] if kind == "lazy" else list(range(moves.plan.n))
     return _assemble(kind, moves, slots, scenario)
 
 
-def dynamic_rf(schedule: Schedule, scenario: Scenario, horizon_s: float | None = None) -> float:
+def dynamic_rf(schedule: Schedule, scenario: Scenario) -> float:
     """Recompute the average dynamic recall frequency from a schedule.
 
     Independent reassembly of the static integral and mobility charges
     from the densities and the closed-form static recall frequency of
-    each epoch's radii, without the scheduler's tables; agrees with
-    ``schedule.avg_dynamic_rf`` to float precision.
+    each epoch's radii over the schedule's horizon, without the
+    scheduler's plan; agrees with ``schedule.avg_dynamic_rf`` to float
+    precision.
     """
-    horizon = schedule.horizon_s if horizon_s is None else horizon_s
+    horizon = schedule.horizon_s
     mu = schedule.slot_s
     n = int(round(horizon / mu))
     lams = slot_densities(scenario, horizon)
@@ -563,15 +530,12 @@ def dynamic_rf(schedule: Schedule, scenario: Scenario, horizon_s: float | None =
     return (total_static + total_mobility / scenario.energy.battery_j) / horizon
 
 
-def exhaustive_schedule(
-    scenario: Scenario, horizon_s: float | None = None
-) -> Tuple[float, List[int]]:
+def exhaustive_schedule(scenario: Scenario) -> Tuple[float, List[int]]:
     """Exact minimum over every update-slot subset (exponential; toys only)."""
-    horizon = scenario.horizon_s if horizon_s is None else horizon_s
-    n = int(round(horizon / scenario.slot_s))
+    n = scenario.n_slots
     if n > 16:
         raise ValueError("exhaustive search is limited to 16 slots")
-    pre = SchedulePlan(scenario, horizon)
+    pre = SchedulePlan(scenario)
     moves = pre.with_energy(scenario.energy)
     eb = scenario.energy.battery_j
     best_value, best_slots = math.inf, [0]
@@ -582,10 +546,10 @@ def exhaustive_schedule(
             mobility = 0.0
             for i, k in enumerate(slots):
                 end = slots[i + 1] if i + 1 < len(slots) else n
-                static += float(pre.stat[k, k:end].sum()) * pre.mu
+                static += float(pre.static(k, k, end).sum()) * pre.mu
                 if i > 0:
                     mobility += moves.pair_energy(slots[i - 1], k)
-            value = (static + mobility / eb) / horizon
+            value = (static + mobility / eb) / scenario.horizon_s
             if value < best_value:
                 best_value, best_slots = value, slots
     return best_value, best_slots

@@ -126,6 +126,24 @@ def test_cli_env_override(tmp_path, capsys):
     assert "suburban" in capsys.readouterr().out
 
 
+def _summary_rf(out):
+    (line,) = [line for line in out.splitlines() if "avg_dynamic_rf=" in line]
+    return line.split("avg_dynamic_rf=")[1].split()[0]
+
+
+def test_cli_env_override_reaches_reference_scenario(tmp_path, capsys):
+    # the multi-slot commands start from the reference day; --env must
+    # still apply to it
+    rf = {}
+    for env in ("urban", "suburban"):
+        argv = ["--out", str(tmp_path), "--env", env, "schedule", "--horizon-hours", "2"]
+        assert main(argv) == 0
+        rf[env] = _summary_rf(capsys.readouterr().out)
+    assert rf["urban"] != rf["suburban"]
+    assert main(["--out", str(tmp_path), "schedule", "--horizon-hours", "2"]) == 0
+    assert _summary_rf(capsys.readouterr().out) == rf["urban"]  # the reference day is urban
+
+
 def test_cli_scenario_roundtrip_via_file(tmp_path):
     sc = reference_scenario(seed=31415)
     cfg = tmp_path / "sc.cfg"

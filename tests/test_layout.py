@@ -19,7 +19,6 @@ from uavrf.layout import (
     layout_positions,
     num_uavs,
     pad_with_rsc,
-    reposition_count,
 )
 from uavrf.patterns import Rect, Subregion, constant_pattern
 
@@ -48,14 +47,6 @@ def test_num_uavs_monotone_in_radius():
     radii = np.linspace(20.0, 600.0, 100)
     counts = [num_uavs(1e6, r) for r in radii]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-
-def test_reposition_count():
-    assert reposition_count(3, 5) == 5
-    assert reposition_count(5, 3) == 5
-    assert reposition_count(4, 4) == 4
-    with pytest.raises(ValueError):
-        reposition_count(-1, 2)
 
 
 def test_pad_with_rsc_recall():
@@ -91,7 +82,7 @@ def test_pad_lengths_match_reposition_count():
         pb, pa = pad_with_rsc(
             rng.normal(size=(nb, 3)), rng.normal(size=(na, 3)), (0.0, 0.0, 0.0)
         )
-        assert len(pb) == len(pa) == reposition_count(nb, na)
+        assert len(pb) == len(pa) == max(nb, na)
 
 
 def test_single_uav_at_center():

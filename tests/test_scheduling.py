@@ -27,7 +27,6 @@ from uavrf.scheduling import (
     cost_matrix,
     dynamic_rf,
     exhaustive_schedule,
-    interval_avg_rf,
     mobility_energy_at,
     move_energy,
     smgd_schedule,
@@ -222,60 +221,54 @@ def test_mobility_energy_validation():
 
 
 def test_interval_avg_constant_density_no_mobility():
+    # dynamic_rf of a lazy schedule is the average over the whole horizon
     lam = 2e-6
     sc = toy_scenario([[lam] * 6], pm=1.0)
     pre_radius = optimal_radius(lam, 0.5, sc.env, sc.radio)
-    h1 = optimal_altitude_ratio(sc.env)
-    dep = build_deployment(sc.subregions, (pre_radius,), (pre_radius * h1,), sc.rsc_position)
     from uavrf.placement import static_rf_at_optimal_altitude
 
     phi = static_rf_at_optimal_altitude(
         pre_radius, lam, sc.energy, sc.subregions[0].area, sc.env, sc.radio
     )
-    got = interval_avg_rf(0.0, sc.horizon_s, dep, 0.0, sc)
-    assert got == pytest.approx(phi, rel=1e-12)
+    lazy = baseline_schedule("lazy", sc)
+    assert lazy.epochs[0].deployment.radii() == (pytest.approx(pre_radius, rel=1e-12),)
+    assert lazy.mobility_total_j == 0.0
+    assert dynamic_rf(lazy, sc) == pytest.approx(phi, rel=1e-12)
 
 
 def test_interval_avg_mobility_amortization():
+    # the launch energy of a lazy schedule is spread over its horizon:
+    # twice the horizon, half the charge per second
     lam = 2e-6
-    sc = toy_scenario([[lam] * 8], pm=1.0)
-    radius = optimal_radius(lam, 0.5, sc.env, sc.radio)
-    h1 = optimal_altitude_ratio(sc.env)
-    dep = build_deployment(sc.subregions, (radius,), (radius * h1,), sc.rsc_position)
-    a = interval_avg_rf(0.0, 2400.0, dep, 1234.5, sc)
-    b = interval_avg_rf(0.0, 4800.0, dep, 1234.5, sc)
-    static = interval_avg_rf(0.0, 2400.0, dep, 0.0, sc)
-    assert a - static == pytest.approx(2.0 * (b - static), rel=1e-12)
+    charge = []
+    for n_slots in (4, 8):
+        sc = toy_scenario([[lam] * n_slots], pm=1.0)
+        launched = dataclasses.replace(sc, include_initial_launch=True)
+        lazy = baseline_schedule("lazy", launched)
+        assert lazy.mobility_total_j > 0.0
+        charge.append(dynamic_rf(lazy, launched) - dynamic_rf(baseline_schedule("lazy", sc), sc))
+    assert charge[0] == pytest.approx(2.0 * charge[1], rel=1e-12)
 
 
 def test_interval_avg_two_slot_hand_oracle():
     # pencil arithmetic: one subregion, stale radius over two slots
     lam0, lam1 = 1.0e-6, 2.5e-6
     sc = toy_scenario([[lam0, lam1]], pm=1.0)
-    env, radio = sc.env, sc.radio
-    h1 = optimal_altitude_ratio(env)
-    p1 = optimal_normalized_power(env, radio)
+    radio = sc.radio
+    p1 = optimal_normalized_power(sc.env, radio)
     area = sc.subregions[0].area
     eb = sc.energy.battery_j
     r0 = (0.5 / (lam0 * radio.snr_gap * p1)) ** 0.25
-    dep = build_deployment(sc.subregions, (r0,), (r0 * h1,), sc.rsc_position)
+    lazy = baseline_schedule("lazy", sc)
     mobility = 500.0  # J, hand-set
+    charged = dataclasses.replace(
+        lazy, epochs=[dataclasses.replace(lazy.epochs[0], mobility_j=mobility)]
+    )
     spe = area / (math.pi * eb)
     phi_slot0 = spe * (0.5 / r0**2 + lam0 * radio.snr_gap * p1 * r0**2)
     phi_slot1 = spe * (0.5 / r0**2 + lam1 * radio.snr_gap * p1 * r0**2)
     expected = (600.0 * (phi_slot0 + phi_slot1) + mobility / eb) / 1200.0
-    assert interval_avg_rf(0.0, 1200.0, dep, mobility, sc) == pytest.approx(
-        expected, rel=1e-12
-    )
-
-
-def test_interval_avg_validation():
-    sc = toy_scenario([[1e-6, 1e-6]])
-    dep = build_deployment(sc.subregions, (100.0,), (90.0,), sc.rsc_position)
-    with pytest.raises(ValueError):
-        interval_avg_rf(0.0, 0.0, dep, 0.0, sc)
-    with pytest.raises(ValueError):
-        interval_avg_rf(0.0, 601.0, dep, 0.0, sc)
+    assert dynamic_rf(charged, sc) == pytest.approx(expected, rel=1e-12)
 
 
 def test_smgd_constant_density_never_updates():
@@ -355,15 +348,13 @@ def test_dynamic_rf_reassembly_matches():
 
 
 def test_dynamic_rf_split_invariance():
-    lam = 2e-6
-    sc = toy_scenario([[lam] * 8], pm=1.0)
-    radius = optimal_radius(lam, 0.5, sc.env, sc.radio)
-    h1 = optimal_altitude_ratio(sc.env)
-    dep = build_deployment(sc.subregions, (radius,), (radius * h1,), sc.rsc_position)
-    whole = interval_avg_rf(0.0, 4800.0, dep, 0.0, sc) * 4800.0
-    left = interval_avg_rf(0.0, 1800.0, dep, 0.0, sc) * 1800.0
-    right = interval_avg_rf(1800.0, 4800.0, dep, 0.0, sc) * 3000.0
-    assert whole == pytest.approx(left + right, rel=1e-12)
+    # at constant density every slot holds the same placement: splitting
+    # the horizon into one epoch per slot changes nothing
+    sc = toy_scenario([[2e-6] * 8], pm=1.0)
+    lazy = baseline_schedule("lazy", sc)
+    split = baseline_schedule("diligent", sc)
+    assert len(split.epochs) == 8 and split.mobility_total_j == 0.0
+    assert dynamic_rf(split, sc) == pytest.approx(dynamic_rf(lazy, sc), rel=1e-12)
 
 
 def test_single_update_hand_oracle():
@@ -477,8 +468,9 @@ def _ascending_scan_smgd(sc):
     when its static bound exceeds the running incumbent, with a pair
     energy per slot pair.  Returns the epoch slots, the candidate count,
     the update count and the average dynamic recall frequency."""
-    pre = SchedulePlan(sc, sc.horizon_s)
+    pre = SchedulePlan(sc)
     n, eb, mu = pre.n, sc.energy.battery_j, pre.mu
+    own_tail = [float(pre.excess_suffix(k)[0]) for k in range(n)]
     deployments = {}
     energies = {}
 
@@ -503,15 +495,16 @@ def _ascending_scan_smgd(sc):
         dil_suffix[j] = dil_suffix[j + 1] + pair_energy(j, j + 1) / eb
     slots, evaluations, cur = [0], 0, 0
     while True:
-        base = float(pre.suffix[cur, cur])
+        suffix = pre.excess_suffix(cur)
+        base = float(suffix[0])
         evaluations += 1
         best_value, best = base, None
         for k in range(cur + 1, n):
             evaluations += 1
-            stale = base - float(pre.suffix[cur, k])
-            if stale + float(pre.suffix[k, k]) > best_value:
+            stale = base - float(suffix[k - cur])
+            if stale + own_tail[k] > best_value:
                 continue
-            value = stale + pair_energy(cur, k) / eb + float(pre.suffix[k, k])
+            value = stale + pair_energy(cur, k) / eb + own_tail[k]
             if value < best_value:
                 best_value, best = value, k
         if cur + 1 < n and float(dil_suffix[cur]) < best_value:
@@ -524,7 +517,7 @@ def _ascending_scan_smgd(sc):
     updates = 0
     for i, k in enumerate(slots):
         end = slots[i + 1] if i + 1 < len(slots) else n
-        static_total += float(pre.stat[k, k:end].sum()) * mu
+        static_total += float(pre.static(k, k, end).sum()) * mu
         if i > 0:
             mobility_total += pair_energy(slots[i - 1], k)
             updates += not np.array_equal(pre.radii[:, slots[i - 1]], pre.radii[:, k])
@@ -533,6 +526,12 @@ def _ascending_scan_smgd(sc):
 
 
 _band = st.floats(min_value=1e-8, max_value=2e-6, allow_nan=False)
+_bands = st.tuples(
+    *[st.one_of(
+        _band.map(lambda lam: (lam, lam)),
+        st.tuples(_band, _band).map(lambda b: tuple(sorted(b))),
+    )] * 2
+)
 
 
 @settings(max_examples=30, deadline=None)
@@ -540,12 +539,7 @@ _band = st.floats(min_value=1e-8, max_value=2e-6, allow_nan=False)
     start_slot=st.integers(min_value=0, max_value=4031),
     n_slots=st.integers(min_value=1, max_value=432),
     pm=st.one_of(st.sampled_from([0.0, 0.05, 1.5, 50.0]), st.floats(0.0, 100.0)),
-    bands=st.tuples(
-        *[st.one_of(
-            _band.map(lambda lam: (lam, lam)),
-            st.tuples(_band, _band).map(lambda b: tuple(sorted(b))),
-        )] * 2
-    ),
+    bands=_bands,
 )
 def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
     # pm = 0 and flat bands make many plans tie: hold must beat an equal
@@ -571,19 +565,52 @@ def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
             assert list(step.update_values) == list(range(step.slot + 1, n_slots))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    start_slot=st.integers(min_value=0, max_value=4031),
+    n_slots=st.integers(min_value=1, max_value=288),
+    bands=_bands,
+    data=st.data(),
+)
+def test_plan_excess_clip_only_rounds(start_slot, n_slots, bands, data):
+    # OPT is the per-slot minimum (AM-GM), so the static cost of any
+    # slot's placement is at least OPT and equals it in its own slot: the
+    # clip in the excess only removes round-off
+    sc = dataclasses.replace(
+        reference_scenario(),
+        start_s=start_slot * 600.0,
+        horizon_s=n_slots * 600.0,
+        density_bands=bands,
+    )
+    pre = SchedulePlan(sc)
+    n = pre.n
+    k = data.draw(st.integers(min_value=0, max_value=n - 1), label="k")
+    t = data.draw(st.integers(min_value=0, max_value=n - 1), label="t")
+    assert pre.static(k, k, k + 1)[0] == pytest.approx(pre.opt[k], rel=1e-12)
+    assert pre.static(k, t, t + 1)[0] >= pre.opt[t] * (1 - 1e-12)
+    assert np.all(pre.static(k, 0, n) >= pre.opt * (1 - 1e-12))
+    suffix = pre.excess_suffix(k)
+    assert len(suffix) == n - k
+    assert np.all(suffix >= 0.0)
+    assert np.all(np.diff(suffix) <= 0.0)
+    for j in range(n):
+        assert pre.tail[j] == pre.excess_suffix(j)[0]
+
+
 def test_smgd_equal_updates_earliest_wins(monkeypatch):
     # slot 2's update has the smaller static bound, so the best-first scan
     # visits it first; its pair energy is set so that both updates cost
     # exactly the same, and the earlier slot must still win
     sc = toy_scenario([[1.0e-6, 1.1e-6, 3.0e-6]], pm=1.0)
-    pre = SchedulePlan(sc, sc.horizon_s)
+    pre = SchedulePlan(sc)
     eb = sc.energy.battery_j
-    stale = [float(pre.suffix[0, 0]) - float(pre.suffix[0, k]) for k in (1, 2)]
-    bound = [s + float(pre.suffix[k, k]) for s, k in zip(stale, (1, 2))]
-    assert bound[1] < bound[0] < float(pre.suffix[0, 0])
-    energy_02 = (bound[0] - stale[1] - float(pre.suffix[2, 2])) * eb
+    row = [pre.excess_suffix(k) for k in range(3)]
+    stale = [float(row[0][0]) - float(row[0][k]) for k in (1, 2)]
+    bound = [s + float(row[k][0]) for s, k in zip(stale, (1, 2))]
+    assert bound[1] < bound[0] < float(row[0][0])
+    energy_02 = (bound[0] - stale[1] - float(row[2][0])) * eb
     for _ in range(64):
-        tied = stale[1] + energy_02 / eb + float(pre.suffix[2, 2])
+        tied = stale[1] + energy_02 / eb + float(row[2][0])
         if tied == bound[0]:
             break
         energy_02 = math.nextafter(energy_02, math.inf if tied < bound[0] else -math.inf)
@@ -594,23 +621,6 @@ def test_smgd_equal_updates_earliest_wins(monkeypatch):
     )
     assert smgd_schedule(sc).update_slots[:2] == [0, 1]
     assert smgd_schedule(sc, trace=True).update_slots[:2] == [0, 1]
-
-
-def test_precomputed_build_keeps_two_slot_tables():
-    # a 2-week horizon: the static table and the suffix sums are the only
-    # n x n arrays, and the suffix sums are built in their own buffer
-    sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0)
-    optimal_altitude_ratio(sc.env)  # fill the per-environment caches untraced
-    optimal_normalized_power(sc.env, sc.radio)
-    tracemalloc.start()
-    try:
-        pre = SchedulePlan(sc, sc.horizon_s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert pre.n == 2016
-    table_bytes = pre.n * pre.n * 8
-    assert peak < 2.5 * table_bytes
 
 
 def _traced_peak(fn):
@@ -629,15 +639,24 @@ def _warm_caches(sc):
     optimal_normalized_power(sc.env, sc.radio)
 
 
+def test_plan_memory_linear_at_four_weeks():
+    # the full 4-week pattern record: every plan array is per slot
+    sc = dataclasses.replace(reference_scenario(), horizon_s=28 * 86400.0)
+    _warm_caches(sc)
+    pre, peak = _traced_peak(lambda: SchedulePlan(sc))
+    assert pre.n == 4032
+    arrays = [a for a in vars(pre).values() if isinstance(a, np.ndarray)]
+    assert arrays and all(a.size <= len(sc.subregions) * pre.n for a in arrays)
+    assert peak < 5e6
+
+
 def test_policy_comparison_keeps_one_plan(tmp_path):
-    # one week over the pm grid: a single plan holds the two n x n tables,
-    # where one plan per pm would hold three pairs of them
+    # one week over the pm grid, three policies each, on one plan
     sc = dataclasses.replace(reference_scenario(), horizon_s=7 * 86400.0)
     _warm_caches(sc)
     _, peak = _traced_peak(lambda: experiments.run_policy_comparison(sc, str(tmp_path)))
-    n = sc.n_slots
-    assert n == 1008
-    assert peak < 2.5 * n * n * 8
+    assert sc.n_slots == 1008
+    assert peak < 5e6
 
 
 @pytest.mark.parametrize(
@@ -689,11 +708,12 @@ def test_shared_plan_matches_fresh_plans():
             baseline_schedule("diligent", sc),
         ]
         assert [_schedule_bits(s) for s in shared] == [_schedule_bits(s) for s in fresh]
-    # the energy argument and the mobility speeds are mobility inputs too
-    slow = dataclasses.replace(base.energy, p_horizontal=2.0, v_horizontal=3.0, v_descend=0.5)
-    assert _schedule_bits(smgd_schedule(base, energy=slow, plan=plan)) == _schedule_bits(
-        smgd_schedule(base, energy=slow)
+    # the mobility speeds are mobility inputs too
+    slow = dataclasses.replace(
+        base,
+        energy=dataclasses.replace(base.energy, p_horizontal=2.0, v_horizontal=3.0, v_descend=0.5),
     )
+    assert _schedule_bits(smgd_schedule(slow, plan=plan)) == _schedule_bits(smgd_schedule(slow))
 
 
 @pytest.mark.parametrize(
@@ -722,11 +742,15 @@ def test_plan_for_other_inputs_raises(change):
 
 
 def test_plan_for_other_horizon_argument_raises():
+    # the horizon comes from the scenario alone: no scheduler takes one
     base = reference_scenario()
-    plan = SchedulePlan(base, 43200.0)
-    smgd_schedule(base, 43200.0, plan=plan)
+    half = dataclasses.replace(base, horizon_s=43200.0)
+    plan = SchedulePlan(half)
+    smgd_schedule(half, plan=plan)
     with pytest.raises(ValueError, match="horizon"):
         smgd_schedule(base, plan=plan)
+    with pytest.raises(TypeError):
+        smgd_schedule(half, 43200.0, plan=plan)
     with pytest.raises(ValueError, match="circuit power or battery"):
         plan.with_energy(dataclasses.replace(base.energy, p_circuit=1.0))
 
@@ -745,7 +769,7 @@ def test_exhaustive_limit_checked_before_tables():
 
 def test_reassembly_reads_no_tables():
     # an equal but distinct scenario object: nothing may be reused by
-    # identity, and neither function may build the n x n tables
+    # identity, and dynamic_rf may not build a plan
     sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0).with_mobility_power(1.5)
     sched = baseline_schedule("diligent", sc)
     assert len(sched.epochs) == 2016
@@ -754,10 +778,4 @@ def test_reassembly_reads_no_tables():
     _warm_caches(sc)
     again, peak = _traced_peak(lambda: dynamic_rf(sched, same))
     assert abs(again - sched.avg_dynamic_rf) <= 1e-9 * sched.avg_dynamic_rf
-    assert peak < 5e6
-    lazy = baseline_schedule("lazy", sc)
-    avg, peak = _traced_peak(
-        lambda: interval_avg_rf(0.0, sc.horizon_s, lazy.epochs[0].deployment, 0.0, same)
-    )
-    assert avg == pytest.approx(lazy.avg_dynamic_rf, rel=1e-9)
     assert peak < 5e6
