@@ -203,7 +203,11 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_sampling(args) -> int:
     scenario = _load(args)
-    lams = slot_densities(scenario)[:, args.at_slot]
+    densities = slot_densities(scenario)
+    n = densities.shape[1]
+    if not 0 <= args.at_slot < n:
+        raise ValueError(f"--at-slot must lie in 0..{n - 1}, got {args.at_slot}")
+    lams = densities[:, args.at_slot]
     eigs = [
         subregion_eigenvalue(
             lam,

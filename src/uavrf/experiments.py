@@ -82,9 +82,10 @@ def run_altitude_curves(scenario: Scenario, out_dir: str) -> List[str]:
     for env_name in ("urban", "dense-urban", "suburban"):
         env = environment_preset(env_name)
         h1_star = optimal_altitude_ratio(env)
+        h1s = np.sort(np.append(h1_grid, h1_star))
+        p1s = [normalized_tx_power(h1, env, scenario.radio) for h1 in h1s]
         for p_tx in powers[env_name]:
-            for h1 in np.sort(np.append(h1_grid, h1_star)):
-                p1 = normalized_tx_power(h1, env, scenario.radio)
+            for h1, p1 in zip(h1s, p1s):
                 radius = (p_tx / (lam * scenario.radio.snr_gap * p1)) ** 0.25
                 rows.append(
                     (env_name, p_tx, h1, radius, h1 * radius, 1 if h1 == h1_star else 0)

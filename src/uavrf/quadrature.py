@@ -6,6 +6,16 @@ Simpson rule with interval-halving and Richardson correction handles
 these to tight relative tolerances in a few hundred evaluations, with a
 hard subdivision cap so a pathological integrand fails loudly instead of
 spinning.
+
+The rule runs on an explicit stack instead of recursing.  Panels are
+processed depth-first, left half before right half, so the integrand is
+evaluated at the same points in the same order as the recursive rule.
+A split panel leaves a ``None`` marker under its two halves; when the
+marker comes off the stack, both halves are finished and their totals
+are added, left plus right.  The sum therefore follows the recursion's
+tree, one addition per split panel, and the result keeps every bit of
+the recursive rule's result (``tests/test_quadrature.py`` keeps that
+rule as the oracle).
 """
 
 from __future__ import annotations
@@ -26,10 +36,6 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width / 6.0 * (fa + 4.0 * fm + fb)
-
-
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -43,8 +49,10 @@ def adaptive_simpson(
     The interval is halved wherever the two-panel Simpson estimate
     disagrees with the one-panel estimate by more than the (scaled)
     local tolerance; accepted panels take the standard delta/15
-    Richardson correction.  Raises :class:`QuadratureError` if any panel
-    reaches ``max_depth`` halvings.
+    Richardson correction.  The relative tolerance applies per panel
+    against its own scale; the absolute tolerance halves with each
+    split.  Raises :class:`QuadratureError` if any panel reaches
+    ``max_depth`` halvings.
     """
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -54,31 +62,45 @@ def adaptive_simpson(
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson(fa, fm, fb, b - a)
-    # Absolute budget derived once from the first whole-interval estimate;
-    # refined below as the estimate sharpens.
-    total = _integrate(f, a, fa, m, fm, b, fb, whole, rel_tol, abs_tol, max_depth)
-    return total
-
-
-def _integrate(f, a, fa, m, fm, b, fb, whole, rel_tol, abs_tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    tol = max(abs_tol, rel_tol * abs(left + right))
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson hit the subdivision cap on [{a:g}, {b:g}]; "
-            f"achieved error estimate {abs(delta) / 15.0:g}",
-            estimate=left + right + delta / 15.0,
-            error=abs(delta) / 15.0,
-        )
-    half_rel = rel_tol  # relative tolerance applies per panel against its own scale
-    return _integrate(f, a, fa, lm, flm, m, fm, left, half_rel, abs_tol / 2.0, depth - 1) + _integrate(
-        f, m, fm, rm, frm, b, fb, right, half_rel, abs_tol / 2.0, depth - 1
-    )
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    # Each entry is a panel (a, f(a), midpoint, f(mid), b, f(b), its
+    # one-panel estimate, absolute tolerance, halvings left) or None,
+    # which adds the two totals on top of ``done``.
+    stack = [(a, fa, m, fm, b, fb, whole, abs_tol, max_depth)]
+    done = []
+    pop, push, finish = stack.pop, stack.append, done.append
+    while stack:
+        panel = pop()
+        if panel is None:
+            right_total = done.pop()
+            done[-1] += right_total
+            continue
+        a, fa, m, fm, b, fb, whole, abs_tol, depth = panel
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = f(lm)
+        frm = f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        both = left + right
+        delta = both - whole
+        # max(abs_tol, rel_tol * |both|) without the call
+        tol = abs_tol
+        scaled = rel_tol * abs(both)
+        if scaled > tol:
+            tol = scaled
+        if abs(delta) <= 15.0 * tol:
+            finish(both + delta / 15.0)
+            continue
+        if depth <= 0:
+            raise QuadratureError(
+                f"adaptive Simpson hit the subdivision cap on [{a:g}, {b:g}]; "
+                f"achieved error estimate {abs(delta) / 15.0:g}",
+                estimate=both + delta / 15.0,
+                error=abs(delta) / 15.0,
+            )
+        half_tol = abs_tol / 2.0
+        push(None)
+        push((m, fm, rm, frm, b, fb, right, half_tol, depth - 1))
+        push((a, fa, lm, flm, m, fm, left, half_tol, depth - 1))
+    return done[0]

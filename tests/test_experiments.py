@@ -120,6 +120,25 @@ def test_cli_numerical_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("slot", ["500", "-1"])
+def test_cli_sampling_slot_out_of_range(tmp_path, capsys, slot):
+    # the reference day has 144 slots: an index past the end and a
+    # negative one are both validation errors, not an IndexError or the
+    # last slot
+    argv = ["--out", str(tmp_path), "sampling", "--dphi-max", "10", "--d", "1000",
+            "--delta", "0.05", "--at-slot", slot]
+    assert main(argv) == 2
+    assert "0..143" in capsys.readouterr().err
+    assert not (tmp_path / "sampling_numbers.csv").exists()
+
+
+def test_cli_sampling_last_slot_ok(tmp_path):
+    argv = ["--out", str(tmp_path), "sampling", "--dphi-max", "10", "--d", "1000",
+            "--delta", "0.05", "--at-slot", "143"]
+    assert main(argv) == 0
+    assert (tmp_path / "sampling_numbers.csv").exists()
+
+
 def test_cli_env_override(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "--env", "suburban", "altitude"])
     assert code == 0

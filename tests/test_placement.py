@@ -2,8 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_quadrature import _recursive_simpson
 
-from uavrf.channel import Environment, RadioConfig, avg_path_loss
+from uavrf import placement as pl
+from uavrf.channel import (
+    DENSE_URBAN,
+    SUBURBAN,
+    URBAN,
+    Environment,
+    RadioConfig,
+    avg_path_loss,
+    los_probability,
+    los_probability_altitude_slope,
+)
 from uavrf.placement import (
     AltitudeSearchParams,
     BracketError,
@@ -291,3 +304,82 @@ def test_golden_section_argmin_matches_closed_form(urban, radio, energy_unit_are
         options={"xatol": r_star * 1e-6},
     )
     assert abs(result.x - r_star) / r_star < 1e-3
+
+
+# --- fused P1 integrands ------------------------------------------------------
+
+
+def _composed_p1(h1, env):
+    """The P1 integrand built from the channel functions."""
+
+    def f(r):
+        if r == 0.0 and h1 == 0.0:
+            return 0.0
+        p = los_probability(r, h1, env)
+        return 2.0 * math.pi * r * (r * r + h1 * h1) * (env.eta_nlos + p * (env.eta_los - env.eta_nlos))
+
+    return f
+
+
+def _composed_slope(h1, env):
+    """The dP1/dh1 integrand built from the channel functions."""
+    delta = env.eta_los - env.eta_nlos
+
+    def f(r):
+        if r == 0.0 and h1 == 0.0:
+            return 0.0
+        p = los_probability(r, h1, env)
+        term_fspl = 2.0 * h1 * (env.eta_nlos + p * delta)
+        term_excess = (r * r + h1 * h1) * delta * los_probability_altitude_slope(r, h1, env)
+        return 2.0 * math.pi * r * (term_fspl + term_excess)
+
+    return f
+
+
+def _outcome(f, r):
+    # at r = 0 with h1 below ~1.5e-154, h1^2 underflows and the slope's
+    # 1/(r^2 + h1^2) is undefined: the channel route raises ValueError,
+    # the fused one ZeroDivisionError
+    try:
+        return f(r).hex()
+    except (ValueError, ZeroDivisionError):
+        return "undefined"
+
+
+def _box(field):
+    values = [getattr(e, field) for e in (URBAN, DENSE_URBAN, SUBURBAN)]
+    return st.floats(min(values), max(values))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=_box("a"),
+    b=_box("b"),
+    eta_los=_box("eta_los"),
+    eta_nlos=_box("eta_nlos"),
+    r=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    h1=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+)
+def test_fused_integrands_equal_channel_composition(a, b, eta_los, eta_nlos, r, h1):
+    env = Environment(a=a, b=b, eta_los=eta_los, eta_nlos=eta_nlos)
+    assert pl._p1_integrand(h1, env)(r).hex() == _composed_p1(h1, env)(r).hex()
+    assert _outcome(pl._p1_slope_integrand(h1, env), r) == _outcome(_composed_slope(h1, env), r)
+
+
+def test_p1_curve_matches_recursive_composition(monkeypatch, radio):
+    # h1* and the 301-point curve of `uavrf altitude` for each preset, by
+    # the fused integrands and stack-based rule and again by the channel
+    # composition and the recursive rule: equal bit for bit
+    def curve():
+        values = []
+        for env in (URBAN, DENSE_URBAN, SUBURBAN):
+            values.append(pl._altitude_ratio_cached.__wrapped__(env, AltitudeSearchParams()))
+            values += [normalized_tx_power(h, env, radio) for h in np.linspace(0.0, 3.0, 301)]
+        return [float(v).hex() for v in values]
+
+    fast = curve()
+    monkeypatch.setattr(pl, "adaptive_simpson", _recursive_simpson)
+    monkeypatch.setattr(pl, "_p1_integrand", _composed_p1)
+    monkeypatch.setattr(pl, "_p1_slope_integrand", _composed_slope)
+    assert len(fast) == 906
+    assert curve() == fast
