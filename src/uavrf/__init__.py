@@ -36,11 +36,10 @@ from .patterns import (
     parse_pattern_file,
     pattern_preset,
     perturbed_density,
-    reconstruct_traffic,
+    reconstruct_series,
     user_density,
 )
 from .placement import (
-    AltitudeSearchParams,
     EnergyParams,
     SlotPlacement,
     min_static_rf,

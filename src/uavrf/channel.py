@@ -57,7 +57,6 @@ class RadioConfig:
     noise_density: float = 5e-15     # noise PSD N0 [W/Hz]
     rate_bps: float = 1e4            # fixed per-user data rate C [bit/s]
     bs_coverage_area: float = 1e4    # reference BS coverage area [m^2]
-    light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
         for field_name in (
@@ -66,7 +65,6 @@ class RadioConfig:
             "noise_density",
             "rate_bps",
             "bs_coverage_area",
-            "light_speed",
         ):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
@@ -81,7 +79,7 @@ class RadioConfig:
     @property
     def fspl_factor(self) -> float:
         """(4*pi*f/c)^2, the distance-free part of free-space path loss."""
-        return (4.0 * math.pi * self.carrier_hz / self.light_speed) ** 2
+        return (4.0 * math.pi * self.carrier_hz / LIGHT_SPEED) ** 2
 
 
 URBAN = Environment(a=9.61, b=0.16, eta_los=1.0, eta_nlos=20.0, name="urban")

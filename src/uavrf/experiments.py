@@ -63,9 +63,8 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str
     return path
 
 
-def _stream(scenario: Scenario, stream_id: int, seed: int | None = None) -> np.random.Generator:
-    root = scenario.seed if seed is None else seed
-    return np.random.default_rng(np.random.SeedSequence(root, spawn_key=(stream_id,)))
+def _stream(scenario: Scenario, stream_id: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(stream_id,)))
 
 
 def run_altitude_curves(scenario: Scenario, out_dir: str) -> List[str]:
@@ -235,9 +234,7 @@ def run_start_time_sweep(scenario: Scenario, out_dir: str) -> List[str]:
     return [path]
 
 
-def run_learning_study(
-    scenario: Scenario, out_dir: str, n_draws: int = 10**6, seed: int | None = None
-) -> List[str]:
+def run_learning_study(scenario: Scenario, out_dir: str) -> List[str]:
     """Prediction-error inflation (Monte Carlo) and sampling budgets.
 
     The sampling numbers are the paper's equal-share closed form
@@ -248,8 +245,7 @@ def run_learning_study(
     area = scenario.subregions[0].area
     p_cu = scenario.energy.p_circuit
     battery = scenario.energy.battery_j
-    rng = _stream(scenario, 10, seed)
-    z = rng.standard_normal(n_draws)
+    z = _stream(scenario, 10).standard_normal(10**6)
     rows = []
     for lam in (3.0, 10.0):
         eig = subregion_eigenvalue(lam, p_cu, env, radio, area, battery)

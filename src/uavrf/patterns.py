@@ -161,25 +161,13 @@ def _raw_series(pattern: DensityPattern, n: np.ndarray) -> np.ndarray:
     return pattern.scale / N * total
 
 
-def reconstruct_traffic(pattern: DensityPattern, n: int) -> float:
-    """Reconstructed traffic amount at sample index ``n``.
+def reconstruct_series(pattern: DensityPattern, n: Iterable[int]) -> np.ndarray:
+    """Reconstructed traffic amounts at sample indices ``n``.
 
     Indices wrap modulo the record length, giving the periodic
-    extension.  The result is clamped at zero; a non-vanishing
-    imaginary part (impossible for conjugate-symmetric coefficients)
-    raises.
+    extension.  Results are clamped at zero; a non-vanishing imaginary
+    part (impossible for conjugate-symmetric coefficients) raises.
     """
-    value = complex(_raw_series(pattern, np.array([n]))[0])
-    if abs(value.imag) > REALNESS_TOL * max(1.0, abs(value.real)):
-        raise ArithmeticError(
-            f"reconstruction at n={n} is not real (imag {value.imag:g}); "
-            "coefficients violate conjugate symmetry"
-        )
-    return max(0.0, value.real)
-
-
-def reconstruct_series(pattern: DensityPattern, n: Iterable[int]) -> np.ndarray:
-    """Vectorized :func:`reconstruct_traffic` over many sample indices."""
     raw = _raw_series(pattern, np.asarray(list(n)))
     scale = max(1.0, float(np.max(np.abs(raw.real))) if raw.size else 1.0)
     worst = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
@@ -199,8 +187,8 @@ def user_density(sub: Subregion, t: float, radio: RadioConfig) -> float:
     if t < 0:
         raise ValueError("time must be nonnegative")
     n = int(math.floor(t / sub.pattern.sample_period))
-    x = reconstruct_traffic(sub.pattern, n)
-    return x / (radio.rate_bps * radio.bs_coverage_area)
+    x = reconstruct_series(sub.pattern, [n])[0]
+    return float(x) / (radio.rate_bps * radio.bs_coverage_area)
 
 
 def normalized_shape(pattern: DensityPattern, n_points: int | None = None) -> np.ndarray:
@@ -217,22 +205,14 @@ def normalized_shape(pattern: DensityPattern, n_points: int | None = None) -> np
     return (x - lo) / (hi - lo)
 
 
-def perturbed_density(lam: float, bias: float, stddev: float, seed) -> float:
-    """One noisy density prediction: lam + bias + N(0, stddev^2), floored.
+def perturbed_density(lam: float, bias: float, stddev: float, n: int, seed) -> np.ndarray:
+    """``n`` noisy density predictions lam + bias + N(0, stddev^2), floored.
 
-    Deterministic for a given ``seed`` (an int or anything accepted by
-    ``numpy.random.default_rng``).  Means and variances over many seeds
-    converge to lam + bias and stddev^2 up to truncation at the floor.
+    The draws come from one stream, deterministic for a given ``seed``
+    (an int or anything accepted by ``numpy.random.default_rng``).
+    Means and variances converge to lam + bias and stddev^2 up to
+    truncation at the floor.
     """
-    if stddev < 0:
-        raise ValueError("stddev must be nonnegative")
-    rng = np.random.default_rng(seed)
-    draw = lam + bias + (stddev * rng.standard_normal() if stddev > 0 else 0.0)
-    return max(DENSITY_FLOOR, draw)
-
-
-def perturbed_density_samples(lam: float, bias: float, stddev: float, n: int, seed) -> np.ndarray:
-    """Vectorized :func:`perturbed_density`: ``n`` draws from one stream."""
     if stddev < 0:
         raise ValueError("stddev must be nonnegative")
     rng = np.random.default_rng(seed)

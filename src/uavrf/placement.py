@@ -14,9 +14,9 @@ on-board circuit power, and the minimal per-subregion recall frequency
 
     phi* = (2 S / (pi E_b)) * sqrt(lam * (2^(C/W) - 1) * P_cu * P1(h1*)).
 
-Only h1* and P1(h1*) are cached, per environment (and radio and search
-settings); everything downstream of them is closed-form and cheap.  P1
-or its slope at any other ratio is a fresh radial quadrature, so the
+Only h1* (per environment) and P1(h1*) (per environment and radio) are
+cached; everything downstream of them is closed-form and cheap.  P1 or
+its slope at any other ratio is a fresh radial quadrature, so the
 integrands are fused into one Python frame per evaluation.
 """
 
@@ -57,25 +57,6 @@ class EnergyParams:
 
 
 @dataclass(frozen=True)
-class AltitudeSearchParams:
-    """Controls for the optimal altitude-ratio search."""
-
-    tolerance: float = 1e-3        # |derivative| stopping threshold
-    bracket_scale: float = 10.0    # expansion factor for the upper bracket
-    quadrature_tol: float = 1e-8   # relative tolerance of radial integrals
-    bracket_cap: float = 1e6       # give up if no sign change below this ratio
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.bracket_scale <= 1:
-            raise ValueError("bracket_scale must exceed 1")
-        if self.quadrature_tol <= 0:
-            raise ValueError("quadrature_tol must be positive")
-
-
-@dataclass(frozen=True)
 class SlotPlacement:
     """Optimal per-subregion placement for one time slot."""
 
@@ -110,6 +91,13 @@ class ConvergenceError(BracketError):
 
 
 _RAD_TO_DEG = 180.0 / math.pi  # math.degrees(x) is x * _RAD_TO_DEG, bit for bit
+
+# the h1* search and the radial integrals
+_SLOPE_TOL = 1e-3       # stop once |_geometry_slope| falls below this
+_BRACKET_SCALE = 10.0   # expansion factor for the upper bracket
+_BRACKET_CAP = 1e6      # give up if no sign change below this ratio
+_MAX_ITERATIONS = 200
+_QUAD_TOL = 1e-8        # relative tolerance of the radial integrals
 
 
 def _p1_integrand(h1: float, env: Environment) -> Callable[[float], float]:
@@ -157,16 +145,16 @@ def _p1_slope_integrand(h1: float, env: Environment) -> Callable[[float], float]
     return f
 
 
-def _geometry_integral(h1: float, env: Environment, quad_tol: float) -> float:
+def _geometry_integral(h1: float, env: Environment) -> float:
     """Dimensionless disk integral of the average loss at ratio h1.
 
     int_0^1 2*pi*r * (r^2 + h1^2) * excess(r, h1) dr; multiplying by the
     FSPL factor and N0*W gives the normalized transmit power.
     """
-    return adaptive_simpson(_p1_integrand(h1, env), 0.0, 1.0, rel_tol=quad_tol)
+    return adaptive_simpson(_p1_integrand(h1, env), 0.0, 1.0, rel_tol=_QUAD_TOL)
 
 
-def _geometry_slope(h1: float, env: Environment, quad_tol: float) -> float:
+def _geometry_slope(h1: float, env: Environment) -> float:
     """d/dh1 of :func:`_geometry_integral`, by analytic differentiation.
 
     Dimensionless on purpose: the search tolerance is compared against
@@ -177,16 +165,11 @@ def _geometry_slope(h1: float, env: Environment, quad_tol: float) -> float:
     # integral's natural scale.
     scale = 2.0 * math.pi * max(1.0, h1) * env.eta_nlos
     return adaptive_simpson(
-        _p1_slope_integrand(h1, env), 0.0, 1.0, rel_tol=quad_tol, abs_tol=quad_tol * scale
+        _p1_slope_integrand(h1, env), 0.0, 1.0, rel_tol=_QUAD_TOL, abs_tol=_QUAD_TOL * scale
     )
 
 
-def normalized_tx_power(
-    h1: float,
-    env: Environment,
-    radio: RadioConfig,
-    quad_tol: float = 1e-8,
-) -> float:
+def normalized_tx_power(h1: float, env: Environment, radio: RadioConfig) -> float:
     """Transmit power [W] of a unit-radius, unit-density cell at ratio h1."""
     if h1 < 0:
         raise ValueError("altitude ratio must be nonnegative")
@@ -195,18 +178,11 @@ def normalized_tx_power(
         * radio.bandwidth_hz
         * radio.snr_gap
         * radio.fspl_factor
-        * _geometry_integral(h1, env, quad_tol)
+        * _geometry_integral(h1, env)
     )
 
 
-def tx_power(
-    radius: float,
-    lam: float,
-    h: float,
-    env: Environment,
-    radio: RadioConfig,
-    quad_tol: float = 1e-8,
-) -> float:
+def tx_power(radius: float, lam: float, h: float, env: Environment, radio: RadioConfig) -> float:
     """Per-UAV transmit power [W] for radius, density and altitude.
 
     Uses the scale identity P_tx = lam * R^4 * (2^(C/W)-1) * P1(h/R).
@@ -217,16 +193,11 @@ def tx_power(
         raise ValueError("density and altitude must be nonnegative")
     if lam == 0.0:
         return 0.0
-    return lam * radius**4 * radio.snr_gap * normalized_tx_power(h / radius, env, radio, quad_tol)
+    return lam * radius**4 * radio.snr_gap * normalized_tx_power(h / radius, env, radio)
 
 
 def tx_power_direct(
-    radius: float,
-    lam: float,
-    h: float,
-    env: Environment,
-    radio: RadioConfig,
-    quad_tol: float = 1e-8,
+    radius: float, lam: float, h: float, env: Environment, radio: RadioConfig
 ) -> float:
     """Per-UAV transmit power by direct disk quadrature (no rescaling).
 
@@ -241,56 +212,43 @@ def tx_power_direct(
             return 0.0
         return 2.0 * math.pi * r * per_user_tx_power(r, h, env, radio)
 
-    return lam * adaptive_simpson(f, 0.0, radius, rel_tol=quad_tol)
+    return lam * adaptive_simpson(f, 0.0, radius, rel_tol=_QUAD_TOL)
 
 
 @lru_cache(maxsize=None)
-def _altitude_ratio_cached(env: Environment, params: AltitudeSearchParams) -> float:
-    slope = lambda h1: _geometry_slope(h1, env, params.quadrature_tol)
+def optimal_altitude_ratio(env: Environment) -> float:
+    """Altitude-to-radius ratio h1* minimizing the normalized power.
+
+    Bracketed bisection on the analytic derivative; depends only on the
+    environment, so results are cached per environment.  Raises
+    :class:`BracketError` when no bracket exists below the cap, and its
+    subclass :class:`ConvergenceError` when the iterations run out
+    before the derivative falls below the stopping threshold.
+    """
+    slope = lambda h1: _geometry_slope(h1, env)
     h_min, h_max = 0.0, 1.0
     d_min = slope(h_min)
     while d_min * slope(h_max) >= 0.0:
-        h_max *= params.bracket_scale
-        if h_max > params.bracket_cap:
-            raise BracketError(params.bracket_cap)
+        h_max *= _BRACKET_SCALE
+        if h_max > _BRACKET_CAP:
+            raise BracketError(_BRACKET_CAP)
     h_star, d = h_min, d_min
-    for _ in range(params.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         h_star = 0.5 * (h_min + h_max)
         d = slope(h_star)
-        if abs(d) < params.tolerance:
+        if abs(d) < _SLOPE_TOL:
             return h_star
         if d >= 0.0:
             h_max = h_star
         else:
             h_min = h_star
-    raise ConvergenceError(params.max_iterations, h_star, d)
-
-
-def optimal_altitude_ratio(env: Environment, params: AltitudeSearchParams | None = None) -> float:
-    """Altitude-to-radius ratio h1* minimizing the normalized power.
-
-    Bracketed bisection on the analytic derivative; depends only on the
-    environment, so results are cached per (env, params).  Raises
-    :class:`BracketError` when no bracket exists below the cap, and its
-    subclass :class:`ConvergenceError` when ``max_iterations`` run out
-    before the derivative falls below ``tolerance``.
-    """
-    return _altitude_ratio_cached(env, params or AltitudeSearchParams())
+    raise ConvergenceError(_MAX_ITERATIONS, h_star, d)
 
 
 @lru_cache(maxsize=None)
-def _optimal_normalized_power_cached(
-    env: Environment, radio: RadioConfig, params: AltitudeSearchParams
-) -> float:
-    h1 = _altitude_ratio_cached(env, params)
-    return normalized_tx_power(h1, env, radio, params.quadrature_tol)
-
-
-def optimal_normalized_power(
-    env: Environment, radio: RadioConfig, params: AltitudeSearchParams | None = None
-) -> float:
+def optimal_normalized_power(env: Environment, radio: RadioConfig) -> float:
     """P1(h1*), cached per environment and radio configuration."""
-    return _optimal_normalized_power_cached(env, radio, params or AltitudeSearchParams())
+    return normalized_tx_power(optimal_altitude_ratio(env), env, radio)
 
 
 def optimal_radius(
@@ -298,7 +256,6 @@ def optimal_radius(
     p_circuit: float,
     env: Environment,
     radio: RadioConfig,
-    params: AltitudeSearchParams | None = None,
 ) -> float:
     """Coverage radius R* [m] minimizing the static recall frequency.
 
@@ -312,7 +269,7 @@ def optimal_radius(
         raise ValueError("circuit power must be nonnegative")
     if p_circuit == 0.0:
         return 0.0
-    p1 = optimal_normalized_power(env, radio, params)
+    p1 = optimal_normalized_power(env, radio)
     return (p_circuit / (lam * radio.snr_gap * p1)) ** 0.25
 
 
@@ -324,7 +281,6 @@ def static_rf(
     area: float,
     env: Environment,
     radio: RadioConfig,
-    quad_tol: float = 1e-8,
 ) -> float:
     """Static recall frequency [1/s] of one subregion.
 
@@ -336,7 +292,7 @@ def static_rf(
     if area <= 0:
         raise ValueError("area must be positive")
     n = area / (math.pi * radius * radius)
-    return n * (tx_power(radius, lam, h, env, radio, quad_tol) + energy.p_circuit) / energy.battery_j
+    return n * (tx_power(radius, lam, h, env, radio) + energy.p_circuit) / energy.battery_j
 
 
 def static_rf_at_optimal_altitude(
@@ -346,7 +302,6 @@ def static_rf_at_optimal_altitude(
     area: float,
     env: Environment,
     radio: RadioConfig,
-    params: AltitudeSearchParams | None = None,
 ) -> float:
     """Static recall frequency when altitude tracks radius * h1*.
 
@@ -357,7 +312,7 @@ def static_rf_at_optimal_altitude(
         raise ValueError("radius must be positive")
     if lam < 0:
         raise ValueError("density must be nonnegative")
-    p1 = optimal_normalized_power(env, radio, params)
+    p1 = optimal_normalized_power(env, radio)
     return (area / (math.pi * energy.battery_j)) * (
         energy.p_circuit / radius**2 + lam * radio.snr_gap * p1 * radius**2
     )
@@ -381,7 +336,6 @@ def min_static_rf(
     area: float,
     env: Environment,
     radio: RadioConfig,
-    params: AltitudeSearchParams | None = None,
 ) -> tuple[float, SlotPlacement]:
     """Minimal static recall frequency and the placement achieving it.
 
@@ -390,8 +344,8 @@ def min_static_rf(
     if lam <= 0:
         raise ValueError("density must be positive")
     check_circuit_power(energy.p_circuit)
-    h1 = optimal_altitude_ratio(env, params)
-    p1 = optimal_normalized_power(env, radio, params)
+    h1 = optimal_altitude_ratio(env)
+    p1 = optimal_normalized_power(env, radio)
     r_star = (energy.p_circuit / (lam * radio.snr_gap * p1)) ** 0.25
     phi = (2.0 * area / (math.pi * energy.battery_j)) * math.sqrt(
         lam * radio.snr_gap * energy.p_circuit * p1

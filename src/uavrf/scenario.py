@@ -33,7 +33,6 @@ from .patterns import (
     parse_pattern_file,
     pattern_preset,
     reconstruct_series,
-    user_density,
 )
 from .placement import EnergyParams
 
@@ -73,13 +72,24 @@ class Scenario:
             raise ScenarioError(f"subregion labels must be distinct, got {labels!r}")
         if len(self.density_bands) != len(self.subregions):
             raise ScenarioError("density_bands must align with subregions")
-        if self.horizon_s <= 0 or self.slot_s <= 0:
-            raise ScenarioError("horizon and slot must be positive")
+        if not (0 < self.horizon_s < math.inf and 0 < self.slot_s < math.inf):
+            raise ScenarioError(
+                f"horizon and slot must be finite and positive, got {self.horizon_s!r} s "
+                f"and {self.slot_s!r} s"
+            )
         ratio = self.horizon_s / self.slot_s
         if abs(ratio - round(ratio)) > 1e-9:
             raise ScenarioError("horizon must be a whole number of slots")
-        if self.start_s < 0 or abs(self.start_s / self.slot_s - round(self.start_s / self.slot_s)) > 1e-9:
-            raise ScenarioError("start offset must be a nonnegative whole number of slots")
+        if self.n_slots < 1:
+            raise ScenarioError(
+                f"horizon {self.horizon_s!r} s is shorter than one slot of {self.slot_s!r} s"
+            )
+        start = self.start_s / self.slot_s
+        if not 0 <= start < math.inf or abs(start - round(start)) > 1e-9:
+            raise ScenarioError(
+                f"start offset must be a finite, nonnegative whole number of slots, "
+                f"got {self.start_s!r} s"
+            )
         for i, sub in enumerate(self.subregions):
             r = sub.rect
             if not (
@@ -133,14 +143,14 @@ def _check_name(what: str, name: str) -> None:
         )
 
 
-def slot_densities(scenario: Scenario, horizon_s: float | None = None) -> np.ndarray:
+def slot_densities(scenario: Scenario) -> np.ndarray:
     """Per-subregion, per-slot user densities [users/m^2], shape (B, n).
 
     Banded subregions rescale the pattern's normalized shape into
-    [low, high]; unbanded ones evaluate the literal pattern density.
+    [low, high]; unbanded ones evaluate the literal pattern density, as
+    :func:`patterns.user_density` does at each slot start.
     """
-    horizon = scenario.horizon_s if horizon_s is None else horizon_s
-    n = int(round(horizon / scenario.slot_s))
+    n = scenario.n_slots
     out = np.empty((len(scenario.subregions), n))
     if scenario.explicit_densities is not None:
         start = int(round(scenario.start_s / scenario.slot_s))
@@ -152,10 +162,8 @@ def slot_densities(scenario: Scenario, horizon_s: float | None = None) -> np.nda
         mu = sub.pattern.sample_period
         idx = np.floor((scenario.start_s + np.arange(n) * scenario.slot_s) / mu).astype(int)
         if band is None:
-            out[b] = [
-                user_density(sub, scenario.start_s + k * scenario.slot_s, scenario.radio)
-                for k in range(n)
-            ]
+            radio = scenario.radio
+            out[b] = reconstruct_series(sub.pattern, idx) / (radio.rate_bps * radio.bs_coverage_area)
         else:
             x = reconstruct_series(sub.pattern, range(sub.pattern.n_samples))
             lo_x, hi_x = float(x.min()), float(x.max())

@@ -519,7 +519,7 @@ def dynamic_rf(schedule: Schedule, scenario: Scenario) -> float:
     horizon = schedule.horizon_s
     mu = schedule.slot_s
     n = int(round(horizon / mu))
-    lams = slot_densities(scenario, horizon)
+    lams = slot_densities(dataclasses.replace(scenario, horizon_s=horizon))
     slots = schedule.update_slots
     total_static = 0.0
     total_mobility = sum(e.mobility_j for e in schedule.epochs)

@@ -120,6 +120,22 @@ def test_cli_numerical_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("hours", ["inf", "nan", "0"])
+def test_cli_schedule_bad_horizon_exit_code(tmp_path, capsys, hours):
+    argv = ["--out", str(tmp_path), "schedule", "--horizon-hours", hours]
+    assert main(argv) == 2
+    assert "horizon and slot must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["slot_seconds = inf", "slot_seconds = 1e14", "start_hours = inf"])
+def test_cli_schedule_bad_time_axis_config_exit_code(tmp_path, capsys, line):
+    cfg = tmp_path / "axis.cfg"
+    cfg.write_text(f"[scenario]\n{line}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "schedule"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "schedule_smgd.csv").exists()
+
+
 @pytest.mark.parametrize("slot", ["500", "-1"])
 def test_cli_sampling_slot_out_of_range(tmp_path, capsys, slot):
     # the reference day has 144 slots: an index past the end and a

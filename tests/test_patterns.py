@@ -15,9 +15,7 @@ from uavrf.patterns import (
     parse_pattern_file,
     pattern_preset,
     perturbed_density,
-    perturbed_density_samples,
     reconstruct_series,
-    reconstruct_traffic,
     user_density,
 )
 
@@ -38,16 +36,20 @@ def brute_force_reconstruction(pattern: DensityPattern, n: int) -> complex:
     return pattern.scale / N * total
 
 
+def traffic(pattern: DensityPattern, n: int) -> float:
+    return float(reconstruct_series(pattern, [n])[0])
+
+
 def test_dc_only_pattern_is_constant():
     pat = DensityPattern(scale=3.0, coefficients={0: complex(8.0, 0.0)}, n_samples=16)
     for n in range(16):
-        assert reconstruct_traffic(pat, n) == pytest.approx(3.0 * 8.0 / 16.0, rel=1e-14)
+        assert traffic(pat, n) == pytest.approx(3.0 * 8.0 / 16.0, rel=1e-14)
 
 
 def test_constant_pattern_helper():
     pat = constant_pattern(2.5)
-    assert reconstruct_traffic(pat, 0) == pytest.approx(2.5, rel=1e-14)
-    assert reconstruct_traffic(pat, 1234) == pytest.approx(2.5, rel=1e-14)
+    assert traffic(pat, 0) == pytest.approx(2.5, rel=1e-14)
+    assert traffic(pat, 1234) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_preset_e_against_direct_summation():
@@ -56,25 +58,27 @@ def test_preset_e_against_direct_summation():
     assert raw0.real == pytest.approx(E_RAW_N0, rel=1e-12)
     assert abs(raw0.imag) < 1e-9 * abs(raw0.real)
     # negative raw values clamp to zero
-    assert reconstruct_traffic(pat, 0) == 0.0
+    assert traffic(pat, 0) == 0.0
     raw82 = brute_force_reconstruction(pat, 82)
     assert raw82.real == pytest.approx(E_RAW_N82, rel=1e-12)
-    assert reconstruct_traffic(pat, 82) == pytest.approx(E_RAW_N82, rel=1e-12)
+    assert traffic(pat, 82) == pytest.approx(E_RAW_N82, rel=1e-12)
 
 
-def test_series_matches_scalar():
+def test_series_matches_direct_summation():
     pat = pattern_preset("T")
     ns = [0, 5, 100, 4031, 4032, 9000]
     series = reconstruct_series(pat, ns)
     for n, v in zip(ns, series):
-        assert v == pytest.approx(reconstruct_traffic(pat, n), rel=1e-12, abs=1e-9)
+        expected = max(0.0, brute_force_reconstruction(pat, n % pat.n_samples).real)
+        assert v == pytest.approx(expected, rel=1e-12, abs=1e-9)
+    assert series.max() > 0.0 and series.min() == 0.0  # both branches of the clamp
 
 
 def test_periodicity():
     pat = pattern_preset("R")
     for n in (0, 17, 1000, 4031):
-        assert reconstruct_traffic(pat, n) == pytest.approx(
-            reconstruct_traffic(pat, n + pat.n_samples), rel=1e-12, abs=1e-12
+        assert traffic(pat, n) == pytest.approx(
+            traffic(pat, n + pat.n_samples), rel=1e-12, abs=1e-12
         )
 
 
@@ -104,7 +108,7 @@ def test_mirror_synthesis_keeps_realness():
 def test_user_density_composition(radio):
     pat = pattern_preset("E")
     sub = Subregion(label="E", rect=Rect(0, 0, 1000, 1000), pattern=pat)
-    x82 = reconstruct_traffic(pat, 82)
+    x82 = traffic(pat, 82)
     t = 82 * pat.sample_period + 0.3 * pat.sample_period
     assert user_density(sub, t, radio) == pytest.approx(
         x82 / (radio.rate_bps * radio.bs_coverage_area), rel=1e-12
@@ -137,25 +141,27 @@ def test_weekly_shape_has_seven_dominant_peaks():
 
 
 def test_perturbed_density_deterministic():
-    a = perturbed_density(3.0, 0.1, 0.5, seed=42)
-    b = perturbed_density(3.0, 0.1, 0.5, seed=42)
-    assert a == b
-    assert perturbed_density(3.0, 0.1, 0.5, seed=43) != a
+    a = perturbed_density(3.0, 0.1, 0.5, n=3, seed=42)
+    b = perturbed_density(3.0, 0.1, 0.5, n=3, seed=42)
+    assert a.tolist() == b.tolist()
+    assert perturbed_density(3.0, 0.1, 0.5, n=3, seed=43)[0] != a[0]
+    # a shorter draw is a prefix of the same stream
+    assert perturbed_density(3.0, 0.1, 0.5, n=1, seed=42)[0] == a[0]
 
 
 def test_perturbed_density_degenerate():
-    assert perturbed_density(3.0, 0.0, 0.0, seed=0) == 3.0
-    assert perturbed_density(3.0, 0.2, 0.0, seed=0) == pytest.approx(3.2, rel=1e-15)
+    assert perturbed_density(3.0, 0.0, 0.0, n=1, seed=0)[0] == 3.0
+    assert perturbed_density(3.0, 0.2, 0.0, n=1, seed=0)[0] == pytest.approx(3.2, rel=1e-15)
 
 
 def test_perturbed_density_moments():
-    draws = perturbed_density_samples(3.0, 0.0, 0.1, n=10**6, seed=2026)
+    draws = perturbed_density(3.0, 0.0, 0.1, n=10**6, seed=2026)
     assert draws.mean() == pytest.approx(3.0, abs=5e-4)
     assert draws.var() == pytest.approx(0.01, rel=0.01)
 
 
 def test_perturbed_density_floor():
-    draws = perturbed_density_samples(1e-13, 0.0, 0.0, n=4, seed=1)
+    draws = perturbed_density(1e-13, 0.0, 0.0, n=4, seed=1)
     assert np.all(draws >= 1e-12)
 
 

@@ -18,7 +18,6 @@ from uavrf.channel import (
     los_probability_altitude_slope,
 )
 from uavrf.placement import (
-    AltitudeSearchParams,
     BracketError,
     ConvergenceError,
     EnergyParams,
@@ -119,19 +118,21 @@ def test_altitude_ratio_ordering(urban, dense_urban, suburban):
     )
 
 
-def test_altitude_bracket_failure(radio):
+def test_altitude_bracket_failure(radio, monkeypatch):
     # flat excess kills the descending branch: no interior optimum
     env = Environment(a=1.0, b=1.0, eta_los=1.0, eta_nlos=1.0)
-    with pytest.raises(BracketError):
-        optimal_altitude_ratio(env, AltitudeSearchParams(bracket_cap=1e4))
+    monkeypatch.setattr(pl, "_BRACKET_CAP", 1e4)
+    with pytest.raises(BracketError, match="below altitude ratio 10000"):
+        optimal_altitude_ratio(env)
 
 
-def test_altitude_unconverged_search_raises(urban):
+def test_altitude_unconverged_search_raises(urban, monkeypatch):
     # two bisection steps cannot reach |derivative| < 1e-300; the search
     # must fail loudly (a BracketError, so the CLI exits with code 3)
-    params = AltitudeSearchParams(max_iterations=2, tolerance=1e-300)
+    monkeypatch.setattr(pl, "_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(pl, "_SLOPE_TOL", 1e-300)
     with pytest.raises(ConvergenceError, match="did not converge in 2 iterations") as info:
-        optimal_altitude_ratio(urban, params)
+        optimal_altitude_ratio.__wrapped__(urban)  # past the cache, which may hold urban
     assert isinstance(info.value, BracketError)
     assert info.value.iterations == 2
 
@@ -246,8 +247,7 @@ def test_min_static_rf_against_joint_grid_search(urban, radio, energy_unit_area)
     best_rh = None
     for radius in radii:
         for h1 in h1s:
-            val = static_rf(radius, lam, radius * h1, energy_unit_area, area, urban, radio,
-                            quad_tol=1e-6)
+            val = static_rf(radius, lam, radius * h1, energy_unit_area, area, urban, radio)
             if val < best:
                 best, best_rh = val, (radius, h1)
     assert best >= phi * (1 - 1e-4)
@@ -373,7 +373,7 @@ def test_p1_curve_matches_recursive_composition(monkeypatch, radio):
     def curve():
         values = []
         for env in (URBAN, DENSE_URBAN, SUBURBAN):
-            values.append(pl._altitude_ratio_cached.__wrapped__(env, AltitudeSearchParams()))
+            values.append(pl.optimal_altitude_ratio.__wrapped__(env))
             values += [normalized_tx_power(h, env, radio) for h in np.linspace(0.0, 3.0, 301)]
         return [float(v).hex() for v in values]
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrf.channel import Environment, environment_preset
-from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset
+from uavrf.channel import Environment, RadioConfig, environment_preset
+from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset, user_density
+from uavrf.placement import EnergyParams
 from uavrf.scenario import (
     Scenario,
     ScenarioError,
@@ -85,6 +86,24 @@ def test_horizon_must_be_slot_multiple():
         dataclasses.replace(default_scenario(), horizon_s=1000.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon_s", math.inf),
+        ("horizon_s", math.nan),
+        ("horizon_s", 0.0),
+        ("slot_s", math.inf),
+        ("slot_s", math.nan),
+        ("slot_s", 1e14),  # horizon / slot rounds to 0 slots
+        ("start_s", math.inf),
+        ("start_s", math.nan),
+    ],
+)
+def test_time_axis_must_be_finite_with_a_slot(field, value):
+    with pytest.raises(ScenarioError, match="finite|shorter than one slot"):
+        dataclasses.replace(default_scenario(), **{field: value})
+
+
 def test_band_validation():
     with pytest.raises(ScenarioError, match="band"):
         dataclasses.replace(default_scenario(), density_bands=((0.0, 1.0),))
@@ -122,6 +141,24 @@ def test_raw_densities_match_pattern(radio):
     for k in (0, 10, 100):
         expected = user_density(sc.subregions[0], k * sc.slot_s, sc.radio)
         assert lams[0, k] == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    label=st.sampled_from("ERTOC"),
+    start_slot=st.integers(0, 2 * 4032),
+    n_slots=st.integers(1, 4032),
+)
+def test_unbanded_densities_equal_user_density_bits(label, start_slot, n_slots):
+    # the vectorized row equals the per-slot density at every slot start
+    base = default_scenario()
+    sub = Subregion(label=label, rect=base.bounds, pattern=pattern_preset(label))
+    sc = dataclasses.replace(
+        base, subregions=(sub,), start_s=start_slot * base.slot_s, horizon_s=n_slots * base.slot_s
+    )
+    row = slot_densities(sc)[0]
+    expected = [user_density(sub, sc.start_s + k * sc.slot_s, sc.radio) for k in range(n_slots)]
+    assert [float(v).hex() for v in row] == [v.hex() for v in expected]
 
 
 def test_start_offset_shifts_densities():
@@ -233,6 +270,25 @@ def test_modified_preset_environment_roundtrips():
     back = parse_scenario(dump_scenario(sc))
     assert back.env.eta_nlos == 30.0
     assert back == sc
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_radio_and_energy_fields_roundtrip(data):
+    # every field of both dataclasses is written and read back exactly
+    def drawn(cls):
+        values = {}
+        for field in dataclasses.fields(cls):
+            low = 0.0 if field.name.startswith("p_") else 1e-12  # powers may be 0
+            values[field.name] = data.draw(
+                st.floats(min_value=low, max_value=1e12, allow_nan=False, allow_infinity=False),
+                label=f"{cls.__name__}.{field.name}",
+            )
+        return cls(**values)
+
+    radio, energy = drawn(RadioConfig), drawn(EnergyParams)
+    sc = dataclasses.replace(reference_scenario(), radio=radio, energy=energy)
+    assert parse_scenario(dump_scenario(sc)) == sc
 
 
 _PRESETS = [environment_preset(n) for n in ("urban", "dense-urban", "suburban")]

@@ -670,9 +670,9 @@ def test_policy_comparison_keeps_one_plan(tmp_path):
 def test_sweeps_build_one_plan_each(runner, plans, tmp_path, monkeypatch):
     builds = []
 
-    def spy(scenario, horizon_s=None):
-        builds.append(horizon_s)
-        return slot_densities(scenario, horizon_s)
+    def spy(scenario):
+        builds.append(scenario.horizon_s)
+        return slot_densities(scenario)
 
     monkeypatch.setattr(scheduling, "slot_densities", spy)
     runner(reference_scenario(), str(tmp_path))
