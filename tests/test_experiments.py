@@ -136,6 +136,24 @@ def test_cli_schedule_bad_time_axis_config_exit_code(tmp_path, capsys, line):
     assert not (tmp_path / "schedule_smgd.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ("[environment]\nb = 0.3\neta_los = 1.0\neta_nlos = 20.0\n", "[environment] needs a"),
+        ("[subregion A]\npattern = preset:E\n", "[subregion A] needs rect"),
+        ("[radio]\ncarrier_hz = fast\n", "[radio] carrier_hz"),
+        ("[radio]\ncarier_hz = 5e9\n", "[radio] has unknown key carier_hz"),
+        ("[enrgy]\np_circuit = 2\n", "unknown section [enrgy]"),
+    ],
+    ids=["no-env-a", "no-rect", "bad-number", "unknown-key", "unknown-section"],
+)
+def test_cli_config_errors_exit_2_naming_the_key(tmp_path, capsys, config, named):
+    cfg = tmp_path / "f.ini"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "altitude"]) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("slot", ["500", "-1"])
 def test_cli_sampling_slot_out_of_range(tmp_path, capsys, slot):
     # the reference day has 144 slots: an index past the end and a

@@ -238,6 +238,44 @@ density_band = 1e-7 1e-6
         assert got.coefficients[k] == pytest.approx(pattern.coefficients[k], rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[radio]\ncarier_hz = 5e9\n", r"\[radio\] has unknown key carier_hz"),
+        ("[energy]\nbatery_j = 5\n", r"\[energy\] has unknown key batery_j"),
+        ("[scenario]\nhorizon_hour = 2\n", r"\[scenario\] has unknown key horizon_hour"),
+        ("[scenario]\nlight_speed = 3e8\n", r"\[scenario\] has unknown key light_speed"),
+        ("[subregion A]\nrect = 0 0 10 10\ncolour = red\n",
+         r"\[subregion A\] has unknown key colour"),
+        ("[enrgy]\np_circuit = 2\n", r"unknown section \[enrgy\]"),
+        ("[Scenario]\nname = x\n", r"unknown section \[Scenario\]"),
+        ("[DEFAULT]\nhorizon_hours = 2\n", r"unknown section \[DEFAULT\]"),
+    ],
+)
+def test_unknown_sections_and_keys_rejected(text, named):
+    # a misspelled key or section used to parse and silently keep the default
+    with pytest.raises(ScenarioError, match=named):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[environment]\nb = 0.3\neta_los = 1\neta_nlos = 20\n", r"\[environment\] needs a"),
+        ("[subregion A]\npattern = preset:E\n", r"\[subregion A\] needs rect"),
+        ("[radio]\ncarrier_hz = fast\n", r"\[radio\] carrier_hz is not numeric: 'fast'"),
+        ("[energy]\np_circuit =\n", r"\[energy\] p_circuit needs a number, got ''"),
+        ("[scenario]\nseed = 1.5\n", r"\[scenario\] seed is not an integer: '1.5'"),
+        ("[scenario]\nrsc = 0 0\n", r"\[scenario\] rsc needs 3 numbers"),
+        ("[subregion A]\nrect = 0 0 10 10\ndensities = 1e-6 x\n",
+         r"\[subregion A\] densities is not numeric"),
+    ],
+)
+def test_missing_or_malformed_values_name_section_and_key(text, named):
+    with pytest.raises(ScenarioError, match=named):
+        parse_scenario(text)
+
+
 def test_missing_energy_section_normalizes_like_empty_one():
     text = """
 [scenario]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from uavrf import experiments, scheduling
 from uavrf.channel import RadioConfig, environment_preset
@@ -218,6 +219,133 @@ def test_mobility_energy_validation():
     c = _single_uav_deployment((0, 0, 10), label="OTHER")
     with pytest.raises(ValueError):
         mobility_energy_at(a, c, UNIT_MOVES)
+
+
+def _reference_pair_energy(prev, nxt, energy):
+    """The pair path as first written: stack, pad with depot copies, build
+    the cost matrix with broadcast (n, n) terms, and read the permutation
+    off the (rows, cols) pairs.  Returns the energy and the permutation."""
+    before = np.vstack([e.positions for e in prev.entries])
+    after = np.vstack([e.positions for e in nxt.entries])
+    target = max(len(before), len(after))
+    rsc = np.asarray(prev.rsc_position, dtype=float).reshape(1, 3)
+    before, after = (
+        arr if len(arr) == target else np.vstack([arr, np.tile(rsc, (target - len(arr), 1))])
+        for arr in (before, after)
+    )
+    d_xy = np.hypot(
+        before[:, None, 0] - after[None, :, 0], before[:, None, 1] - after[None, :, 1]
+    )
+    dz = after[None, :, 2] - before[:, None, 2]
+    vertical = np.where(
+        dz >= 0,
+        dz * (energy.p_ascend / energy.v_ascend),
+        -dz * (energy.p_descend / energy.v_descend),
+    )
+    cost = d_xy * (energy.p_horizontal / energy.v_horizontal) + vertical
+    rows, cols = linear_sum_assignment(cost)
+    perm = [0] * len(rows)
+    for r, c in zip(rows, cols):
+        perm[r] = int(c)
+    return float(cost[rows, cols].sum()), tuple(perm)
+
+
+def _zone_deployment(rects, counts, altitudes, rng, snap, rsc):
+    """UAVs drawn inside each rectangle at its zone's altitude; ``snap``
+    puts them on a 5 x 5 grid of the rectangle, so distances tie often."""
+    entries = []
+    for b, (rect, count, altitude) in enumerate(zip(rects, counts, altitudes)):
+        u = rng.integers(0, 5, size=(count, 2)) / 4.0 if snap else rng.random((count, 2))
+        pos = np.empty((count, 3))
+        pos[:, 0] = rect.x + u[:, 0] * rect.width
+        pos[:, 1] = rect.y + u[:, 1] * rect.height
+        pos[:, 2] = altitude
+        entries.append(SubregionDeployment(f"S{b}", 100.0, altitude, pos))
+    return Deployment(tuple(entries), rsc)
+
+
+_rects = st.builds(
+    Rect,
+    st.floats(-2000.0, 2000.0),
+    st.floats(-2000.0, 2000.0),
+    st.floats(1.0, 2000.0),
+    st.floats(1.0, 2000.0),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rects=st.lists(_rects, min_size=1, max_size=3),
+    data=st.data(),
+    depot=st.sampled_from(["anywhere", "on a UAV", "zone corner"]),
+    snap=st.booleans(),
+    pm=st.sampled_from([0.0, 0.05, 1.5, 50.0]),
+    ratios=st.tuples(*[st.floats(0.1, 10.0)] * 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_energy_matches_reference_composition(rects, data, depot, snap, pm, ratios, seed):
+    rng = np.random.default_rng(seed)
+    fleets = [
+        data.draw(st.lists(st.integers(1, 60), min_size=len(rects), max_size=len(rects)))
+        for _ in range(2)
+    ]
+    heights = [rng.uniform(0.0, 500.0, size=len(rects)) for _ in range(2)]
+    rsc = tuple(float(v) for v in rng.uniform(-3000.0, 3000.0, size=3))
+    prev = _zone_deployment(rects, fleets[0], heights[0], rng, snap, rsc)
+    if depot == "on a UAV":
+        rsc = tuple(float(v) for v in prev.all_positions()[0])
+    elif depot == "zone corner":
+        rsc = (rects[0].x, rects[0].y, 0.0)
+    prev = dataclasses.replace(prev, rsc_position=rsc)
+    nxt = _zone_deployment(rects, fleets[1], heights[1], rng, snap, rsc)
+    energy = EnergyParams(
+        p_circuit=0.5,
+        battery_j=1e5,
+        p_horizontal=pm,
+        p_ascend=pm * ratios[0],
+        p_descend=pm * ratios[1],
+        v_horizontal=ratios[2],
+        v_ascend=ratios[3],
+        v_descend=ratios[4],
+    )
+    value, assignment = mobility_energy_at(prev, nxt, energy)
+    ref_value, ref_perm = _reference_pair_energy(prev, nxt, energy)
+    assert value.hex() == ref_value.hex()
+    assert assignment.permutation == ref_perm
+    assert assignment.total_energy == value
+
+
+def _paper_size_pair(before, after):
+    """Reference-geometry deployments at paper density: ``before`` and
+    ``after`` UAVs over the two zones, at the slot-optimal altitude ratio."""
+    sc = reference_scenario()
+    h1 = optimal_altitude_ratio(sc.env)
+
+    def deployment(total):
+        counts = (total // 2, total - total // 2)
+        radii = [math.sqrt(s.area / (math.pi * (c - 0.5))) for s, c in zip(sc.subregions, counts)]
+        dep = build_deployment(sc.subregions, radii, [r * h1 for r in radii], sc.rsc_position)
+        assert [e.count for e in dep.entries] == list(counts)
+        return dep
+
+    return deployment(before), deployment(after), sc.with_mobility_power(1.5).energy
+
+
+@pytest.mark.parametrize("before, after", [(370, 398), (465, 484), (484, 465)])
+def test_paper_size_pairs_match_reference_composition(before, after):
+    prev, nxt, energy = _paper_size_pair(before, after)
+    value, assignment = mobility_energy_at(prev, nxt, energy)
+    ref_value, ref_perm = _reference_pair_energy(prev, nxt, energy)
+    assert value.hex() == ref_value.hex()
+    assert assignment.permutation == ref_perm
+
+
+def test_paper_size_pair_memory():
+    # one (n, n) temporary per axis: no (n, n, 3) difference tensor
+    prev, nxt, energy = _paper_size_pair(465, 484)
+    mobility_energy_at(prev, nxt, energy)  # warm up scipy
+    _, peak = _traced_peak(lambda: mobility_energy_at(prev, nxt, energy))
+    assert peak < 10e6
 
 
 def test_interval_avg_constant_density_no_mobility():
