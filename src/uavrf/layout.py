@@ -2,14 +2,27 @@
 
 The disk-cover side of the problem is deliberately heuristic: the fleet
 size is the ceiling of area over disk area, and positions come from a
-small deterministic search over row-based lattices (aligned and
-quarter-pitch staggered variants).  A candidate's score is its sampled
-covering radius: the largest distance from the points of a regular
-``res x res`` grid over the rectangle to their nearest UAV ground
-projection, found by one k-d tree (``scipy.spatial.cKDTree``) query per
-candidate in O(res^2 log m) time and O(res^2) memory.  The depot
-(recall-and-supplement center, RSC) absorbs fleet-size differences
-between consecutive deployments by padding the shorter position list.
+small deterministic search over row-based lattices (aligned, quarter-pitch
+staggered, and hexagonal rows; Kershner 1939 for why hexagonal rows are
+the ones worth scoring).  A candidate's score is its sampled covering
+radius: the largest distance from the points of a regular ``res x res``
+grid over the rectangle to their nearest UAV ground projection.
+
+The score is computed from the candidate's rows, not from a point cloud.
+For row i at height y_i, ``dx2[a] = min_j (gx[a] - x_ij)^2`` over the
+row's UAVs and ``dy2[b] = (gy[b] - y_i)^2``; the rows fold into one
+(res, res) array of squared distances by an elementwise minimum of
+``dx2[None, :] + dy2[:, None]``, and the score is the square root of its
+maximum.  Its bits equal those of a nearest-point query that evaluates
+``sqrt(dx^2 + dy^2)`` for every point: rounding is monotone, so the
+minimum over a row of ``fl(fl(dx^2) + dy^2)`` is ``fl(min fl(dx^2) + dy^2)``,
+and the square root is monotone, so one root of the maximum is the
+maximum of the roots.  No k-d tree is built; time is O(res * m + rows *
+res^2) and memory O(res^2) per candidate.
+
+The depot (recall-and-supplement center, RSC) absorbs fleet-size
+differences between consecutive deployments by padding the shorter
+position list.
 """
 
 from __future__ import annotations
@@ -20,7 +33,6 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .patterns import Rect
 
@@ -73,7 +85,8 @@ def _candidate(
     counts: Sequence[int],
     staggered: bool,
     margin: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Row lattice as (row ys, each row's ascending xs)."""
     ys = _axis_positions(rect_h, len(counts), margin)
     xs = []
     for i, m in enumerate(counts):
@@ -83,10 +96,12 @@ def _candidate(
             pitch = rect_w / (m - 1.0 + 2.0 * margin)
             row = row + (0.25 if i % 2 else -0.25) * pitch
         xs.append(row)
-    return np.column_stack((np.concatenate(xs), np.repeat(ys, counts)))
+    return ys, xs
 
 
-def _hex_candidate(rect_w: float, rect_h: float, counts: Sequence[int], margin: float) -> np.ndarray:
+def _hex_candidate(
+    rect_w: float, rect_h: float, counts: Sequence[int], margin: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Half-pitch staggered rows sharing one pitch (rows alternate m, m-1).
 
     The genuine hexagonal covering lattice; only well formed when
@@ -97,20 +112,30 @@ def _hex_candidate(rect_w: float, rect_h: float, counts: Sequence[int], margin: 
     xs_long = _axis_positions(rect_w, m_long, margin)
     pitch = rect_w / (m_long - 1.0 + 2.0 * margin) if m_long > 1 else rect_w
     xs = [xs_long if m == m_long else xs_long[:m] + 0.5 * pitch for m in counts]
-    return np.column_stack((np.concatenate(xs), np.repeat(ys, counts)))
+    return ys, xs
 
 
-def _grid(rect_w: float, rect_h: float, res: int) -> np.ndarray:
-    """The res x res sample points of the rectangle, shape (res^2, 2)."""
-    gx = np.linspace(0.0, rect_w, res)
-    gy = np.linspace(0.0, rect_h, res)
-    return np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
+def _points(ys: np.ndarray, xs: Sequence[np.ndarray]) -> np.ndarray:
+    """The lattice's (m, 2) points, row by row."""
+    return np.column_stack((np.concatenate(xs), np.repeat(ys, [len(row) for row in xs])))
 
 
-def _worst_cover_distance(grid: np.ndarray, pts: np.ndarray) -> float:
-    """Largest distance from a grid point to its nearest point of ``pts``."""
-    dist, _ = cKDTree(pts).query(grid)
-    return float(dist.max())
+def _grid(rect_w: float, rect_h: float, res: int) -> tuple[np.ndarray, np.ndarray]:
+    """The res x res sample grid of the rectangle, as its xs and its ys."""
+    return np.linspace(0.0, rect_w, res), np.linspace(0.0, rect_h, res)
+
+
+def _worst_cover_distance(
+    grid: tuple[np.ndarray, np.ndarray], ys: np.ndarray, xs: Sequence[np.ndarray]
+) -> float:
+    """Largest distance from a grid point to its nearest lattice point."""
+    gx, gy = grid
+    dy2 = (gy[None, :] - ys[:, None]) ** 2
+    best = np.full((len(gy), len(gx)), np.inf)
+    for row, row_dy2 in zip(xs, dy2):
+        dx2 = ((gx[None, :] - row[:, None]) ** 2).min(axis=0)
+        np.minimum(best, dx2[None, :] + row_dy2[:, None], out=best)
+    return math.sqrt(best.max())
 
 
 @lru_cache(maxsize=4096)
@@ -118,10 +143,11 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float,
     """Best row lattice for ``count`` points in a w x h rectangle at origin."""
     if count == 1:
         return ((rect_w / 2.0, rect_h / 2.0),)
-    # ideal hex row count, searched in a window around it
+    # ideal hex row count, searched in a window around it; a rectangle too
+    # tall for ``count`` rows falls back to one UAV per row
     dx0 = math.sqrt(2.0 * rect_w * rect_h / (math.sqrt(3) * count))
     r0 = max(1, round(rect_h / (math.sqrt(3) / 2.0 * dx0)))
-    lo = max(1, r0 - 8)
+    lo = min(max(1, r0 - 8), count)
     hi = min(count, r0 + 8)
     margins = (0.5, 0.42, 0.34, 0.27)
     coarse = _grid(rect_w, rect_h, 36)
@@ -132,29 +158,29 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float,
         if rows >= 3 and len(set(counts)) == 1:
             variants += [(1, m) for m in margins]
         for kind, margin in variants:
-            pts = _candidate(rect_w, rect_h, counts, kind == 1, margin)
-            score = _worst_cover_distance(coarse, pts)
-            candidates.append((score, rows, kind, margin, pts))
+            lattice = _candidate(rect_w, rect_h, counts, kind == 1, margin)
+            score = _worst_cover_distance(coarse, *lattice)
+            candidates.append((score, rows, kind, margin, lattice))
         # alternating m/m-1 rows admit the true hexagonal lattice
         for start in (0, 1):
             alt = _alternating_counts(count, rows, start)
             if alt is None:
                 continue
             for margin in margins:
-                pts = _hex_candidate(rect_w, rect_h, alt, margin)
-                score = _worst_cover_distance(coarse, pts)
-                candidates.append((score, rows, 2 + start, margin, pts))
+                lattice = _hex_candidate(rect_w, rect_h, alt, margin)
+                score = _worst_cover_distance(coarse, *lattice)
+                candidates.append((score, rows, 2 + start, margin, lattice))
     # coarse shortlist, then a fine pass: the coarse grid can misrank
     # near-tied lattices by a few percent
     candidates.sort(key=lambda c: c[:4])
     fine_grid = _grid(rect_w, rect_h, 120 if count <= 256 else 72)
     best = None
-    for score, rows, staggered, margin, pts in candidates[:8]:
-        fine = _worst_cover_distance(fine_grid, pts)
+    for score, rows, staggered, margin, lattice in candidates[:8]:
+        fine = _worst_cover_distance(fine_grid, *lattice)
         key = (fine, rows, staggered, margin)
         if best is None or key < best[0]:
-            best = (key, pts)
-    return tuple(map(tuple, best[1]))
+            best = (key, lattice)
+    return tuple(map(tuple, _points(*best[1])))
 
 
 def layout_positions(rect: Rect, count: int, radius: float, altitude: float) -> np.ndarray:

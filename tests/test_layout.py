@@ -4,14 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from uavrf.layout import (
     Deployment,
     SubregionDeployment,
     _candidate,
     _grid,
+    _hex_candidate,
+    _points,
     _row_counts,
     _unit_layout,
     _worst_cover_distance,
@@ -241,11 +244,69 @@ def test_cover_distance_matches_brute_force(rect_w, rect_h, m, seed, lattice, re
     if lattice:
         # row lattices put many grid points at tied distances
         rows = 1 + seed % min(m, 12)
-        pts = _candidate(rect_w, rect_h, _row_counts(m, rows), seed % 2 == 1, 0.27 + 0.01 * (seed % 24))
+        ys, xs = _candidate(rect_w, rect_h, _row_counts(m, rows), seed % 2 == 1, 0.27 + 0.01 * (seed % 24))
+        pts = _points(ys, xs)
     else:
+        # scattered points, each its own row
         pts = np.random.default_rng(seed).uniform((0.0, 0.0), (rect_w, rect_h), size=(m, 2))
-    got = _worst_cover_distance(_grid(rect_w, rect_h, res), pts)
+        ys, xs = pts[:, 1], [pts[i : i + 1, 0] for i in range(m)]
+    got = _worst_cover_distance(_grid(rect_w, rect_h, res), ys, xs)
     assert got == brute_force_cover_distance(rect_w, rect_h, pts, res)
+
+
+def _kdtree_cover_distance(grid, pts: np.ndarray) -> float:
+    """Reference score: one nearest-point k-d tree query per grid point."""
+    gx, gy = grid
+    dist, _ = cKDTree(pts).query(np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2))
+    return float(dist.max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rect_w=st.floats(min_value=1.0, max_value=5000.0),
+    rect_h=st.floats(min_value=1.0, max_value=5000.0),
+    count=st.integers(min_value=2, max_value=300),
+    rows_draw=st.integers(min_value=0, max_value=2**16),
+    kind=st.sampled_from(["aligned", "staggered", "hex"]),
+    start=st.integers(min_value=0, max_value=1),
+    margin=st.one_of(st.sampled_from([0.5, 0.42, 0.34, 0.27]), st.floats(min_value=0.25, max_value=0.5)),
+    res=st.sampled_from([36, 72, 120]),
+)
+def test_row_score_bits_match_kdtree(rect_w, rect_h, count, rows_draw, kind, start, margin, res):
+    # the row fold must give the k-d tree's bits, not merely a close value:
+    # near-tied lattices are ranked by these scores
+    rows = 1 + rows_draw % min(count, 30)
+    if kind == "hex":
+        m = max(2, count // rows)
+        lattice = _hex_candidate(rect_w, rect_h, [m - (i + start) % 2 for i in range(rows)], margin)
+    else:
+        lattice = _candidate(rect_w, rect_h, _row_counts(count, rows), kind == "staggered", margin)
+    grid = _grid(rect_w, rect_h, res)
+    got = _worst_cover_distance(grid, *lattice)
+    assert got.hex() == _kdtree_cover_distance(grid, _points(*lattice)).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@example(aspect=200.0, tall=True, short_side=10.0, count=3)
+@example(aspect=40.0, tall=True, short_side=50.0, count=5)
+@given(
+    aspect=st.floats(min_value=1.0, max_value=1000.0),
+    tall=st.booleans(),
+    short_side=st.floats(min_value=1.0, max_value=200.0),
+    count=st.integers(min_value=1, max_value=60),
+)
+def test_extreme_aspect_rectangles_are_placed(aspect, tall, short_side, count):
+    long_side = short_side * aspect
+    width, height = (short_side, long_side) if tall else (long_side, short_side)
+    rect = Rect(3.0, -7.0, width, height)
+    pts = layout_positions(rect, count, 1.0, 20.0)
+    assert pts.shape == (count, 3)
+    assert all(rect.contains(x, y) for x, y, _ in pts)
+    radius = math.sqrt(rect.area / (math.pi * count))
+    zone = Subregion(label="Z", rect=rect, pattern=constant_pattern(1.0))
+    dep = build_deployment((zone,), (radius,), (20.0,), (0.0, 0.0, 0.0))
+    assert dep.total_count == num_uavs(rect.area, radius)
+    assert all(rect.contains(x, y) for x, y, _ in dep.all_positions())
 
 
 # sha256 prefixes of the float64 positions: any change to the score, the
@@ -294,3 +355,16 @@ def test_unit_layout_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_unit_layout_row_score_memory():
+    # the row fold keeps one (res, res) array; a (rows, res, res) tensor
+    # of every row's distances peaks above 3 MB here
+    _unit_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        _unit_layout(500.0, 1000.0, 221)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
