@@ -36,6 +36,7 @@ from .layout import num_uavs
 from .patterns import pattern_preset, reconstruct_series, parse_pattern_file
 from .placement import (
     BracketError,
+    check_circuit_power,
     min_static_rf,
     normalized_tx_power,
     optimal_altitude_ratio,
@@ -119,6 +120,7 @@ def _cmd_radius(args) -> int:
 
 def _cmd_static_rf(args) -> int:
     scenario = _load(args)
+    check_circuit_power(args.p_circuit)
     area = scenario.subregions[0].area
     energy = dataclasses.replace(scenario.energy, p_circuit=args.p_circuit)
     r_star = optimal_radius(args.lam, args.p_circuit, scenario.env, scenario.radio)

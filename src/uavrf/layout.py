@@ -9,15 +9,21 @@ radius: the largest distance from the points of a regular ``res x res``
 grid over the rectangle to their nearest UAV ground projection.
 
 The score is computed from the candidate's rows, not from a point cloud.
-For row i at height y_i, ``dx2[a] = min_j (gx[a] - x_ij)^2`` over the
-row's UAVs and ``dy2[b] = (gy[b] - y_i)^2``; the rows fold into one
-(res, res) array of squared distances by an elementwise minimum of
-``dx2[None, :] + dy2[:, None]``, and the score is the square root of its
-maximum.  Its bits equal those of a nearest-point query that evaluates
-``sqrt(dx^2 + dy^2)`` for every point: rounding is monotone, so the
-minimum over a row of ``fl(fl(dx^2) + dy^2)`` is ``fl(min fl(dx^2) + dy^2)``,
-and the square root is monotone, so one root of the maximum is the
-maximum of the roots.  No k-d tree is built; time is O(res * m + rows *
+Most rows share their xs (an aligned or staggered lattice has at most two
+row counts, each with its shift; a hexagonal one a long and a short row),
+so the candidate builders return each distinct row's xs once and, for
+every row, which of them it uses.  For a distinct row,
+``dx2[a] = min_j (gx[a] - x_j)^2`` over its UAVs, and ``dy2[b]`` is the
+smallest ``(gy[b] - y_i)^2`` over the heights y_i of the rows that use it;
+the distinct rows fold into one (res, res) array of squared distances by
+an elementwise minimum of ``dx2[None, :] + dy2[:, None]``, and the score
+is the square root of its maximum.  Its bits equal those of a
+nearest-point query that evaluates ``sqrt(dx^2 + dy^2)`` for every point:
+rounding is monotone, so the minimum over a row of ``fl(fl(dx^2) + dy^2)``
+is ``fl(min fl(dx^2) + dy^2)``, and the minimum over the rows sharing
+those xs of ``fl(dx2 + dy2_i)`` is ``fl(dx2 + min_i dy2_i)``; the square
+root is monotone, so one root of the maximum is the maximum of the roots.
+No k-d tree is built; time is O(res * m + rows * res + distinct rows *
 res^2) and memory O(res^2) per candidate.
 
 The depot (recall-and-supplement center, RSC) absorbs fleet-size
@@ -85,39 +91,48 @@ def _candidate(
     counts: Sequence[int],
     staggered: bool,
     margin: float,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Row lattice as (row ys, each row's ascending xs)."""
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Row lattice as (row ys, the distinct rows' ascending xs, the index of row i's xs).
+
+    Rows of one count and one shift share their xs, built once.
+    """
     ys = _axis_positions(rect_h, len(counts), margin)
-    xs = []
+    xs, entry, row_xs = [], {}, []
     for i, m in enumerate(counts):
-        row = _axis_positions(rect_w, m, margin)
-        if staggered and m > 1:
-            # alternate quarter-pitch shifts; stays inside for margin >= 0.25
-            pitch = rect_w / (m - 1.0 + 2.0 * margin)
-            row = row + (0.25 if i % 2 else -0.25) * pitch
-        xs.append(row)
-    return ys, xs
+        # alternate quarter-pitch shifts; stays inside for margin >= 0.25
+        shift = (0.25 if i % 2 else -0.25) if staggered and m > 1 else 0.0
+        if (m, shift) not in entry:
+            entry[m, shift] = len(xs)
+            row = _axis_positions(rect_w, m, margin)
+            if shift:
+                row = row + shift * (rect_w / (m - 1.0 + 2.0 * margin))
+            xs.append(row)
+        row_xs.append(entry[m, shift])
+    return ys, xs, np.array(row_xs)
 
 
 def _hex_candidate(
     rect_w: float, rect_h: float, counts: Sequence[int], margin: float
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Half-pitch staggered rows sharing one pitch (rows alternate m, m-1).
 
     The genuine hexagonal covering lattice; only well formed when
-    consecutive row counts differ by exactly one.
+    consecutive row counts differ by exactly one.  Returned as
+    :func:`_candidate` returns its lattice.
     """
     ys = _axis_positions(rect_h, len(counts), margin)
-    m_long = max(counts)
+    lengths = sorted(set(counts), reverse=True)
+    m_long = lengths[0]
     xs_long = _axis_positions(rect_w, m_long, margin)
     pitch = rect_w / (m_long - 1.0 + 2.0 * margin) if m_long > 1 else rect_w
-    xs = [xs_long if m == m_long else xs_long[:m] + 0.5 * pitch for m in counts]
-    return ys, xs
+    xs = [xs_long] + [xs_long[:m] + 0.5 * pitch for m in lengths[1:]]
+    return ys, xs, np.array([lengths.index(m) for m in counts])
 
 
-def _points(ys: np.ndarray, xs: Sequence[np.ndarray]) -> np.ndarray:
+def _points(ys: np.ndarray, xs: Sequence[np.ndarray], row_xs: np.ndarray) -> np.ndarray:
     """The lattice's (m, 2) points, row by row."""
-    return np.column_stack((np.concatenate(xs), np.repeat(ys, [len(row) for row in xs])))
+    rows = [xs[k] for k in row_xs]
+    return np.column_stack((np.concatenate(rows), np.repeat(ys, [len(row) for row in rows])))
 
 
 def _grid(rect_w: float, rect_h: float, res: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,14 +141,18 @@ def _grid(rect_w: float, rect_h: float, res: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _worst_cover_distance(
-    grid: tuple[np.ndarray, np.ndarray], ys: np.ndarray, xs: Sequence[np.ndarray]
+    grid: tuple[np.ndarray, np.ndarray],
+    ys: np.ndarray,
+    xs: Sequence[np.ndarray],
+    row_xs: np.ndarray,
 ) -> float:
     """Largest distance from a grid point to its nearest lattice point."""
     gx, gy = grid
     dy2 = (gy[None, :] - ys[:, None]) ** 2
     best = np.full((len(gy), len(gx)), np.inf)
-    for row, row_dy2 in zip(xs, dy2):
+    for k, row in enumerate(xs):
         dx2 = ((gx[None, :] - row[:, None]) ** 2).min(axis=0)
+        row_dy2 = dy2[row_xs == k].min(axis=0)
         np.minimum(best, dx2[None, :] + row_dy2[:, None], out=best)
     return math.sqrt(best.max())
 

@@ -87,6 +87,12 @@ def test_cli_radius_ok(tmp_path, capsys):
     assert (tmp_path / "radius_grid.csv").exists()
 
 
+def test_cli_static_rf_rejects_zero_circuit_power(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "static-rf", "--lam", "0.1", "--p-circuit", "0"])
+    assert code == 2
+    assert "p_circuit" in capsys.readouterr().err
+
+
 def test_cli_schedule_summary(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "schedule", "--method", "lazy", "--pm", "1.5"])
     assert code == 0

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import uavrf.layout as layout
 from uavrf.layout import (
     Deployment,
     SubregionDeployment,
@@ -244,13 +246,13 @@ def test_cover_distance_matches_brute_force(rect_w, rect_h, m, seed, lattice, re
     if lattice:
         # row lattices put many grid points at tied distances
         rows = 1 + seed % min(m, 12)
-        ys, xs = _candidate(rect_w, rect_h, _row_counts(m, rows), seed % 2 == 1, 0.27 + 0.01 * (seed % 24))
-        pts = _points(ys, xs)
+        lattice = _candidate(rect_w, rect_h, _row_counts(m, rows), seed % 2 == 1, 0.27 + 0.01 * (seed % 24))
+        pts = _points(*lattice)
     else:
         # scattered points, each its own row
         pts = np.random.default_rng(seed).uniform((0.0, 0.0), (rect_w, rect_h), size=(m, 2))
-        ys, xs = pts[:, 1], [pts[i : i + 1, 0] for i in range(m)]
-    got = _worst_cover_distance(_grid(rect_w, rect_h, res), ys, xs)
+        lattice = pts[:, 1], [pts[i : i + 1, 0] for i in range(m)], np.arange(m)
+    got = _worst_cover_distance(_grid(rect_w, rect_h, res), *lattice)
     assert got == brute_force_cover_distance(rect_w, rect_h, pts, res)
 
 
@@ -284,6 +286,113 @@ def test_row_score_bits_match_kdtree(rect_w, rect_h, count, rows_draw, kind, sta
     grid = _grid(rect_w, rect_h, res)
     got = _worst_cover_distance(grid, *lattice)
     assert got.hex() == _kdtree_cover_distance(grid, _points(*lattice)).hex()
+
+
+def _per_row_candidate(rect_w, rect_h, counts, staggered, margin):
+    """Reference lattice builder: one ``_axis_positions`` call and one xs per row."""
+    ys = layout._axis_positions(rect_h, len(counts), margin)
+    xs = []
+    for i, m in enumerate(counts):
+        row = layout._axis_positions(rect_w, m, margin)
+        if staggered and m > 1:
+            pitch = rect_w / (m - 1.0 + 2.0 * margin)
+            row = row + (0.25 if i % 2 else -0.25) * pitch
+        xs.append(row)
+    return ys, xs
+
+
+def _per_row_hex_candidate(rect_w, rect_h, counts, margin):
+    """Reference hexagonal builder: one xs per row."""
+    ys = layout._axis_positions(rect_h, len(counts), margin)
+    m_long = max(counts)
+    xs_long = layout._axis_positions(rect_w, m_long, margin)
+    pitch = rect_w / (m_long - 1.0 + 2.0 * margin) if m_long > 1 else rect_w
+    return ys, [xs_long if m == m_long else xs_long[:m] + 0.5 * pitch for m in counts]
+
+
+def _per_row_points(ys, xs):
+    return np.column_stack((np.concatenate(xs), np.repeat(ys, [len(row) for row in xs])))
+
+
+def _per_row_cover_distance(grid, ys, xs) -> float:
+    """Reference score: the rows folded one by one, shared xs or not."""
+    gx, gy = grid
+    dy2 = (gy[None, :] - ys[:, None]) ** 2
+    best = np.full((len(gy), len(gx)), np.inf)
+    for row, row_dy2 in zip(xs, dy2):
+        dx2 = ((gx[None, :] - row[:, None]) ** 2).min(axis=0)
+        np.minimum(best, dx2[None, :] + row_dy2[:, None], out=best)
+    return math.sqrt(best.max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rect_w=st.floats(min_value=1.0, max_value=5000.0),
+    rect_h=st.floats(min_value=1.0, max_value=5000.0),
+    count=st.integers(min_value=2, max_value=300),
+    rows_draw=st.integers(min_value=0, max_value=2**16),
+    kind=st.sampled_from(["aligned", "staggered", "hex", "scattered"]),
+    start=st.integers(min_value=0, max_value=1),
+    margin=st.one_of(st.sampled_from([0.5, 0.42, 0.34, 0.27]), st.floats(min_value=0.25, max_value=0.5)),
+    res=st.sampled_from([36, 72, 120]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_distinct_row_fold_matches_per_row_fold(
+    rect_w, rect_h, count, rows_draw, kind, start, margin, res, seed
+):
+    # folding the rows that share xs through the minimum of their dy2 must
+    # keep the per-row fold's bits, and the builders must name for every row
+    # the xs the per-row builders give it
+    rows = 1 + rows_draw % min(count, 30)
+    if kind == "scattered":
+        # several heights per distinct xs, in no particular order
+        rng = np.random.default_rng(seed)
+        n_xs = 1 + seed % min(rows, 5)
+        xs = [np.sort(rng.uniform(0.0, rect_w, size=rng.integers(1, 20))) for _ in range(n_xs)]
+        row_xs = rng.permutation(np.concatenate((np.arange(n_xs), rng.integers(0, n_xs, rows - n_xs))))
+        ys, per_row = rng.uniform(0.0, rect_h, size=rows), None
+    elif kind == "hex":
+        m = max(2, count // rows)
+        counts = [m - (i + start) % 2 for i in range(rows)]
+        ys, xs, row_xs = _hex_candidate(rect_w, rect_h, counts, margin)
+        per_row = _per_row_hex_candidate(rect_w, rect_h, counts, margin)
+    else:
+        counts = _row_counts(count, rows)
+        ys, xs, row_xs = _candidate(rect_w, rect_h, counts, kind == "staggered", margin)
+        per_row = _per_row_candidate(rect_w, rect_h, counts, kind == "staggered", margin)
+    rows_xs = [xs[k] for k in row_xs]
+    if per_row is not None:
+        assert np.array_equal(ys, per_row[0])
+        assert all(np.array_equal(a, b) for a, b in zip(rows_xs, per_row[1], strict=True))
+        assert np.array_equal(_points(ys, xs, row_xs), _per_row_points(*per_row))
+    grid = _grid(rect_w, rect_h, res)
+    got = _worst_cover_distance(grid, ys, xs, row_xs)
+    assert got.hex() == _per_row_cover_distance(grid, ys, rows_xs).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rect_w=st.floats(min_value=20.0, max_value=3000.0),
+    aspect=st.floats(min_value=0.05, max_value=20.0),
+    count=st.integers(min_value=2, max_value=300),
+)
+def test_unit_layout_matches_per_row_route(rect_w, aspect, count):
+    rect_h = rect_w * aspect
+    per_row_route = {
+        "_candidate": _per_row_candidate,
+        "_hex_candidate": _per_row_hex_candidate,
+        "_points": _per_row_points,
+        "_worst_cover_distance": _per_row_cover_distance,
+    }
+    try:
+        _unit_layout.cache_clear()
+        with mock.patch.multiple(layout, **per_row_route):
+            want = _unit_layout(rect_w, rect_h, count)
+        _unit_layout.cache_clear()
+        got = _unit_layout(rect_w, rect_h, count)
+    finally:
+        _unit_layout.cache_clear()
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
