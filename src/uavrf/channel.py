@@ -18,7 +18,7 @@ losses and powers are kept in linear units (dB only for display).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 LIGHT_SPEED = 3e8  # m/s
 
@@ -59,15 +59,10 @@ class RadioConfig:
     bs_coverage_area: float = 1e4    # reference BS coverage area [m^2]
 
     def __post_init__(self):
-        for field_name in (
-            "carrier_hz",
-            "bandwidth_hz",
-            "noise_density",
-            "rate_bps",
-            "bs_coverage_area",
-        ):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
         if not math.isfinite(self.rate_bps / self.bandwidth_hz):
             raise ValueError("rate/bandwidth ratio must be finite")
 

@@ -202,13 +202,13 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float,
     return tuple(map(tuple, _points(*best[1])))
 
 
-def layout_positions(rect: Rect, count: int, radius: float, altitude: float) -> np.ndarray:
+def layout_positions(rect: Rect, count: int, altitude: float) -> np.ndarray:
     """Deterministic positions for ``count`` UAVs hovering over ``rect``.
 
     Returns an array of shape (count, 3); all altitudes equal
     ``altitude`` and all ground projections lie inside the rectangle.
-    ``radius`` only documents the intended disk size; the lattice itself
-    is chosen to minimize the worst uncovered distance for this count.
+    The lattice depends on the rectangle and the count alone: it is the
+    candidate with the smallest worst uncovered distance for this count.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -327,7 +327,7 @@ def build_deployment(
                 label=sub.label,
                 radius=radius,
                 altitude=altitude,
-                positions=layout_positions(sub.rect, count, radius, altitude),
+                positions=layout_positions(sub.rect, count, altitude),
             )
         )
     return Deployment(entries=tuple(entries), rsc_position=tuple(rsc_position))

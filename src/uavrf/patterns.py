@@ -31,6 +31,9 @@ REALNESS_TOL = 1e-9
 #: Truncation floor for perturbed density draws [users/m^2].
 DENSITY_FLOOR = 1e-12
 
+#: Distance [m] a point may lie outside a rectangle and still count as inside.
+CONTAINS_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -42,6 +45,8 @@ class Rect:
     height: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.width, self.height))):
+            raise ValueError(f"rectangle must be finite, got {self!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("rectangle sides must be positive")
 
@@ -53,10 +58,10 @@ class Rect:
     def center(self) -> Tuple[float, float]:
         return (self.x + self.width / 2.0, self.y + self.height / 2.0)
 
-    def contains(self, x: float, y: float, slack: float = 1e-9) -> bool:
+    def contains(self, x: float, y: float) -> bool:
         return (
-            self.x - slack <= x <= self.x + self.width + slack
-            and self.y - slack <= y <= self.y + self.height + slack
+            self.x - CONTAINS_SLACK <= x <= self.x + self.width + CONTAINS_SLACK
+            and self.y - CONTAINS_SLACK <= y <= self.y + self.height + CONTAINS_SLACK
         )
 
     def overlaps(self, other: "Rect") -> bool:
@@ -125,8 +130,6 @@ def constant_pattern(value: float, n_samples: int = 4032, sample_period: float =
 # Built-in preset: reconstruction coefficients fitted to measured cellular
 # traffic in five functional zone types (entertainment, residential,
 # transport, office, comprehensive).
-XU2016_PRESET = "xu2016"
-
 _XU2016_ROWS = {
     # label: (gamma_r, [(k, magnitude, phase_rad), ...])
     "E": (8.35e11, ((0, 3.24e-4, 0.0), (4, 0.06, -0.3), (28, 0.5, 2.36), (56, 0.08, 0.69))),
@@ -137,10 +140,8 @@ _XU2016_ROWS = {
 }
 
 
-def pattern_preset(label: str, preset: str = XU2016_PRESET) -> DensityPattern:
+def pattern_preset(label: str) -> DensityPattern:
     """Built-in pattern for one of the subregion classes E/R/T/O/C."""
-    if preset != XU2016_PRESET:
-        raise ValueError(f"unknown preset collection {preset!r}")
     try:
         scale, rows = _XU2016_ROWS[label.upper()]
     except KeyError:

@@ -23,7 +23,7 @@ integrands are fused into one Python frame per evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -46,6 +46,10 @@ class EnergyParams:
     v_descend: float = 1.0     # [m/s]
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.battery_j <= 0:
             raise ValueError("battery capacity must be positive")
         for name in ("p_circuit", "p_horizontal", "p_ascend", "p_descend"):
@@ -324,9 +328,10 @@ def check_circuit_power(p_circuit: float) -> None:
     At P_cu = 0 the optimal radius is 0 (see :func:`optimal_radius`):
     the fleet size and the static recall frequency degenerate.
     """
-    if p_circuit <= 0:
+    if not 0 < p_circuit < math.inf:
         raise ValueError(
-            f"circuit power p_circuit must be positive for an optimal placement, got {p_circuit!r} W"
+            "circuit power p_circuit must be finite and positive for an optimal placement, "
+            f"got {p_circuit!r} W"
         )
 
 

@@ -92,6 +92,8 @@ class Scenario:
                 f"start offset must be a finite, nonnegative whole number of slots, "
                 f"got {self.start_s!r} s"
             )
+        if not all(map(math.isfinite, self.rsc_position)):
+            raise ScenarioError(f"rsc position must be finite, got {self.rsc_position!r}")
         for i, sub in enumerate(self.subregions):
             r = sub.rect
             if not (
@@ -107,14 +109,16 @@ class Scenario:
         for band in self.density_bands:
             if band is not None:
                 lo, hi = band
-                if not (0 < lo <= hi):
-                    raise ScenarioError("density band must satisfy 0 < low <= high")
+                if not (0 < lo <= hi < math.inf):
+                    raise ScenarioError("density band must satisfy 0 < low <= high < inf")
         if self.explicit_densities is not None:
             if len(self.explicit_densities) != len(self.subregions):
                 raise ScenarioError("explicit_densities must align with subregions")
             for series in self.explicit_densities:
-                if not series or any(v < 0 for v in series):
-                    raise ScenarioError("explicit densities must be nonempty and nonnegative")
+                if not series or not all(0 <= v < math.inf for v in series):
+                    raise ScenarioError(
+                        "explicit densities must be nonempty, finite and nonnegative"
+                    )
 
     @property
     def n_slots(self) -> int:
@@ -259,7 +263,7 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
 
 
 def _floats(section: configparser.SectionProxy, key: str, n: int | None = 1) -> Tuple[float, ...]:
-    """The numbers ``key`` holds in ``section``: exactly ``n`` unless ``n`` is None."""
+    """The finite numbers ``key`` holds in ``section``: exactly ``n`` unless ``n`` is None."""
     if key not in section:
         raise ScenarioError(f"[{section.name}] needs {key}")
     value = section[key]
@@ -268,9 +272,12 @@ def _floats(section: configparser.SectionProxy, key: str, n: int | None = 1) -> 
         need = "a number" if n == 1 else f"{n} numbers"
         raise ScenarioError(f"[{section.name}] {key} needs {need}, got {value!r}")
     try:
-        return tuple(float(p) for p in parts)
+        numbers = tuple(float(p) for p in parts)
     except ValueError:
         raise ScenarioError(f"[{section.name}] {key} is not numeric: {value!r}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ScenarioError(f"[{section.name}] {key} must be finite, got {value!r}")
+    return numbers
 
 
 def _number(section: configparser.SectionProxy, key: str) -> float:
@@ -419,23 +426,10 @@ def dump_scenario(scenario: Scenario) -> str:
         w("\n[environment]\n")
         w(f"name = {e.name}\n")
         w(f"a = {e.a!r}\nb = {e.b!r}\neta_los = {e.eta_los!r}\neta_nlos = {e.eta_nlos!r}\n")
-    r = scenario.radio
-    w("\n[radio]\n")
-    w(f"carrier_hz = {r.carrier_hz!r}\n")
-    w(f"bandwidth_hz = {r.bandwidth_hz!r}\n")
-    w(f"noise_density = {r.noise_density!r}\n")
-    w(f"rate_bps = {r.rate_bps!r}\n")
-    w(f"bs_coverage_area = {r.bs_coverage_area!r}\n")
-    g = scenario.energy
-    w("\n[energy]\n")
-    w(f"p_circuit = {g.p_circuit!r}\n")
-    w(f"battery_j = {g.battery_j!r}\n")
-    w(f"p_horizontal = {g.p_horizontal!r}\n")
-    w(f"p_ascend = {g.p_ascend!r}\n")
-    w(f"p_descend = {g.p_descend!r}\n")
-    w(f"v_horizontal = {g.v_horizontal!r}\n")
-    w(f"v_ascend = {g.v_ascend!r}\n")
-    w(f"v_descend = {g.v_descend!r}\n")
+    for section, params in (("radio", scenario.radio), ("energy", scenario.energy)):
+        w(f"\n[{section}]\n")
+        for f in fields(params):
+            w(f"{f.name} = {getattr(params, f.name)!r}\n")
     for sub, band in zip(scenario.subregions, scenario.density_bands):
         w(f"\n[subregion {sub.label}]\n")
         w(f"label = {sub.label}\n")

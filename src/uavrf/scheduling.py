@@ -44,7 +44,10 @@ stops at the first bound above the incumbent: no later update can win,
 the ordering trick of PELT-style pruning (Killick, Fearnhead & Eckley
 2012).  Ties resolve as in a scan in slot order: holding beats an update
 of equal value, the earliest of equal updates wins, and the diligent
-plan wins only when strictly cheaper.  Slots with equal radii share one
+plan wins only when strictly cheaper, so pruning never changes the plan
+taken: a scan that scores every plan in slot order takes the same one.
+``Schedule.candidate_evaluations`` counts the hold plan and every update
+at each step, pruned or not.  Slots with equal radii share one
 deployment, so move energies are solved once per ordered pair of
 distinct deployments, and a move between equal ones costs nothing.
 
@@ -71,7 +74,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -183,18 +186,6 @@ class ScheduleEpoch:
     changed: bool              # True if the placement actually moved
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """Plan values considered at one greedy step (for auditing)."""
-
-    slot: int
-    hold_value: float
-    update_values: Dict[int, float]
-    diligent_value: Optional[float]
-    chosen: str                # 'hold', 'update:<k>' or 'diligent'
-    chosen_value: float
-
-
 @dataclass
 class Schedule:
     method: str
@@ -206,7 +197,6 @@ class Schedule:
     mobility_total_j: float
     update_count: int          # epochs whose placement actually changed
     candidate_evaluations: int = 0
-    trace: Optional[List[StepTrace]] = None
 
     @property
     def update_slots(self) -> List[int]:
@@ -395,7 +385,6 @@ def _assemble(
     epoch_slots: List[int],
     scenario: Scenario,
     evaluations: int = 0,
-    trace: Optional[List[StepTrace]] = None,
 ) -> Schedule:
     pre = moves.plan
     mu = pre.mu
@@ -429,24 +418,18 @@ def _assemble(
         mobility_total_j=mobility_total,
         update_count=sum(1 for e in epochs if e.changed),
         candidate_evaluations=evaluations,
-        trace=trace,
     )
 
 
-def smgd_schedule(
-    scenario: Scenario, *, trace: bool = False, plan: SchedulePlan | None = None
-) -> Schedule:
+def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Schedule:
     """Greedy sequential epoch selection (see module docstring).
 
     Update candidates are visited best-first by their static lower bound
     until a bound exceeds the incumbent; hold wins ties, then the
     earliest update, and diligent wins only when strictly cheaper.
     ``candidate_evaluations`` counts every candidate, pruned or not.
-    ``trace=True`` disables pruning, scores every candidate in ascending
-    slot order and records every plan value per step; the chosen plan
-    is identical either way.  ``plan`` is shared with other calls on
-    the same scenario (see :class:`SchedulePlan`); without it the call
-    builds its own.
+    ``plan`` is shared with other calls on the same scenario (see
+    :class:`SchedulePlan`); without it the call builds its own.
     """
     moves = _moves_for(scenario, plan)
     pre = moves.plan
@@ -458,58 +441,32 @@ def smgd_schedule(
         dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
 
     epoch_slots = [0]
-    traces: List[StepTrace] = [] if trace else None
     evaluations = 0
     cur = 0
     while True:
         suffix = pre.excess_suffix(cur)
         hold_value = float(suffix[0])
         evaluations += n - cur
-        best_value, best_k = hold_value, None
-        update_values: Dict[int, float] = {}
+        best_value, nxt = hold_value, None  # nxt: the next epoch's slot, None to hold
         stale = hold_value - suffix[1:]
         tail = pre.tail[cur + 1 :]  # excess of holding slot k's placement from k on
         bound = stale + tail  # mobility only adds cost to an update plan
-        if trace:
-            order = range(len(bound))
-        else:
-            # only an update whose bound is at most the hold value can win
-            cand = np.flatnonzero(bound <= hold_value)
-            order = cand[np.argsort(bound[cand], kind="stable")]
-        for i in order:
-            if not trace and bound[i] > best_value:
+        # only an update whose bound is at most the hold value can win
+        cand = np.flatnonzero(bound <= hold_value)
+        for i in cand[np.argsort(bound[cand], kind="stable")]:
+            if bound[i] > best_value:
                 break  # every later candidate has a larger bound
             k = cur + 1 + int(i)
             value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(tail[i])
-            if trace:
-                update_values[k] = value
-            if value < best_value or (
-                value == best_value and best_k is not None and k < best_k
-            ):
-                best_value, best_k = value, k
-        best_action = ("hold", None) if best_k is None else ("update", best_k)
-        dil_value = None
-        if cur + 1 < n:
-            dil_value = float(dil_suffix[cur])
-            if dil_value < best_value:
-                best_value, best_action = dil_value, ("diligent", None)
-        if trace:
-            kind, karg = best_action
-            traces.append(
-                StepTrace(
-                    slot=cur,
-                    hold_value=hold_value,
-                    update_values=update_values,
-                    diligent_value=dil_value,
-                    chosen=kind if karg is None else f"update:{karg}",
-                    chosen_value=best_value,
-                )
-            )
-        if best_action[0] == "hold":
+            if value < best_value or (value == best_value and nxt is not None and k < nxt):
+                best_value, nxt = value, k
+        if cur + 1 < n and float(dil_suffix[cur]) < best_value:
+            nxt = cur + 1
+        if nxt is None:
             break
-        cur = best_action[1] if best_action[0] == "update" else cur + 1
+        cur = nxt
         epoch_slots.append(cur)
-    return _assemble("smgd", moves, epoch_slots, scenario, evaluations, traces)
+    return _assemble("smgd", moves, epoch_slots, scenario, evaluations)
 
 
 def baseline_schedule(

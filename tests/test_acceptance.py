@@ -42,7 +42,7 @@ from uavrf.scheduling import (
 )
 
 from test_placement import grid_normalized_power
-from test_scheduling import toy_scenario
+from test_scheduling import _ascending_scan_smgd, toy_scenario
 
 RADIO = RadioConfig()
 URBAN = environment_preset("urban")
@@ -218,7 +218,9 @@ def test_criterion_06_scheduler_behavior_envelope():
 
 def test_criterion_07_greedy_vs_exhaustive():
     """On toy horizons the greedy stays within 10% of the exhaustive
-    optimum, never below it, and every selected step is a plan argmin."""
+    optimum, never below it, and every selected step is a plan argmin:
+    its epochs equal those of a scan that scores every hold, update and
+    diligent plan at each step."""
     rng = np.random.default_rng(777)
     worst_gap = 0.0
     for trial in range(20):
@@ -227,7 +229,7 @@ def test_criterion_07_greedy_vs_exhaustive():
         lams = 10 ** rng.uniform(math.log10(2e-6), math.log10(6e-5), size=(n_sub, n_slots))
         pm = float(10 ** rng.uniform(-2.0, 1.8))
         sc = toy_scenario(lams, pm=pm, seed=1000 + trial)
-        greedy = smgd_schedule(sc, trace=True)
+        greedy = smgd_schedule(sc)
         # fleet-size envelope of the toy class
         assert max(e.deployment.total_count for e in greedy.epochs) <= 6
         best, _ = exhaustive_schedule(sc)
@@ -235,11 +237,9 @@ def test_criterion_07_greedy_vs_exhaustive():
         gap = greedy.avg_dynamic_rf / best - 1.0
         worst_gap = max(worst_gap, gap)
         assert gap <= 0.10, f"trial {trial}: gap {gap:.3%}"
-        for step in greedy.trace:
-            values = [step.hold_value] + list(step.update_values.values())
-            if step.diligent_value is not None:
-                values.append(step.diligent_value)
-            assert step.chosen_value <= min(values), "selected step is not an argmin"
+        slots, _, _, avg = _ascending_scan_smgd(sc, prune=False)
+        assert greedy.update_slots == slots, "selected step is not an argmin"
+        assert greedy.avg_dynamic_rf.hex() == avg.hex()
     announce(
         "criterion 7 (greedy vs exhaustive optimum)",
         True,

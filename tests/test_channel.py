@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +48,13 @@ def test_radio_validation():
     with pytest.raises(ValueError):
         RadioConfig(bandwidth_hz=0.0)
     assert RadioConfig().snr_gap == pytest.approx(1.0)  # C = W regime
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RadioConfig)])
+def test_radio_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RadioConfig(**{field: value})
 
 
 def test_los_probability_ground_level(urban):

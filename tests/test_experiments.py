@@ -126,6 +126,22 @@ def test_cli_numerical_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_static_rf_non_finite_circuit_power_exit_2(tmp_path, capsys, value):
+    assert main(["--out", str(tmp_path), "static-rf", "--p-circuit", value]) == 2
+    assert "p_circuit" in capsys.readouterr().err
+    assert not (tmp_path / "static_rf_curve.csv").exists()
+
+
+def test_cli_radius_non_finite_battery_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("[energy]\nbattery_j = nan\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path), "radius", "--lambdas", "0.1"]
+    assert main(argv) == 2
+    assert "battery_j" in capsys.readouterr().err
+    assert not (tmp_path / "radius_grid.csv").exists()
+
+
 @pytest.mark.parametrize("hours", ["inf", "nan", "0"])
 def test_cli_schedule_bad_horizon_exit_code(tmp_path, capsys, hours):
     argv = ["--out", str(tmp_path), "schedule", "--horizon-hours", hours]

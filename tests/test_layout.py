@@ -29,7 +29,7 @@ from uavrf.patterns import Rect, Subregion, constant_pattern
 
 
 def worst_cover_ratio(rect: Rect, count: int, radius: float, res: int = 200) -> float:
-    pts = layout_positions(rect, count, radius, 10.0)[:, :2]
+    pts = layout_positions(rect, count, 10.0)[:, :2]
     gx = np.linspace(rect.x, rect.x + rect.width, res)
     gy = np.linspace(rect.y, rect.y + rect.height, res)
     grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
@@ -92,14 +92,14 @@ def test_pad_lengths_match_reposition_count():
 
 def test_single_uav_at_center():
     rect = Rect(100.0, 200.0, 400.0, 600.0)
-    pts = layout_positions(rect, 1, 300.0, 120.0)
+    pts = layout_positions(rect, 1, 120.0)
     assert pts.shape == (1, 3)
     assert tuple(pts[0]) == (300.0, 500.0, 120.0)
 
 
 def test_four_in_square_is_grid():
     rect = Rect(0.0, 0.0, 800.0, 800.0)
-    pts = layout_positions(rect, 4, 300.0, 50.0)
+    pts = layout_positions(rect, 4, 50.0)
     got = {tuple(p[:2]) for p in pts}
     assert got == {(200.0, 200.0), (200.0, 600.0), (600.0, 200.0), (600.0, 600.0)}
     # 180-degree rotation about the center maps the set onto itself
@@ -109,15 +109,15 @@ def test_four_in_square_is_grid():
 
 def test_layout_deterministic():
     rect = Rect(0.0, 0.0, 500.0, 1000.0)
-    a = layout_positions(rect, 9, 137.0, 100.0)
-    b = layout_positions(rect, 9, 137.0, 100.0)
+    a = layout_positions(rect, 9, 100.0)
+    b = layout_positions(rect, 9, 100.0)
     assert np.array_equal(a, b)
 
 
 def test_layout_inside_rect_and_altitude():
     rect = Rect(-200.0, 50.0, 500.0, 1000.0)
     for count in (1, 2, 5, 9, 23, 40):
-        pts = layout_positions(rect, count, 100.0, 77.0)
+        pts = layout_positions(rect, count, 77.0)
         assert pts.shape == (count, 3)
         assert np.all(pts[:, 2] == 77.0)
         for x, y, _ in pts:
@@ -126,9 +126,9 @@ def test_layout_inside_rect_and_altitude():
 
 def test_layout_count_validation():
     with pytest.raises(ValueError):
-        layout_positions(Rect(0, 0, 10, 10), 0, 5.0, 1.0)
+        layout_positions(Rect(0, 0, 10, 10), 0, 1.0)
     with pytest.raises(ValueError):
-        layout_positions(Rect(0, 0, 10, 10), 2, 5.0, -1.0)
+        layout_positions(Rect(0, 0, 10, 10), 2, -1.0)
 
 
 def test_coverage_single_uav_regime():
@@ -408,7 +408,7 @@ def test_extreme_aspect_rectangles_are_placed(aspect, tall, short_side, count):
     long_side = short_side * aspect
     width, height = (short_side, long_side) if tall else (long_side, short_side)
     rect = Rect(3.0, -7.0, width, height)
-    pts = layout_positions(rect, count, 1.0, 20.0)
+    pts = layout_positions(rect, count, 20.0)
     assert pts.shape == (count, 3)
     assert all(rect.contains(x, y) for x, y, _ in pts)
     radius = math.sqrt(rect.area / (math.pi * count))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from uavrf.placement import (
     ConvergenceError,
     EnergyParams,
     SlotPlacement,
+    check_circuit_power,
     min_static_rf,
     normalized_tx_power,
     optimal_altitude_ratio,
@@ -272,6 +274,19 @@ def test_energy_params_validation():
         EnergyParams(p_circuit=-0.5, battery_j=1.0)
     with pytest.raises(ValueError):
         EnergyParams(p_circuit=0.5, battery_j=1.0, v_ascend=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EnergyParams)])
+def test_energy_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        EnergyParams(**{"p_circuit": 0.5, "battery_j": 1.0, field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_check_circuit_power_needs_finite_positive(value):
+    with pytest.raises(ValueError, match="p_circuit must be finite and positive"):
+        check_circuit_power(value)
 
 
 def test_slot_placement_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def test_roundtrip_default_scenario():
     assert parse_scenario(dump_scenario(sc)) == sc
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [(default_scenario, "default_scenario.cfg"), (reference_scenario, "reference_scenario.cfg")],
+)
+def test_dump_bytes_pinned(make, name):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path) as fh:
+        assert dump_scenario(make()) == fh.read()
+
+
 def test_roundtrip_from_file(tmp_path):
     sc = reference_scenario(seed=777)
     path = tmp_path / "scenario.cfg"
@@ -79,6 +90,44 @@ pattern = preset:E
 """
     with pytest.raises(ScenarioError, match="outside"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "y", "width", "height"])
+def test_rect_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="rectangle must be finite"):
+        Rect(**{"x": 0.0, "y": 0.0, "width": 1.0, "height": 1.0, field: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[subregion A]\nrect = 0 0 {} 1000\n", "[subregion A] rect"),
+        ("[scenario]\nrsc = {} 500 0\n", "[scenario] rsc"),
+        ("[subregion A]\nrect = 0 0 500 1000\ndensities = {} 1e-6 2e-6\n", "[subregion A] densities"),
+        ("[subregion A]\nrect = 0 0 500 1000\ndensity_band = 1e-7 {}\n", "[subregion A] density_band"),
+        ("[scenario]\narea = 0 0 1000 {}\n", "[scenario] area"),
+    ],
+    ids=["rect", "rsc", "densities", "density_band", "area"],
+)
+def test_parse_rejects_non_finite_naming_the_key(text, named, value):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text.format(value))
+    assert str(err.value).startswith(f"{named} must be finite")
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("rsc_position", (math.nan, 500.0, 0.0), "rsc position"),
+        ("explicit_densities", ((1e-6, math.inf),), "explicit densities"),
+        ("density_bands", ((1e-7, math.inf),), "density band"),
+    ],
+)
+def test_scenario_rejects_non_finite(field, value, named):
+    with pytest.raises(ScenarioError, match=named):
+        dataclasses.replace(default_scenario(), **{field: value})
 
 
 def test_horizon_must_be_slot_multiple():

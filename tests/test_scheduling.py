@@ -442,19 +442,16 @@ def test_smgd_never_worse_than_baselines():
         assert sched.avg_dynamic_rf <= min(lazy.avg_dynamic_rf, dil.avg_dynamic_rf) + 1e-12
 
 
-def test_smgd_trace_is_argmin_and_matches_pruned_run():
+def test_smgd_is_stepwise_argmin():
+    # the unpruned reference takes the cheapest of every hold, update and
+    # diligent plan at each step, so equal epochs mean SMGD did too
     rng = np.random.default_rng(23)
     lams = 10 ** rng.uniform(-6.8, -5.6, size=(2, 12))
     sc = toy_scenario(lams, pm=0.7)
-    traced = smgd_schedule(sc, trace=True)
-    plain = smgd_schedule(sc)
-    assert traced.update_slots == plain.update_slots
-    assert traced.avg_dynamic_rf == plain.avg_dynamic_rf
-    for step in traced.trace:
-        values = [step.hold_value] + list(step.update_values.values())
-        if step.diligent_value is not None:
-            values.append(step.diligent_value)
-        assert step.chosen_value <= min(values) + 1e-18
+    slots, _, _, avg = _ascending_scan_smgd(sc, prune=False)
+    sched = smgd_schedule(sc)
+    assert sched.update_slots == slots
+    assert sched.avg_dynamic_rf.hex() == avg.hex()
 
 
 def test_smgd_candidate_evaluation_bound():
@@ -591,11 +588,14 @@ def test_zero_circuit_power_names_it():
         smgd_schedule(sc)
 
 
-def _ascending_scan_smgd(sc):
+def _ascending_scan_smgd(sc, prune=True, pair_energy=None):
     """Reference SMGD: candidates in ascending slot order, each pruned only
-    when its static bound exceeds the running incumbent, with a pair
-    energy per slot pair.  Returns the epoch slots, the candidate count,
-    the update count and the average dynamic recall frequency."""
+    when its static bound exceeds the running incumbent (never, with
+    ``prune=False``: every hold, update and diligent plan is then scored
+    at each step), with a pair energy per slot pair unless
+    ``pair_energy(i, j)`` [J] is given.  Returns the epoch slots, the
+    candidate count, the update count and the average dynamic recall
+    frequency."""
     pre = SchedulePlan(sc)
     n, eb, mu = pre.n, sc.energy.battery_j, pre.mu
     own_tail = [float(pre.excess_suffix(k)[0]) for k in range(n)]
@@ -610,13 +610,15 @@ def _ascending_scan_smgd(sc):
             )
         return deployments[k]
 
-    def pair_energy(i, j):
+    def solved_pair_energy(i, j):
         if (i, j) not in energies:
             if np.array_equal(pre.radii[:, i], pre.radii[:, j]):
                 energies[i, j] = 0.0
             else:
                 energies[i, j] = mobility_energy_at(deployment(i), deployment(j), sc.energy)[0]
         return energies[i, j]
+
+    pair_energy = pair_energy or solved_pair_energy
 
     dil_suffix = np.zeros(n + 1)
     for j in range(n - 2, -1, -1):
@@ -630,7 +632,7 @@ def _ascending_scan_smgd(sc):
         for k in range(cur + 1, n):
             evaluations += 1
             stale = base - float(suffix[k - cur])
-            if stale + own_tail[k] > best_value:
+            if prune and stale + own_tail[k] > best_value:
                 continue
             value = stale + pair_energy(cur, k) / eb + own_tail[k]
             if value < best_value:
@@ -686,11 +688,8 @@ def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
     assert sched.update_count == updates
     assert sched.candidate_evaluations == evaluations
     if n_slots <= 36:
-        traced = smgd_schedule(sc, trace=True)
-        assert traced.update_slots == slots
-        assert traced.avg_dynamic_rf.hex() == avg.hex()
-        for step in traced.trace:
-            assert list(step.update_values) == list(range(step.slot + 1, n_slots))
+        # pruning never changes the plan taken
+        assert _ascending_scan_smgd(sc, prune=False) == (slots, evaluations, updates, avg)
 
 
 @settings(max_examples=40, deadline=None)
@@ -748,7 +747,9 @@ def test_smgd_equal_updates_earliest_wins(monkeypatch):
         _Moves, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0)
     )
     assert smgd_schedule(sc).update_slots[:2] == [0, 1]
-    assert smgd_schedule(sc, trace=True).update_slots[:2] == [0, 1]
+    for prune in (True, False):
+        slots = _ascending_scan_smgd(sc, prune, lambda i, j: energies.get((i, j), 0.0))[0]
+        assert slots[:2] == [0, 1]
 
 
 def _traced_peak(fn):
