@@ -42,10 +42,14 @@ class Environment:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("LOS model constants a and b must be positive")
-        if not (self.eta_nlos >= self.eta_los > 0):
-            raise ValueError("excess losses must satisfy eta_nlos >= eta_los > 0")
+        for f in fields(self):
+            if f.name == "name":
+                continue
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+        if self.eta_nlos < self.eta_los:
+            raise ValueError("excess losses must satisfy eta_nlos >= eta_los")
 
 
 @dataclass(frozen=True)

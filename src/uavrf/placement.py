@@ -193,8 +193,9 @@ def tx_power(radius: float, lam: float, h: float, env: Environment, radio: Radio
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if lam < 0 or h < 0:
-        raise ValueError("density and altitude must be nonnegative")
+    check_density(lam, zero_ok=True)
+    if not h >= 0:
+        raise ValueError(f"altitude must be nonnegative, got {h!r}")
     if lam == 0.0:
         return 0.0
     return lam * radius**4 * radio.snr_gap * normalized_tx_power(h / radius, env, radio)
@@ -267,8 +268,7 @@ def optimal_radius(
     circuit power, shrinks with density.  The degenerate limit
     P_cu = 0 returns 0 (users camp on zero-size cells).
     """
-    if lam <= 0:
-        raise ValueError("density must be positive (radius diverges at lam = 0)")
+    check_density(lam)
     if p_circuit < 0:
         raise ValueError("circuit power must be nonnegative")
     if p_circuit == 0.0:
@@ -314,12 +314,20 @@ def static_rf_at_optimal_altitude(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if lam < 0:
-        raise ValueError("density must be nonnegative")
+    check_density(lam, zero_ok=True)
     p1 = optimal_normalized_power(env, radio)
     return (area / (math.pi * energy.battery_j)) * (
         energy.p_circuit / radius**2 + lam * radio.snr_gap * p1 * radius**2
     )
+
+
+def check_density(lam: float, zero_ok: bool = False) -> None:
+    """Raise unless the user density is finite and positive (or zero,
+    with ``zero_ok``); the radius R* diverges at lam = 0."""
+    above_floor = lam >= 0 if zero_ok else lam > 0
+    if not (above_floor and lam < math.inf):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"density lam must be finite and {bound}, got {lam!r} users/m^2")
 
 
 def check_circuit_power(p_circuit: float) -> None:
@@ -346,8 +354,7 @@ def min_static_rf(
 
     At the optimum the per-UAV transmit power equals the circuit power.
     """
-    if lam <= 0:
-        raise ValueError("density must be positive")
+    check_density(lam)
     check_circuit_power(energy.p_circuit)
     h1 = optimal_altitude_ratio(env)
     p1 = optimal_normalized_power(env, radio)

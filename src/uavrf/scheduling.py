@@ -54,8 +54,18 @@ distinct deployments, and a move between equal ones costs nothing.
 Only the move energies depend on the mobility powers and speeds.  The
 rest (densities, radii, the static-cost coefficients, deployments) lives
 in a :class:`SchedulePlan` built once per scenario, in memory linear in
-the number of slots.  A sweep over mobility powers builds one plan and
-passes it to every call,
+the number of slots.  The permutations do not depend on the powers
+either, only on the cost shape: the flight coefficients (p_h/v_h,
+p_a/v_a, p_d/v_d) divided by their largest.  The plan keeps each solved
+permutation per shape, so a sweep over mobility powers solves each pair
+once, and every other power re-sums the n matched entries in O(n), with
+no n x n matrix and no assignment.  Free flight (all coefficients zero)
+stores and reuses none: every permutation is optimal there.  The re-sum
+has the bits of the solve for the same permutation, but a fresh plan may
+pick another of several tied optima (common on paper-density lattices),
+so its energies can differ from a shared plan's in the last bits; both
+are optimal.  A sweep over mobility powers builds one plan and passes it
+to every call,
 
     plan = SchedulePlan(scenario)
     for pm in (0.05, 1.5, 50.0):
@@ -74,6 +84,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -118,6 +129,29 @@ def move_energy(p_from: Sequence[float], p_to: Sequence[float], energy: EnergyPa
     return horizontal + vertical
 
 
+def _flight_energies(
+    origins: np.ndarray, destinations: np.ndarray, energy: EnergyParams
+) -> np.ndarray:
+    """Move energies from ``origins`` to ``destinations``, (..., 3) point
+    arrays broadcast against each other.
+
+    Each is hypot(dx, dy) * (p_h / v_h) plus the climb dz times
+    (p_a / v_a) or the descent -dz times (p_d / v_d).  The cost matrix
+    and the re-sum of a stored permutation both come from here, so a pair
+    of points gets the same bits whatever the shape of the arrays.
+    """
+    dx = origins[..., 0] - destinations[..., 0]
+    cost = np.hypot(dx, origins[..., 1] - destinations[..., 1], out=dx)
+    cost *= energy.p_horizontal / energy.v_horizontal
+    dz = destinations[..., 2] - origins[..., 2]
+    # dz * -(p_d / v_d) has the bits of -dz * (p_d / v_d)
+    dz *= np.where(
+        dz >= 0, energy.p_ascend / energy.v_ascend, -(energy.p_descend / energy.v_descend)
+    )
+    cost += dz
+    return cost
+
+
 def cost_matrix(
     origins: np.ndarray, destinations: np.ndarray, energy: EnergyParams
 ) -> np.ndarray:
@@ -133,16 +167,7 @@ def cost_matrix(
         raise ValueError(
             f"need equally many origins and destinations, got {len(origins)} and {len(destinations)}"
         )
-    dx = origins[:, 0, None] - destinations[:, 0]
-    cost = np.hypot(dx, origins[:, 1, None] - destinations[:, 1], out=dx)
-    cost *= energy.p_horizontal / energy.v_horizontal
-    dz = destinations[:, 2] - origins[:, 2, None]
-    # dz * -(p_d / v_d) has the bits of -dz * (p_d / v_d)
-    dz *= np.where(
-        dz >= 0, energy.p_ascend / energy.v_ascend, -(energy.p_descend / energy.v_descend)
-    )
-    cost += dz
-    return cost
+    return _flight_energies(origins[:, None], destinations, energy)
 
 
 def solve_assignment(cost: np.ndarray) -> Assignment:
@@ -159,6 +184,15 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     )
 
 
+def _padded_positions(prev: Deployment, nxt: Deployment) -> Tuple[np.ndarray, np.ndarray]:
+    """Both fleets' positions, the shorter padded with depot copies."""
+    if prev.rsc_position != nxt.rsc_position:
+        raise ValueError("deployments must share the depot position")
+    if [e.label for e in prev.entries] != [e.label for e in nxt.entries]:
+        raise ValueError("deployments must cover the same subregions")
+    return pad_with_rsc(prev.all_positions(), nxt.all_positions(), prev.rsc_position)
+
+
 def mobility_energy_at(
     prev: Deployment, nxt: Deployment, energy: EnergyParams
 ) -> Tuple[float, Assignment]:
@@ -167,15 +201,38 @@ def mobility_energy_at(
     Pads the joint fleets (all subregions together) with depot copies,
     then solves the assignment over the padded sets.
     """
-    if prev.rsc_position != nxt.rsc_position:
-        raise ValueError("deployments must share the depot position")
-    if [e.label for e in prev.entries] != [e.label for e in nxt.entries]:
-        raise ValueError("deployments must cover the same subregions")
-    origins, destinations = pad_with_rsc(
-        prev.all_positions(), nxt.all_positions(), prev.rsc_position
-    )
+    origins, destinations = _padded_positions(prev, nxt)
     assignment = solve_assignment(cost_matrix(origins, destinations, energy))
     return assignment.total_energy, assignment
+
+
+def _matched_energy(
+    prev: Deployment, nxt: Deployment, permutation: np.ndarray, energy: EnergyParams
+) -> float:
+    """Energy [J] of moving padded origin k of ``prev`` to destination
+    ``permutation[k]`` of ``nxt``, summed in O(n).
+
+    For the permutation that :func:`mobility_energy_at` solves, this has
+    the bits of its energy: the same entries, summed in the same order.
+    """
+    origins, destinations = _padded_positions(prev, nxt)
+    return float(_flight_energies(origins, destinations[permutation], energy).sum())
+
+
+def _cost_shape(energy: EnergyParams) -> Tuple[Fraction, ...] | None:
+    """The flight coefficients (p_h/v_h, p_a/v_a, p_d/v_d) divided by
+    their largest, in exact arithmetic; None if all three are zero.
+
+    A positive factor on every coefficient scales the cost matrix and
+    keeps its optimal permutations, so energy models of one shape share
+    them.  With free flight every permutation is optimal.
+    """
+    coefficients = [
+        Fraction(getattr(energy, "p_" + axis)) / Fraction(getattr(energy, "v_" + axis))
+        for axis in ("horizontal", "ascend", "descend")
+    ]
+    top = max(coefficients)
+    return None if top == 0 else tuple(c / top for c in coefficients)
 
 
 @dataclass(frozen=True)
@@ -247,7 +304,11 @@ class SchedulePlan:
     None of this depends on the flight powers and speeds of the
     scenario's energy, so one plan serves every scheduler call of a
     mobility-power sweep.  Move energies come from :meth:`with_energy`,
-    cached on the plan per energy model.
+    cached on the plan per energy model.  Solved permutations are kept
+    per cost shape (see the module docstring), one int32 buffer per
+    pair with equal buffers shared, so each pair is solved once per
+    shape and re-summed in O(n) under every other energy model of that
+    shape; free flight keeps none.
     """
 
     def __init__(self, scenario: Scenario):
@@ -275,10 +336,17 @@ class SchedulePlan:
         self.c2 = spe[:, None] * q * p1 * self.radii**2                           # (B, n)
         self.opt = 2.0 * (spe[:, None] * np.sqrt(self.lams * q * energy.p_circuit * p1)).sum(axis=0)
         self.tail = np.array([self.excess_suffix(k)[0] for k in range(self.n)])
-        _, ids = np.unique(self.radii.T, axis=0, return_inverse=True)
-        self.deployment_ids: List[int] = ids.tolist()  # plain ints: the pair-cache keys
+        distinct, ids = np.unique(self.radii.T, axis=0, return_inverse=True)
+        self.deployment_ids: List[int] = ids.tolist()
+        # the pair caches key deployment ids (a, b) by the int a * stride + b,
+        # half the memory of a tuple key
+        self._pair_stride = len(distinct)
         self._deployments: Dict[int, Deployment] = {}
-        self._pair_energies: Dict[EnergyParams, Dict[Tuple[int, int], float]] = {}
+        self._pair_energies: Dict[EnergyParams, Dict[int, float]] = {}
+        # solved permutations per cost shape and pair, int32 buffers shared
+        # through the pool when equal
+        self._permutations: Dict[Tuple[Fraction, ...], Dict[int, bytes]] = {}
+        self._permutation_pool: Dict[bytes, bytes] = {}
 
     def static(self, k: int, t0: int, t1: int) -> np.ndarray:
         """Static recall frequency in slots t0..t1-1 of the slot-k placement."""
@@ -318,7 +386,13 @@ class SchedulePlan:
             raise ValueError(
                 "plan was built for another circuit power or battery capacity"
             )
-        return _Moves(self, energy, self._pair_energies.setdefault(energy, {}))
+        shape = _cost_shape(energy)
+        return _Moves(
+            self,
+            energy,
+            self._pair_energies.setdefault(energy, {}),
+            None if shape is None else self._permutations.setdefault(shape, {}),
+        )
 
     def deployment(self, k: int) -> Deployment:
         key = self.deployment_ids[k]
@@ -340,25 +414,42 @@ class _Moves:
 
     Pair energies go to a dict that the plan keeps per energy model, so
     every scheduler call at the same mobility solves each pair once.
+    Solved permutations go to a dict that the plan keeps per cost shape
+    (None for free flight), so a pair already solved under another model
+    of the same shape is re-summed along its permutation, not solved.
     """
 
     def __init__(
-        self, plan: SchedulePlan, energy: EnergyParams, cache: Dict[Tuple[int, int], float]
+        self,
+        plan: SchedulePlan,
+        energy: EnergyParams,
+        cache: Dict[int, float],
+        permutations: Dict[int, bytes] | None,
     ):
         self.plan = plan
         self.energy = energy
         self._pair_energy = cache
+        self._permutations = permutations
 
     def pair_energy(self, i: int, j: int) -> float:
         ids = self.plan.deployment_ids
-        key = (ids[i], ids[j])
-        if key[0] == key[1]:
+        a, b = ids[i], ids[j]
+        if a == b:
             return 0.0
+        key = a * self.plan._pair_stride + b
         value = self._pair_energy.get(key)
         if value is None:
-            value, _ = mobility_energy_at(
-                self.plan.deployment(i), self.plan.deployment(j), self.energy
-            )
+            prev, nxt = self.plan.deployment(i), self.plan.deployment(j)
+            perms = self._permutations
+            stored = None if perms is None else perms.get(key)
+            if stored is not None:
+                perm = np.frombuffer(stored, dtype=np.int32)
+                value = _matched_energy(prev, nxt, perm, self.energy)
+            else:
+                value, assignment = mobility_energy_at(prev, nxt, self.energy)
+                if perms is not None:
+                    buf = np.array(assignment.permutation, dtype=np.int32).tobytes()
+                    perms[key] = self.plan._permutation_pool.setdefault(buf, buf)
             self._pair_energy[key] = value
         return value
 

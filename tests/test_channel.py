@@ -44,6 +44,15 @@ def test_environment_validation():
         Environment(a=1.0, b=0.1, eta_los=0.0, eta_nlos=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["a", "b", "eta_los", "eta_nlos"])
+def test_environment_rejects_non_finite(field, value):
+    constants = dict(a=9.61, b=0.16, eta_los=1.0, eta_nlos=20.0)
+    constants[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        Environment(**constants)
+
+
 def test_radio_validation():
     with pytest.raises(ValueError):
         RadioConfig(bandwidth_hz=0.0)

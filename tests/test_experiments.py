@@ -133,6 +133,17 @@ def test_cli_static_rf_non_finite_circuit_power_exit_2(tmp_path, capsys, value):
     assert not (tmp_path / "static_rf_curve.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["static-rf", "--lam", "nan"], ["radius", "--lambdas", "nan"], ["radius", "--lambdas", "inf"]],
+    ids=["static-rf-nan", "radius-nan", "radius-inf"],
+)
+def test_cli_non_finite_density_exit_2(tmp_path, capsys, command):
+    assert main(["--out", str(tmp_path), *command]) == 2
+    assert "density lam must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_radius_non_finite_battery_exit_2(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("[energy]\nbattery_j = nan\n")

@@ -289,6 +289,25 @@ def test_check_circuit_power_needs_finite_positive(value):
         check_circuit_power(value)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_placement_needs_finite_positive_density(lam, urban, radio, energy_unit_area):
+    with pytest.raises(ValueError, match="density lam must be finite and positive"):
+        optimal_radius(lam, 0.5, urban, radio)
+    with pytest.raises(ValueError, match="density lam must be finite and positive"):
+        min_static_rf(lam, energy_unit_area, 1e6, urban, radio)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.1])
+def test_power_and_rf_need_finite_nonnegative_density(lam, urban, radio, energy_unit_area):
+    match = "density lam must be finite and nonnegative"
+    with pytest.raises(ValueError, match=match):
+        pl.tx_power(100.0, lam, 50.0, urban, radio)
+    with pytest.raises(ValueError, match=match):
+        pl.static_rf(100.0, lam, 50.0, energy_unit_area, 1e6, urban, radio)
+    with pytest.raises(ValueError, match=match):
+        pl.static_rf_at_optimal_altitude(100.0, lam, energy_unit_area, 1e6, urban, radio)
+
+
 def test_slot_placement_validation():
     with pytest.raises(ValueError):
         SlotPlacement(radius=0.0, altitude=1.0, tx_power=1.0, static_rf=1.0)

@@ -23,6 +23,7 @@ from uavrf.scenario import Scenario, reference_scenario, slot_densities
 from uavrf.scheduling import (
     Assignment,
     SchedulePlan,
+    _matched_energy,
     _Moves,
     baseline_schedule,
     cost_matrix,
@@ -313,6 +314,9 @@ def test_pair_energy_matches_reference_composition(rects, data, depot, snap, pm,
     assert value.hex() == ref_value.hex()
     assert assignment.permutation == ref_perm
     assert assignment.total_energy == value
+    # the O(n) re-sum along the solved permutation, as a plan stores it
+    perm = np.array(assignment.permutation, dtype=np.int32)
+    assert _matched_energy(prev, nxt, perm, energy).hex() == value.hex()
 
 
 def _paper_size_pair(before, after):
@@ -338,6 +342,12 @@ def test_paper_size_pairs_match_reference_composition(before, after):
     ref_value, ref_perm = _reference_pair_energy(prev, nxt, energy)
     assert value.hex() == ref_value.hex()
     assert assignment.permutation == ref_perm
+    # the 1.5 W permutation stays optimal at 50 W; lattices tie often, so a
+    # fresh solve may pick another optimum and differ in the last bits
+    fast = dataclasses.replace(energy, p_horizontal=50.0, p_ascend=50.0, p_descend=50.0)
+    reused = _matched_energy(prev, nxt, np.array(assignment.permutation, dtype=np.int32), fast)
+    fresh, _ = mobility_energy_at(prev, nxt, fast)
+    assert abs(reused - fresh) <= 1e-12 * fresh
 
 
 def test_paper_size_pair_memory():
@@ -819,30 +829,53 @@ def _schedule_bits(sched):
     )
 
 
-def test_shared_plan_matches_fresh_plans():
+def test_shared_plan_matches_fresh_plans(monkeypatch):
+    solves = []
+    solve = scheduling.solve_assignment
+    monkeypatch.setattr(
+        scheduling, "solve_assignment", lambda cost: solves.append(len(cost)) or solve(cost)
+    )
+
+    def pairs_solved(sc):
+        return len(plan.with_energy(sc.energy)._pair_energy)
+
     base = dataclasses.replace(
         reference_scenario(), horizon_s=2 * 86400.0, start_s=3 * 86400.0
     )
     plan = SchedulePlan(base)
+    shared_solves = {}
     for pm in (0.0, 0.05, 1.5, 50.0):
         sc = base.with_mobility_power(pm)
+        before = len(solves)
         shared = [
             smgd_schedule(sc, plan=plan),
             baseline_schedule("lazy", sc, plan=plan),
             baseline_schedule("diligent", sc, plan=plan),
         ]
+        shared_solves[pm] = len(solves) - before
         fresh = [
             smgd_schedule(sc),
             baseline_schedule("lazy", sc),
             baseline_schedule("diligent", sc),
         ]
         assert [_schedule_bits(s) for s in shared] == [_schedule_bits(s) for s in fresh]
-    # the mobility speeds are mobility inputs too
+    # free flight stores no permutation: 0.05 W solves every pair it needs
+    assert shared_solves[0.0] == pairs_solved(base.with_mobility_power(0.0)) > 0
+    assert shared_solves[0.05] == pairs_solved(base.with_mobility_power(0.05))
+    # over the positive powers, one solve per distinct pair
+    distinct = set()
+    for pm in (0.05, 1.5, 50.0):
+        distinct |= set(plan.with_energy(base.with_mobility_power(pm).energy)._pair_energy)
+    assert shared_solves[0.05] + shared_solves[1.5] + shared_solves[50.0] == len(distinct)
+    assert shared_solves[1.5] < pairs_solved(base.with_mobility_power(1.5))
+    # the mobility speeds are mobility inputs too, and change the cost shape
     slow = dataclasses.replace(
         base,
         energy=dataclasses.replace(base.energy, p_horizontal=2.0, v_horizontal=3.0, v_descend=0.5),
     )
+    before = len(solves)
     assert _schedule_bits(smgd_schedule(slow, plan=plan)) == _schedule_bits(smgd_schedule(slow))
+    assert len(solves) - before == 2 * pairs_solved(slow)
 
 
 @pytest.mark.parametrize(
