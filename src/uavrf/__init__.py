@@ -80,9 +80,9 @@ from .scheduling import (
     baseline_schedule,
     cost_matrix,
     dynamic_rf,
-    exhaustive_schedule,
     mobility_energy_at,
     move_energy,
+    optimal_schedule,
     smgd_schedule,
     solve_assignment,
 )

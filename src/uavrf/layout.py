@@ -160,8 +160,6 @@ def _worst_cover_distance(
 @lru_cache(maxsize=4096)
 def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float, float], ...]:
     """Best row lattice for ``count`` points in a w x h rectangle at origin."""
-    if count == 1:
-        return ((rect_w / 2.0, rect_h / 2.0),)
     # ideal hex row count, searched in a window around it; a rectangle too
     # tall for ``count`` rows falls back to one UAV per row
     dx0 = math.sqrt(2.0 * rect_w * rect_h / (math.sqrt(3) * count))

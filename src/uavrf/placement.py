@@ -354,11 +354,10 @@ def min_static_rf(
 
     At the optimum the per-UAV transmit power equals the circuit power.
     """
-    check_density(lam)
     check_circuit_power(energy.p_circuit)
+    r_star = optimal_radius(lam, energy.p_circuit, env, radio)
     h1 = optimal_altitude_ratio(env)
     p1 = optimal_normalized_power(env, radio)
-    r_star = (energy.p_circuit / (lam * radio.snr_gap * p1)) ** 0.25
     phi = (2.0 * area / (math.pi * energy.battery_j)) * math.sqrt(
         lam * radio.snr_gap * energy.p_circuit * p1
     )

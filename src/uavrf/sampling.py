@@ -26,13 +26,13 @@ total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .channel import Environment, RadioConfig
-from .placement import EnergyParams, optimal_normalized_power, static_rf
+from .placement import EnergyParams, check_density, optimal_normalized_power, static_rf
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,10 @@ class LearningBudget:
     max_rf_increment: float     # area-wide inflation cap [1/s]
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.hypothesis_volume <= 1:
             raise ValueError("hypothesis volume must exceed 1")
         if not (0 < self.confidence_delta < 1):
@@ -94,8 +98,7 @@ def subregion_eigenvalue(
 
     Scales as lam^(-3/2): sparse subregions amplify prediction error.
     """
-    if lam <= 0:
-        raise ValueError("density must be positive (sensitivity diverges at 0)")
+    check_density(lam)  # the sensitivity diverges at 0
     if p_circuit <= 0 or area <= 0 or battery_j <= 0:
         raise ValueError("circuit power, area and battery must be positive")
     p1 = optimal_normalized_power(env, radio)
@@ -168,10 +171,10 @@ def rf_increment_exact_samples(
 
 def vc_epsilon(d: float, n_samples: float, delta: float) -> float:
     """Deviation bound sqrt((log d + log(1/delta)) / (2 n))."""
-    if n_samples <= 0:
-        raise ValueError("sample count must be positive")
-    if d <= 1:
-        raise ValueError("hypothesis volume must exceed 1")
+    if not n_samples > 0:
+        raise ValueError(f"sample count must be positive, got {n_samples!r}")
+    if not d > 1:
+        raise ValueError(f"hypothesis volume must exceed 1, got {d!r}")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     return math.sqrt((math.log(d) + math.log(1.0 / delta)) / (2.0 * n_samples))
@@ -181,8 +184,8 @@ def _budget_slack(lams: Sequence[float], budget: LearningBudget) -> float:
     """Inflation budget left after training error; raises if none is left."""
     if not lams:
         raise ValueError("need at least one subregion eigenvalue")
-    if any(x <= 0 for x in lams):
-        raise ValueError("eigenvalues must be positive")
+    if not all(0 < x < math.inf for x in lams):
+        raise ValueError(f"eigenvalues must be finite and positive, got {lams!r}")
     slack = budget.max_rf_increment - budget.max_training_error * sum(lams)
     if slack <= 0:
         raise ValueError(

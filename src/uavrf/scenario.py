@@ -32,6 +32,7 @@ from .patterns import (
     DensityPattern,
     Rect,
     Subregion,
+    normalized_shape,
     parse_pattern_file,
     pattern_preset,
     reconstruct_series,
@@ -171,9 +172,7 @@ def slot_densities(scenario: Scenario) -> np.ndarray:
             radio = scenario.radio
             out[b] = reconstruct_series(sub.pattern, idx) / (radio.rate_bps * radio.bs_coverage_area)
         else:
-            x = reconstruct_series(sub.pattern, range(sub.pattern.n_samples))
-            lo_x, hi_x = float(x.min()), float(x.max())
-            shape = np.ones_like(x) if hi_x == lo_x else (x - lo_x) / (hi_x - lo_x)
+            shape = normalized_shape(sub.pattern)
             lo, hi = band
             out[b] = lo + (hi - lo) * shape[idx % sub.pattern.n_samples]
     return out
@@ -312,8 +311,6 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
     _check_keys(parser)
-    if not parser.sections():
-        return default_scenario()
     try:
         return _build_scenario(parser, base_dir)
     except ValueError as exc:
@@ -376,7 +373,7 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
     except ValueError:
         raise ScenarioError(f"[scenario] seed is not an integer: {sc['seed']!r}") from None
     return Scenario(
-        name=sc.get("name", "custom"),
+        name=sc.get("name", base.name),
         env=env,
         radio=radio,
         energy=energy,

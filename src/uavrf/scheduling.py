@@ -1,5 +1,5 @@
 """Multi-slot placement updating: mobility costs, trajectory assignment,
-greedy epoch selection, and the Lazy/Diligent baselines.
+greedy and exact epoch selection, and the Lazy/Diligent baselines.
 
 Moving a UAV costs horizontal power times flight time plus ascend or
 descend power times climb time.  When the fleet size changes between
@@ -36,20 +36,25 @@ exactly zero, so updates happen at every slot where the density vector
 changed, and with prohibitive mobility the hold plan wins immediately.
 
 An update at slot k costs its staleness up to k, plus its move energy,
-plus the excess of holding the slot-k placement from k on.  Staleness
-plus excess is a lower bound that needs no assignment solve, because
-move energy is nonnegative.  Each step therefore visits the updates in
-ascending bound (a stable sort, so equal bounds stay in slot order) and
-stops at the first bound above the incumbent: no later update can win,
-the ordering trick of PELT-style pruning (Killick, Fearnhead & Eckley
-2012).  Ties resolve as in a scan in slot order: holding beats an update
-of equal value, the earliest of equal updates wins, and the diligent
-plan wins only when strictly cheaper, so pruning never changes the plan
-taken: a scan that scores every plan in slot order takes the same one.
+plus a continuation from k on: for SMGD, the excess of holding the
+slot-k placement to the horizon.  Staleness plus continuation is a lower
+bound that needs no assignment solve, because move energy is
+nonnegative.  Each step therefore visits the updates in ascending bound
+(a stable sort, so equal bounds stay in slot order) and stops at the
+first bound above the incumbent: no later update can win, the ordering
+trick of PELT-style pruning (Killick, Fearnhead & Eckley 2012).  Ties
+resolve as in a scan in slot order: holding beats an update of equal
+value, the earliest of equal updates wins, and the diligent plan wins
+only when strictly cheaper, so pruning never changes the plan taken.
 ``Schedule.candidate_evaluations`` counts the hold plan and every update
-at each step, pruned or not.  Slots with equal radii share one
-deployment, so move energies are solved once per ordered pair of
-distinct deployments, and a move between equal ones costs nothing.
+at each step, pruned or not.  Move energies are solved once per ordered
+pair of distinct deployments (slots with equal radii share one).
+
+The same scan, run from the last slot back to the first with the least
+cost from each later slot as the continuation, gives the exact optimum
+over SMGD's candidates (:func:`optimal_schedule`): a shortest path over
+update epochs, or optimal partitioning (Jackson et al. 2005).  It solves
+O(n^2) pair energies in the worst case.
 
 Only the move energies depend on the mobility powers and speeds.  The
 rest (densities, radii, the static-cost coefficients, deployments) lives
@@ -81,7 +86,6 @@ non-mobility inputs, the horizon included, raises ``ValueError``.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -512,12 +516,33 @@ def _assemble(
     )
 
 
+def _best_update(
+    moves: _Moves, cur: int, continuation: np.ndarray
+) -> Tuple[float, int | None]:
+    """The cheapest plan from slot ``cur`` (see module docstring): hold, or
+    update at k > cur and then pay ``continuation[k - cur - 1] >= 0``.
+    Returns its excess cost and the update slot, None to hold."""
+    suffix = moves.plan.excess_suffix(cur)
+    eb = moves.energy.battery_j
+    hold_value = float(suffix[0])
+    best_value, nxt = hold_value, None
+    stale = hold_value - suffix[1:]
+    bound = stale + continuation  # mobility only adds cost to an update plan
+    # only an update whose bound is at most the hold value can win
+    cand = np.flatnonzero(bound <= hold_value)
+    for i in cand[np.argsort(bound[cand], kind="stable")]:
+        if bound[i] > best_value:
+            break  # every later candidate has a larger bound
+        k = cur + 1 + int(i)
+        value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(continuation[i])
+        if value < best_value or (value == best_value and nxt is not None and k < nxt):
+            best_value, nxt = value, k
+    return best_value, nxt
+
+
 def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Schedule:
     """Greedy sequential epoch selection (see module docstring).
 
-    Update candidates are visited best-first by their static lower bound
-    until a bound exceeds the incumbent; hold wins ties, then the
-    earliest update, and diligent wins only when strictly cheaper.
     ``candidate_evaluations`` counts every candidate, pruned or not.
     ``plan`` is shared with other calls on the same scenario (see
     :class:`SchedulePlan`); without it the call builds its own.
@@ -535,22 +560,8 @@ def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Sc
     evaluations = 0
     cur = 0
     while True:
-        suffix = pre.excess_suffix(cur)
-        hold_value = float(suffix[0])
         evaluations += n - cur
-        best_value, nxt = hold_value, None  # nxt: the next epoch's slot, None to hold
-        stale = hold_value - suffix[1:]
-        tail = pre.tail[cur + 1 :]  # excess of holding slot k's placement from k on
-        bound = stale + tail  # mobility only adds cost to an update plan
-        # only an update whose bound is at most the hold value can win
-        cand = np.flatnonzero(bound <= hold_value)
-        for i in cand[np.argsort(bound[cand], kind="stable")]:
-            if bound[i] > best_value:
-                break  # every later candidate has a larger bound
-            k = cur + 1 + int(i)
-            value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(tail[i])
-            if value < best_value or (value == best_value and nxt is not None and k < nxt):
-                best_value, nxt = value, k
+        best_value, nxt = _best_update(moves, cur, pre.tail[cur + 1 :])
         if cur + 1 < n and float(dil_suffix[cur]) < best_value:
             nxt = cur + 1
         if nxt is None:
@@ -558,6 +569,20 @@ def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Sc
         cur = nxt
         epoch_slots.append(cur)
     return _assemble("smgd", moves, epoch_slots, scenario, evaluations)
+
+
+def optimal_schedule(scenario: Scenario) -> Schedule:
+    """The cheapest schedule over SMGD's candidates (see module docstring)."""
+    moves = _moves_for(scenario, None)
+    n = moves.plan.n
+    value = np.empty(n)
+    nxt: List[int | None] = [None] * n
+    for k in range(n - 1, -1, -1):
+        value[k], nxt[k] = _best_update(moves, k, value[k + 1 :])
+    epoch_slots = [0]
+    while nxt[epoch_slots[-1]] is not None:
+        epoch_slots.append(nxt[epoch_slots[-1]])
+    return _assemble("optimal", moves, epoch_slots, scenario)
 
 
 def baseline_schedule(
@@ -596,28 +621,3 @@ def dynamic_rf(schedule: Schedule, scenario: Scenario) -> float:
         radii = np.array(schedule.epochs[i].deployment.radii())
         total_static += float(_static_rf(scenario, lams[:, k:end], radii).sum()) * mu
     return (total_static + total_mobility / scenario.energy.battery_j) / horizon
-
-
-def exhaustive_schedule(scenario: Scenario) -> Tuple[float, List[int]]:
-    """Exact minimum over every update-slot subset (exponential; toys only)."""
-    n = scenario.n_slots
-    if n > 16:
-        raise ValueError("exhaustive search is limited to 16 slots")
-    pre = SchedulePlan(scenario)
-    moves = pre.with_energy(scenario.energy)
-    eb = scenario.energy.battery_j
-    best_value, best_slots = math.inf, [0]
-    for r in range(n):
-        for subset in itertools.combinations(range(1, n), r):
-            slots = [0] + list(subset)
-            static = 0.0
-            mobility = 0.0
-            for i, k in enumerate(slots):
-                end = slots[i + 1] if i + 1 < len(slots) else n
-                static += float(pre.static(k, k, end).sum()) * pre.mu
-                if i > 0:
-                    mobility += moves.pair_energy(slots[i - 1], k)
-            value = (static + mobility / eb) / scenario.horizon_s
-            if value < best_value:
-                best_value, best_slots = value, slots
-    return best_value, best_slots

@@ -199,6 +199,27 @@ def test_cli_sampling_slot_out_of_range(tmp_path, capsys, slot):
     assert not (tmp_path / "sampling_numbers.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        (flag, value, field)
+        for flag, field in [
+            ("--d", "hypothesis_volume"),
+            ("--delta", "confidence_delta"),
+            ("--xi-max", "max_training_error"),
+            ("--dphi-max", "max_rf_increment"),
+        ]
+        for value in ("nan", "inf")
+    ],
+)
+def test_cli_sampling_non_finite_budget_exit_2(tmp_path, capsys, flag, value, field):
+    args = {"--dphi-max": "10", "--d": "1000", "--delta": "0.05", flag: value}
+    argv = ["--out", str(tmp_path), "sampling", *(x for kv in args.items() for x in kv)]
+    assert main(argv) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sampling_numbers.csv").exists()
+
+
 def test_cli_sampling_last_slot_ok(tmp_path):
     argv = ["--out", str(tmp_path), "sampling", "--dphi-max", "10", "--d", "1000",
             "--delta", "0.05", "--at-slot", "143"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,8 +51,9 @@ def test_eigenvalue_power_scaling(urban, radio):
 
 
 def test_eigenvalue_validation(urban, radio):
-    with pytest.raises(ValueError):
-        subregion_eigenvalue(0.0, 0.5, urban, radio, AREA, BATTERY)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="density lam must be finite and positive"):
+            subregion_eigenvalue(lam, 0.5, urban, radio, AREA, BATTERY)
 
 
 def test_eigenvalue_is_taylor_coefficient(urban, radio):
@@ -152,6 +154,9 @@ def test_vc_epsilon_validation():
         vc_epsilon(10.0, 0, 0.1)
     with pytest.raises(ValueError):
         vc_epsilon(10.0, 10, 1.5)
+    for args in [(math.nan, 10, 0.05), (10.0, math.nan, 0.05), (10.0, 10, math.nan)]:
+        with pytest.raises(ValueError):
+            vc_epsilon(*args)
 
 
 BUDGET = LearningBudget(
@@ -263,6 +268,23 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         LearningBudget(hypothesis_volume=10.0, confidence_delta=1.0,
                        max_training_error=0.0, max_rf_increment=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["hypothesis_volume", "confidence_delta", "max_training_error", "max_rf_increment"],
+)
+def test_budget_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        dataclasses.replace(BUDGET, **{field: value})
+
+
+@pytest.mark.parametrize("eig", [math.nan, math.inf, 0.0])
+def test_allocations_reject_bad_eigenvalues(eig):
+    for allocate in (min_sampling_numbers, equal_share_sampling_numbers):
+        with pytest.raises(ValueError, match="eigenvalues must be finite and positive"):
+            allocate([1.0, eig], BUDGET)
 
 
 def test_sampling_demo_sparse_zone_needs_more_samples(capsys):

@@ -35,6 +35,12 @@ def test_empty_text_gives_defaults():
     assert sc.subregions[0].area / (math.pi * sc.energy.battery_j) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("text", ["", "[scenario]\n", "[radio]\n", "[energy]\n"])
+def test_empty_sections_give_defaults(text):
+    # one parse path: an empty section changes nothing, the name included
+    assert parse_scenario(text) == default_scenario()
+
+
 def test_roundtrip_reference_scenario():
     sc = reference_scenario()
     assert parse_scenario(dump_scenario(sc)) == sc
