@@ -120,8 +120,10 @@ def los_probability(r: float, h: float, env: Environment) -> float:
 def los_probability_altitude_slope(r: float, h: float, env: Environment) -> float:
     """d P0 / d h at fixed horizontal distance.
 
-    Used by the optimal-altitude search; follows from differentiating
-    the sigmoid through the elevation angle.
+    Follows from differentiating the sigmoid through the elevation
+    angle.  The optimal-altitude search evaluates the same slope inside
+    the fused integrand ``placement._p1_slope_integrand``; this function
+    is the tests' reference for that integrand.
     """
     d2 = r * r + h * h
     if d2 == 0:

@@ -28,6 +28,8 @@ from .channel import environment_preset
 from .experiments import (
     FIGURES,
     MOBILITY_POWER_GRID,
+    _epoch_rows,
+    _static_rf_curve,
     run_figure,
     run_policy_comparison,
     write_csv,
@@ -36,12 +38,9 @@ from .layout import num_uavs
 from .patterns import pattern_preset, reconstruct_series, parse_pattern_file
 from .placement import (
     BracketError,
-    check_circuit_power,
     min_static_rf,
     normalized_tx_power,
     optimal_altitude_ratio,
-    optimal_radius,
-    static_rf_at_optimal_altitude,
 )
 from .quadrature import QuadratureError
 from .sampling import LearningBudget, min_sampling_numbers, subregion_eigenvalue
@@ -119,18 +118,9 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_static_rf(args) -> int:
-    scenario = _load(args)
-    check_circuit_power(args.p_circuit)
-    area = scenario.subregions[0].area
-    energy = dataclasses.replace(scenario.energy, p_circuit=args.p_circuit)
-    r_star = optimal_radius(args.lam, args.p_circuit, scenario.env, scenario.radio)
-    radii = np.unique(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, 161), r_star))
-    rows = [
-        (args.lam, r, static_rf_at_optimal_altitude(r, args.lam, energy, area,
-                                                    scenario.env, scenario.radio),
-         1 if r == r_star else 0)
-        for r in radii
-    ]
+    curve = _static_rf_curve(_load(args), args.lam, args.p_circuit, 161)
+    rows = [(args.lam, *row) for row in curve]
+    r_star = next(radius for _, radius, _, is_optimal in rows if is_optimal)
     path = write_csv(
         os.path.join(args.out, "static_rf_curve.csv"),
         ("lambda_per_m2", "radius_m", "static_rf", "is_optimal"),
@@ -175,24 +165,18 @@ def _cmd_schedule(args) -> int:
         sched = smgd_schedule(scenario)
     else:
         sched = baseline_schedule(args.method, scenario)
-    rows = []
-    for epoch in sched.epochs:
-        for entry in epoch.deployment.entries:
-            rows.append(
-                (epoch.tau, entry.label, entry.radius, entry.altitude,
-                 entry.count, epoch.mobility_j)
-            )
     path = write_csv(
         os.path.join(args.out, f"schedule_{args.method}.csv"),
         ("tau_seconds", "subregion", "radius", "altitude", "count", "mobility_joules"),
-        rows,
+        _epoch_rows(sched),
     )
     if args.positions:
-        from .layout import deployment_csv
-
-        dep_path = os.path.join(args.out, "deployment_initial.csv")
-        with open(dep_path, "w", newline="\n") as fh:
-            fh.write(deployment_csv(sched.epochs[0].deployment))
+        dep_path = write_csv(
+            os.path.join(args.out, "deployment_initial.csv"),
+            ("subregion", "x", "y", "z", "radius"),
+            ((entry.label, x, y, z, entry.radius)
+             for entry in sched.epochs[0].deployment.entries for x, y, z in entry.positions),
+        )
         print(f"wrote {dep_path}")
     print(
         f"method={args.method} updates={sched.update_count} "
@@ -273,20 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("altitude", help="optimal altitude ratio and power curve")
+    p = sub.add_parser("altitude", help="optimal altitude ratio and power curve")
+    p.set_defaults(run=_cmd_altitude)
 
     p = sub.add_parser("radius", help="optimal radius over a (lambda, P_cu) grid")
     p.add_argument("--lambdas", type=float, nargs="+", default=[0.1, 1.0, 5.0])
     p.add_argument("--p-circuit", type=float, nargs="+", default=[0.5, 5.0, 50.0])
+    p.set_defaults(run=_cmd_radius)
 
     p = sub.add_parser("static-rf", help="static recall frequency versus radius")
     p.add_argument("--lam", type=float, default=0.1, help="user density [1/m^2]")
     p.add_argument("--p-circuit", type=float, default=0.5)
+    p.set_defaults(run=_cmd_static_rf)
 
     p = sub.add_parser("pattern", help="reconstruct a density pattern")
     p.add_argument("--label", default="E", help="preset class (E, R, T, O, C)")
     p.add_argument("--pattern-file", help="custom pattern file instead of a preset")
     p.add_argument("--week", action="store_true", help="emit one week instead of the full record")
+    p.set_defaults(run=_cmd_pattern)
 
     p = sub.add_parser("schedule", help="multi-slot placement updating")
     p.add_argument("--method", choices=["smgd", "lazy", "diligent"], default="smgd")
@@ -297,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also dump the initial deployment positions",
     )
+    p.set_defaults(run=_cmd_schedule)
 
     p = sub.add_parser("sampling", help="minimal sampling numbers")
     p.add_argument("--dphi-max", type=float, required=True, dest="dphi_max")
@@ -304,32 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--xi-max", type=float, default=0.0, dest="xi_max")
     p.add_argument("--at-slot", type=int, default=0, help="slot index for the densities")
+    p.set_defaults(run=_cmd_sampling)
 
     p = sub.add_parser("figure", help="run a named experiment")
     p.add_argument("name", choices=list(FIGURES))
+    p.set_defaults(run=_cmd_figure)
 
     p = sub.add_parser("compare", help="compare the three update policies")
     p.add_argument("--pm", type=float, nargs="*", help="mobility powers [W]")
+    p.set_defaults(run=_cmd_compare)
 
     return parser
-
-
-_COMMANDS = {
-    "altitude": _cmd_altitude,
-    "radius": _cmd_radius,
-    "static-rf": _cmd_static_rf,
-    "pattern": _cmd_pattern,
-    "schedule": _cmd_schedule,
-    "sampling": _cmd_sampling,
-    "figure": _cmd_figure,
-    "compare": _cmd_compare,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ScenarioError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

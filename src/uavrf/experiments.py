@@ -24,6 +24,7 @@ import numpy as np
 from .channel import environment_preset
 from .layout import num_uavs
 from .placement import (
+    check_circuit_power,
     min_static_rf,
     normalized_tx_power,
     optimal_altitude_ratio,
@@ -38,8 +39,6 @@ from .sampling import (
 )
 from .scenario import Scenario
 from .scheduling import Schedule, SchedulePlan, baseline_schedule, smgd_schedule
-
-FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
 MOBILITY_POWER_GRID = (0.05, 1.5, 50.0)  # W
 
@@ -97,20 +96,24 @@ def run_altitude_curves(scenario: Scenario, out_dir: str) -> List[str]:
     return [path]
 
 
+def _static_rf_curve(scenario: Scenario, lam: float, p_cu: float, n: int):
+    """(radius, static RF, is_optimal) at ``n`` radii from R*/8 to 8 R*, plus R*."""
+    check_circuit_power(p_cu)
+    energy = dataclasses.replace(scenario.energy, p_circuit=p_cu)
+    area, env, radio = scenario.subregions[0].area, scenario.env, scenario.radio
+    r_star = optimal_radius(lam, p_cu, env, radio)
+    for radius in np.unique(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, n), r_star)):
+        phi = static_rf_at_optimal_altitude(radius, lam, energy, area, env, radio)
+        yield radius, phi, radius == r_star
+
+
 def run_rf_vs_radius(scenario: Scenario, out_dir: str) -> List[str]:
     """Static recall frequency versus radius for several circuit powers."""
-    lam = 0.1
-    area = scenario.subregions[0].area
-    rows = []
-    for p_cu in (0.5, 5.0, 50.0):
-        energy = dataclasses.replace(scenario.energy, p_circuit=p_cu)
-        r_star = optimal_radius(lam, p_cu, scenario.env, scenario.radio)
-        radii = np.unique(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, 121), r_star))
-        for radius in radii:
-            phi = static_rf_at_optimal_altitude(
-                radius, lam, energy, area, scenario.env, scenario.radio
-            )
-            rows.append((p_cu, radius, phi, 1 if radius == r_star else 0))
+    rows = [
+        (p_cu, *row)
+        for p_cu in (0.5, 5.0, 50.0)
+        for row in _static_rf_curve(scenario, 0.1, p_cu, 121)
+    ]
     path = write_csv(
         os.path.join(out_dir, "fig5_static_rf_vs_radius.csv"),
         ("p_circuit_w", "radius_m", "static_rf", "is_optimal"),
@@ -145,19 +148,12 @@ def run_density_placements(scenario: Scenario, out_dir: str) -> List[str]:
     return [path]
 
 
-def _epoch_rows(pm: float, method: str, schedule: Schedule):
+def _epoch_rows(schedule: Schedule):
+    """(tau, subregion, radius, altitude, count, mobility) per epoch and subregion."""
     for epoch in schedule.epochs:
         for entry in epoch.deployment.entries:
-            yield (
-                method,
-                pm,
-                epoch.tau,
-                entry.label,
-                entry.radius,
-                entry.altitude,
-                entry.count,
-                epoch.mobility_j,
-            )
+            yield (epoch.tau, entry.label, entry.radius, entry.altitude, entry.count,
+                   epoch.mobility_j)
 
 
 def run_update_epochs(scenario: Scenario, out_dir: str) -> List[str]:
@@ -166,7 +162,7 @@ def run_update_epochs(scenario: Scenario, out_dir: str) -> List[str]:
     plan = SchedulePlan(scenario)
     for pm in MOBILITY_POWER_GRID:
         sc = scenario.with_mobility_power(pm)
-        rows.extend(_epoch_rows(pm, "smgd", smgd_schedule(sc, plan=plan)))
+        rows.extend(("smgd", pm, *row) for row in _epoch_rows(smgd_schedule(sc, plan=plan)))
     path = write_csv(
         os.path.join(out_dir, "fig7_update_epochs.csv"),
         (
@@ -306,6 +302,8 @@ _RUNNERS = {
     "fig9": run_start_time_sweep,
     "fig10": run_learning_study,
 }
+
+FIGURES = tuple(_RUNNERS)
 
 
 def run_figure(scenario: Scenario, which: str, out_dir: str) -> List[str]:

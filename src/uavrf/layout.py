@@ -297,17 +297,6 @@ class Deployment:
         return sum(e.count for e in self.entries)
 
 
-def deployment_csv(deployment: Deployment) -> str:
-    """Deployment dump with one row per UAV: subregion,x,y,z,radius."""
-    lines = ["subregion,x,y,z,radius"]
-    for entry in deployment.entries:
-        for x, y, z in entry.positions:
-            lines.append(
-                f"{entry.label},{x:.12g},{y:.12g},{z:.12g},{entry.radius:.12g}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def build_deployment(
     subregions,
     radii: Sequence[float],

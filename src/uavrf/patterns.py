@@ -16,6 +16,7 @@ band instead of using raw levels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
@@ -90,14 +91,20 @@ class DensityPattern:
     def __post_init__(self):
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-        for k in self.coefficients:
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale!r}")
+        if not 0 < self.sample_period < math.inf:
+            raise ValueError(
+                f"sample_period must be finite and positive, got {self.sample_period!r}"
+            )
+        for k, x in self.coefficients.items():
             if not 0 <= k <= self.n_samples // 2:
                 raise ValueError(
                     f"coefficient index {k} outside [0, {self.n_samples // 2}]; "
                     "mirror indices are implied and must not be stored"
                 )
+            if not cmath.isfinite(x):
+                raise ValueError(f"coefficient {k} must be finite, got {x!r}")
 
     def week_samples(self) -> int:
         """Samples per week (one quarter of the default 4-week record)."""
@@ -232,6 +239,13 @@ def parse_pattern_file(text: str) -> DensityPattern:
     n_samples = 4032
     mu = 600.0
     coeffs: Dict[int, complex] = {}
+
+    def finite(name: str, word: str) -> float:
+        value = float(word)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {word!r}")
+        return value
+
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -239,16 +253,16 @@ def parse_pattern_file(text: str) -> DensityPattern:
         parts = line.split()
         try:
             if parts[0] == "gamma_r":
-                gamma = float(parts[1])
+                gamma = finite("gamma_r", parts[1])
             elif parts[0] == "N":
                 n_samples = int(parts[1])
             elif parts[0] == "mu_seconds":
-                mu = float(parts[1])
+                mu = finite("mu_seconds", parts[1])
             else:
                 if len(parts) != 3:
                     raise ValueError("expected 'k magnitude phase_radians'")
                 k = int(parts[0])
-                mag, ph = float(parts[1]), float(parts[2])
+                mag, ph = finite("magnitude", parts[1]), finite("phase", parts[2])
                 if k in coeffs:
                     raise ValueError(f"duplicate coefficient index {k}")
                 coeffs[k] = mag * complex(math.cos(ph), math.sin(ph))

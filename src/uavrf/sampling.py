@@ -43,6 +43,10 @@ class GeneralizationError:
     bias: float      # [users/m^2]
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.variance < 0:
             raise ValueError("variance must be nonnegative")
 
@@ -113,8 +117,8 @@ def rf_increment(eigenvalue: float, error) -> float:
     ``error`` is a :class:`GeneralizationError` or a plain xi value.
     """
     xi = error.xi if isinstance(error, GeneralizationError) else float(error)
-    if xi < 0:
-        raise ValueError("generalization error must be nonnegative")
+    if not 0 <= xi < math.inf:
+        raise ValueError(f"generalization error xi must be finite and nonnegative, got {xi!r}")
     return eigenvalue * xi
 
 
@@ -159,9 +163,11 @@ def rf_increment_exact_samples(
     K = (S/(pi E_b)) * sqrt(P_cu (2^(C/W)-1) P1)); the scalar function
     stays the reference in tests.
     """
+    check_density(lam_true)
     lam_hats = np.asarray(lam_hats, dtype=float)
-    if np.any(lam_hats <= 0) or lam_true <= 0:
-        raise ValueError("densities must be positive")
+    # min and max are NaN if any entry is: one pass each, no temporaries
+    if lam_hats.size and not 0 < lam_hats.min() <= lam_hats.max() < math.inf:
+        raise ValueError("predicted densities lam_hats must be finite and positive")
     p1 = optimal_normalized_power(env, radio)
     k = (area / (math.pi * battery_j)) * math.sqrt(p_circuit * radio.snr_gap * p1)
     phi_hat = k * (np.sqrt(lam_hats) + lam_true / np.sqrt(lam_hats))

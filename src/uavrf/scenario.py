@@ -93,6 +93,10 @@ class Scenario:
                 f"start offset must be a finite, nonnegative whole number of slots, "
                 f"got {self.start_s!r} s"
             )
+        # on the slot grid exactly, so that a time axis read back from hours
+        # (or scaled from them) names the same slots and densities
+        object.__setattr__(self, "horizon_s", self.n_slots * self.slot_s)
+        object.__setattr__(self, "start_s", round(start) * self.slot_s)
         if not all(map(math.isfinite, self.rsc_position)):
             raise ScenarioError(f"rsc position must be finite, got {self.rsc_position!r}")
         for i, sub in enumerate(self.subregions):
@@ -210,27 +214,21 @@ def default_scenario() -> Scenario:
 
 
 def reference_scenario(seed: int = 12060) -> Scenario:
-    """Two equal-area subregions over one day, desk-scale density band.
+    """The default day split into two equal-area subregions, desk-scale density band.
 
     The band [1e-7, 1e-6] users/m^2 keeps fleets small while separating
     the three mobility-power regimes (update-every-slot, hybrid, hold).
     """
-    bounds = Rect(0.0, 0.0, 1000.0, 1000.0)
-    subs = (
-        Subregion(label="E", rect=Rect(0.0, 0.0, 500.0, 1000.0), pattern=pattern_preset("E")),
-        Subregion(label="R", rect=Rect(500.0, 0.0, 500.0, 1000.0), pattern=pattern_preset("R")),
-    )
-    return Scenario(
+    base = default_scenario()
+    return replace(
+        base,
         name="daily-two-zone",
-        env=environment_preset("urban"),
-        radio=RadioConfig(),
-        energy=_table_defaults_energy(bounds.area, 2),
-        bounds=bounds,
-        subregions=subs,
+        energy=_table_defaults_energy(base.bounds.area, 2),
+        subregions=(
+            Subregion(label="E", rect=Rect(0.0, 0.0, 500.0, 1000.0), pattern=pattern_preset("E")),
+            Subregion(label="R", rect=Rect(500.0, 0.0, 500.0, 1000.0), pattern=pattern_preset("R")),
+        ),
         density_bands=((1e-7, 1e-6), (1e-7, 1e-6)),
-        rsc_position=(500.0, 500.0, 0.0),
-        horizon_s=24 * 3600.0,
-        slot_s=600.0,
         seed=seed,
     )
 

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import os
 
 import numpy as np
@@ -220,6 +221,23 @@ def test_cli_sampling_non_finite_budget_exit_2(tmp_path, capsys, flag, value, fi
     assert not (tmp_path / "sampling_numbers.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["pattern", "schedule"])
+def test_cli_non_finite_pattern_file_exit_2(tmp_path, capsys, command):
+    (tmp_path / "nan.pat").write_text("gamma_r nan\n4 0.5 0.3\n")
+    cfg = tmp_path / "sc.cfg"
+    cfg.write_text(
+        "[subregion A]\nrect = 0 0 1000 1000\npattern = file:nan.pat\n"
+        "density_band = 1e-7 1e-6\n"
+    )
+    argv = {
+        "pattern": ["--out", str(tmp_path), "pattern", "--pattern-file", str(tmp_path / "nan.pat")],
+        "schedule": ["--config", str(cfg), "--out", str(tmp_path), "schedule"],
+    }[command]
+    assert main(argv) == 2
+    assert "line 1: gamma_r must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_sampling_last_slot_ok(tmp_path):
     argv = ["--out", str(tmp_path), "sampling", "--dphi-max", "10", "--d", "1000",
             "--delta", "0.05", "--at-slot", "143"]
@@ -277,8 +295,58 @@ def test_cli_schedule_positions_dump(tmp_path):
     assert code == 0
     lines = read(str(tmp_path / "deployment_initial.csv")).strip().splitlines()
     assert lines[0] == "subregion,x,y,z,radius"
-    assert len(lines) >= 3  # header plus one UAV per subregion
-    for line in lines[1:]:
-        label, x, y, z, radius = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for label, x, y, z, radius in rows:
         assert label in ("E", "R")
         assert float(radius) > 0 and float(z) > 0
+    # one row per UAV of the first epoch, each with its subregion's radius
+    schedule = read(str(tmp_path / "schedule_lazy.csv")).splitlines()[1:]
+    epochs = [line.split(",") for line in schedule]
+    first = [e for e in epochs if e[0] == epochs[0][0]]
+    assert {e[1] for e in first} == {"E", "R"}
+    for _, label, radius, _, count, _ in first:
+        mine = [row for row in rows if row[0] == label]
+        assert len(mine) == int(count)
+        assert all(row[4] == radius for row in mine)
+    assert len(rows) == sum(int(e[4]) for e in first)
+
+
+# sha256 of the CSVs these commands write; the bytes of each file are
+# part of the command line's contract
+CLI_CSV_DIGESTS = [
+    (
+        ["schedule", "--method", "smgd", "--pm", "1.5", "--positions"],
+        {
+            "schedule_smgd.csv": "7920526795138a2dd95fcfa97a090c35d84450e6b7f7fed19ebbac9589eafccd",
+            "deployment_initial.csv":
+                "13d168d06e70f916ab63dc36c267ba5a1afd40d30f49b7a3a889c09605e0ba73",
+        },
+    ),
+    (
+        ["static-rf", "--lam", "0.1", "--p-circuit", "0.5"],
+        {"static_rf_curve.csv": "c97effc8168eef74014d13eea543a664bd7615c58b570127862011c311aaae74"},
+    ),
+    (
+        ["radius", "--lambdas", "0.1", "1", "5", "--p-circuit", "0.5", "5", "50"],
+        {"radius_grid.csv": "08352608c7983162e7c7678bd2e586289f3580bc0d0b44d884c8b4b071595d1b"},
+    ),
+    (
+        ["compare", "--pm", "0", "0.2", "3", "20"],
+        {
+            "fig8_policy_comparison.csv":
+                "5fa194929b44604d26e36fbeb1cc427c09683f60611755321f6bf0e5790c0d05",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, digests", CLI_CSV_DIGESTS, ids=[c[0] for c, _ in CLI_CSV_DIGESTS]
+)
+def test_cli_csv_bytes(tmp_path, command, digests):
+    assert main(["--out", str(tmp_path), *command]) == 0
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*.csv")
+    }
+    assert written == digests

@@ -209,21 +209,6 @@ def test_subregion_deployment_validation():
                             positions=np.zeros((2, 2)))
 
 
-def test_deployment_csv_schema():
-    from uavrf.layout import deployment_csv
-
-    subs = (
-        Subregion(label="A", rect=Rect(0, 0, 500, 1000), pattern=constant_pattern(1.0)),
-    )
-    dep = build_deployment(subs, (200.0,), (180.0,), (500.0, 500.0, 0.0))
-    text = deployment_csv(dep)
-    lines = text.strip().splitlines()
-    assert lines[0] == "subregion,x,y,z,radius"
-    assert len(lines) == 1 + dep.total_count
-    first = lines[1].split(",")
-    assert first[0] == "A" and float(first[4]) == 200.0
-
-
 def brute_force_cover_distance(rect_w: float, rect_h: float, pts: np.ndarray, res: int) -> float:
     """Reference score: every grid point against every UAV, (res^2, m, 2) tensor."""
     gx = np.linspace(0.0, rect_w, res)

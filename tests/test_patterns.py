@@ -185,6 +185,40 @@ def test_pattern_file_errors():
         parse_pattern_file("gamma_r 1.0\n")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("scale", lambda v: DensityPattern(scale=v, coefficients={0: 1.0})),
+        ("sample_period", lambda v: DensityPattern(scale=1.0, coefficients={0: 1.0},
+                                                   sample_period=v)),
+        ("coefficient 4", lambda v: DensityPattern(scale=1.0, coefficients={0: 1.0, 4: v})),
+        ("coefficient 4", lambda v: DensityPattern(scale=1.0,
+                                                   coefficients={4: complex(0.5, v)})),
+    ],
+    ids=["scale", "sample_period", "coefficient-real", "coefficient-imag"],
+)
+def test_pattern_rejects_non_finite(field, build, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "template, line, field",
+    [
+        ("gamma_r {}\n4 0.5 0.3\n", 1, "gamma_r"),
+        ("gamma_r 1.0\nmu_seconds {}\n4 0.5 0.3\n", 2, "mu_seconds"),
+        ("gamma_r 1.0\n0 1.0 0.0\n4 {} 0.3\n", 3, "magnitude"),
+        ("# comment\ngamma_r 1.0\n4 0.5 {}\n", 3, "phase"),
+    ],
+    ids=["gamma_r", "mu_seconds", "magnitude", "phase"],
+)
+def test_pattern_file_rejects_non_finite_naming_the_line(template, line, field, value):
+    with pytest.raises(ValueError, match=f"line {line}: {field} must be finite"):
+        parse_pattern_file(template.format(value))
+
+
 def test_rect_validation():
     with pytest.raises(ValueError):
         Rect(0, 0, -5, 10)

@@ -305,3 +305,36 @@ def test_sampling_demo_sparse_zone_needs_more_samples(capsys):
             assert n_a > n_b
         else:
             assert n_a == n_b
+
+
+@pytest.mark.parametrize("lam_true", [math.nan, math.inf, 0.0, -1.0])
+def test_exact_samples_reject_bad_true_density(urban, radio, lam_true):
+    with pytest.raises(ValueError, match="density lam must be finite and positive"):
+        rf_increment_exact_samples(lam_true, [1e-6], 0.5, urban, radio, AREA, BATTERY)
+
+
+@pytest.mark.parametrize(
+    "hats", [[math.nan], [1.0, math.inf], [1.0, math.nan, 2.0], [0.0], [1.0, -1.0]]
+)
+def test_exact_samples_reject_bad_predictions(urban, radio, hats):
+    with pytest.raises(ValueError, match="lam_hats must be finite and positive"):
+        rf_increment_exact_samples(3.0, hats, 0.5, urban, radio, AREA, BATTERY)
+
+
+def test_exact_samples_accept_empty_predictions(urban, radio):
+    out = rf_increment_exact_samples(3.0, [], 0.5, urban, radio, AREA, BATTERY)
+    assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -1.0])
+def test_rf_increment_rejects_bad_xi(xi):
+    with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
+        rf_increment(2.0, xi)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["variance", "bias"])
+def test_generalization_error_rejects_non_finite_fields(field, value):
+    fields = {"variance": 0.0, "bias": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GeneralizationError(**fields)

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavrf.channel import Environment, RadioConfig, environment_preset
@@ -494,3 +494,30 @@ def test_duplicate_subregion_labels_rejected():
 def test_subregion_section_without_label_or_name():
     sc = parse_scenario("[subregion ]\nrect = 0 0 10 10\n")
     assert sc.subregions[0].label == "subregion"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_slots=st.integers(min_value=1, max_value=1008),
+    start_slot=st.integers(min_value=0, max_value=4031),
+    slot_s=st.sampled_from([600.0, 300.0, 900.0, 7.5]),
+)
+@example(n_slots=13, start_slot=49, slot_s=600.0)
+def test_time_axis_roundtrips_exactly(n_slots, start_slot, slot_s):
+    # hours are not exact in binary: 13 slots of 600 s read back from
+    # horizon_hours as 7799.999999999999 s, and slot 49 from start_hours as
+    # 29399.999999999996 s, which floors to the previous pattern sample
+    sc = dataclasses.replace(
+        reference_scenario(), slot_s=slot_s, horizon_s=n_slots * slot_s,
+        start_s=start_slot * slot_s,
+    )
+    back = parse_scenario(dump_scenario(sc))
+    assert back == sc
+    assert (back.horizon_s, back.start_s) == (n_slots * slot_s, start_slot * slot_s)
+    np.testing.assert_array_equal(slot_densities(back), slot_densities(sc))
+
+
+def test_time_axis_lands_on_the_slot_grid():
+    sc = dataclasses.replace(default_scenario(), horizon_s=13 * 600.0 / 3600.0 * 3600.0,
+                             start_s=49 * 600.0 / 3600.0 * 3600.0)
+    assert (sc.horizon_s, sc.start_s) == (7800.0, 29400.0)
