@@ -5,8 +5,6 @@ the two path-loss branches, and the normalized transmit power whose
 minimizer fixes the altitude-to-radius ratio per environment.
 """
 
-import numpy as np
-
 from uavrf import (
     RadioConfig,
     avg_path_loss,

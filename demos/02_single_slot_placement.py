@@ -7,8 +7,6 @@ at the optimum, and the resulting minimal static recall frequency.
 
 import math
 
-import numpy as np
-
 from uavrf import (
     EnergyParams,
     RadioConfig,

@@ -5,7 +5,6 @@ reconstruction is real by conjugate symmetry, clamps at zero, and shows
 the characteristic daily breathing (seven dominant peaks per week).
 """
 
-import numpy as np
 from scipy.signal import find_peaks
 
 from uavrf import RadioConfig, Rect, Subregion, pattern_preset, user_density

@@ -26,6 +26,14 @@ LOS = "los"
 NLOS = "nlos"
 
 
+def check_positive(name: str, value: float, zero_ok: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
+    positive (or zero, with ``zero_ok``).  NaN fails both comparisons."""
+    if not ((value >= 0 if zero_ok else value > 0) and value < math.inf):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Environment:
     """Statistical propagation constants of a deployment environment.
@@ -42,12 +50,8 @@ class Environment:
     name: str = "custom"
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name == "name":
-                continue
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+        for name in ("a", "b", "eta_los", "eta_nlos"):
+            check_positive(name, getattr(self, name))
         if self.eta_nlos < self.eta_los:
             raise ValueError("excess losses must satisfy eta_nlos >= eta_los")
 
@@ -64,9 +68,7 @@ class RadioConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+            check_positive(f.name, getattr(self, f.name))
         if not math.isfinite(self.rate_bps / self.bandwidth_hz):
             raise ValueError("rate/bandwidth ratio must be finite")
 
@@ -104,8 +106,8 @@ def environment_preset(name: str) -> Environment:
 
 def elevation_angle_deg(r: float, h: float) -> float:
     """Elevation angle in degrees; 90 when directly overhead (r = 0)."""
-    if r < 0 or h < 0:
-        raise ValueError("distances must be nonnegative")
+    check_positive("r", r, zero_ok=True)
+    check_positive("h", h, zero_ok=True)
     if r == 0 and h == 0:
         raise ValueError("elevation angle undefined at r = h = 0")
     return math.degrees(math.atan2(h, r))
@@ -126,8 +128,7 @@ def los_probability_altitude_slope(r: float, h: float, env: Environment) -> floa
     is the tests' reference for that integrand.
     """
     d2 = r * r + h * h
-    if d2 == 0:
-        raise ValueError("slope undefined at r = h = 0")
+    check_positive("r^2 + h^2", d2)
     p = los_probability(r, h, env)
     return 180.0 * env.b * r * p * (1.0 - p) / (math.pi * d2)
 
@@ -135,8 +136,7 @@ def los_probability_altitude_slope(r: float, h: float, env: Environment) -> floa
 def path_loss(link: str, r: float, h: float, env: Environment, radio: RadioConfig) -> float:
     """Linear path loss of a pure LOS or NLOS link at (r, h)."""
     d2 = r * r + h * h
-    if d2 <= 0:
-        raise ValueError("path loss undefined at r = h = 0")
+    check_positive("r^2 + h^2", d2)
     if link == LOS:
         eta = env.eta_los
     elif link == NLOS:
@@ -149,8 +149,7 @@ def path_loss(link: str, r: float, h: float, env: Environment, radio: RadioConfi
 def avg_path_loss(r: float, h: float, env: Environment, radio: RadioConfig) -> float:
     """LOS-probability-weighted average path loss at (r, h)."""
     d2 = r * r + h * h
-    if d2 <= 0:
-        raise ValueError("path loss undefined at r = h = 0")
+    check_positive("r^2 + h^2", d2)
     p = los_probability(r, h, env)
     excess = env.eta_nlos + p * (env.eta_los - env.eta_nlos)
     return radio.fspl_factor * d2 * excess
@@ -171,6 +170,5 @@ def per_user_tx_power(r: float, h: float, env: Environment, radio: RadioConfig) 
 
 def to_db(linear: float) -> float:
     """Linear ratio to dB, for output formatting only."""
-    if linear <= 0:
-        raise ValueError("dB undefined for non-positive values")
+    check_positive("linear", linear)
     return 10.0 * math.log10(linear)

@@ -40,6 +40,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .channel import check_positive
 from .patterns import Rect
 
 Point3 = Tuple[float, float, float]
@@ -47,10 +48,8 @@ Point3 = Tuple[float, float, float]
 
 def num_uavs(area: float, radius: float) -> int:
     """Fleet size covering ``area`` with disks of ``radius``: ceil(S / (pi R^2)), at least 1."""
-    if area <= 0:
-        raise ValueError("area must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    check_positive("area", area)
+    check_positive("radius", radius)
     return max(1, math.ceil(area / (math.pi * radius * radius)))
 
 
@@ -210,8 +209,7 @@ def layout_positions(rect: Rect, count: int, altitude: float) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if altitude < 0:
-        raise ValueError("altitude must be nonnegative")
+    check_positive("altitude", altitude, zero_ok=True)
     base = np.array(_unit_layout(rect.width, rect.height, count), dtype=float)
     out = np.empty((count, 3))
     out[:, 0] = base[:, 0] + rect.x
@@ -260,8 +258,7 @@ class SubregionDeployment:
     positions: np.ndarray  # (count, 3)
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        check_positive("radius", self.radius)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must have shape (count, 3)")
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
-from .channel import RadioConfig
+from .channel import RadioConfig, check_positive
 
 #: Relative imaginary residual allowed before a reconstruction is
 #: declared non-real (conjugate symmetry violated).
@@ -89,14 +89,10 @@ class DensityPattern:
     sample_period: float = 600.0       # seconds per sample
 
     def __post_init__(self):
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
+        check_positive("n_samples", self.n_samples)
         if not math.isfinite(self.scale):
             raise ValueError(f"scale must be finite, got {self.scale!r}")
-        if not 0 < self.sample_period < math.inf:
-            raise ValueError(
-                f"sample_period must be finite and positive, got {self.sample_period!r}"
-            )
+        check_positive("sample_period", self.sample_period)
         for k, x in self.coefficients.items():
             if not 0 <= k <= self.n_samples // 2:
                 raise ValueError(
@@ -192,8 +188,7 @@ def user_density(sub: Subregion, t: float, radio: RadioConfig) -> float:
 
     Piecewise constant: the traffic sample index is floor(t / mu).
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    check_positive("time t", t, zero_ok=True)
     n = int(math.floor(t / sub.pattern.sample_period))
     x = reconstruct_series(sub.pattern, [n])[0]
     return float(x) / (radio.rate_bps * radio.bs_coverage_area)
@@ -221,8 +216,7 @@ def perturbed_density(lam: float, bias: float, stddev: float, n: int, seed) -> n
     Means and variances converge to lam + bias and stddev^2 up to
     truncation at the floor.
     """
-    if stddev < 0:
-        raise ValueError("stddev must be nonnegative")
+    check_positive("stddev", stddev, zero_ok=True)
     rng = np.random.default_rng(seed)
     draws = lam + bias + stddev * rng.standard_normal(n)
     return np.maximum(DENSITY_FLOOR, draws)
@@ -233,12 +227,14 @@ def parse_pattern_file(text: str) -> DensityPattern:
 
     Header lines ``gamma_r VALUE``, ``N VALUE``, ``mu_seconds VALUE``
     followed by one ``k magnitude phase_radians`` line per stored
-    coefficient.  Blank lines and ``#`` comments are ignored.
+    coefficient.  Blank lines and ``#`` comments are ignored.  An error
+    names the line it comes from and the key or field.
     """
     gamma = None
     n_samples = 4032
     mu = 600.0
     coeffs: Dict[int, complex] = {}
+    coeff_lines: Dict[int, int] = {}
 
     def finite(name: str, word: str) -> float:
         value = float(word)
@@ -256,8 +252,10 @@ def parse_pattern_file(text: str) -> DensityPattern:
                 gamma = finite("gamma_r", parts[1])
             elif parts[0] == "N":
                 n_samples = int(parts[1])
+                check_positive("N", n_samples)
             elif parts[0] == "mu_seconds":
-                mu = finite("mu_seconds", parts[1])
+                mu = float(parts[1])
+                check_positive("mu_seconds", mu)
             else:
                 if len(parts) != 3:
                     raise ValueError("expected 'k magnitude phase_radians'")
@@ -266,12 +264,19 @@ def parse_pattern_file(text: str) -> DensityPattern:
                 if k in coeffs:
                     raise ValueError(f"duplicate coefficient index {k}")
                 coeffs[k] = mag * complex(math.cos(ph), math.sin(ph))
+                coeff_lines[k] = lineno
         except (IndexError, ValueError) as exc:
             raise ValueError(f"pattern file line {lineno}: {exc}") from None
     if gamma is None:
         raise ValueError("pattern file missing required 'gamma_r' header")
     if not coeffs:
         raise ValueError("pattern file defines no coefficients")
+    for k, lineno in coeff_lines.items():
+        if not 0 <= k <= n_samples // 2:
+            raise ValueError(
+                f"pattern file line {lineno}: coefficient index {k} outside "
+                f"[0, {n_samples // 2}] for N {n_samples}; mirror indices are implied"
+            )
     return DensityPattern(scale=gamma, coefficients=coeffs, n_samples=n_samples, sample_period=mu)
 
 

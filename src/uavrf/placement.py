@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
-from .channel import Environment, RadioConfig, per_user_tx_power
+from .channel import Environment, RadioConfig, check_positive, per_user_tx_power
 from .channel import los_probability  # noqa: F401  module attribute that perfbench/layers.py counts
 from .quadrature import adaptive_simpson
 
@@ -46,18 +46,9 @@ class EnergyParams:
     v_descend: float = 1.0     # [m/s]
 
     def __post_init__(self):
+        # powers may be zero; the battery and the speeds divide
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.battery_j <= 0:
-            raise ValueError("battery capacity must be positive")
-        for name in ("p_circuit", "p_horizontal", "p_ascend", "p_descend"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("v_horizontal", "v_ascend", "v_descend"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            check_positive(f.name, getattr(self, f.name), zero_ok=f.name.startswith("p_"))
 
 
 @dataclass(frozen=True)
@@ -70,8 +61,8 @@ class SlotPlacement:
     static_rf: float   # minimal static recall frequency [1/s]
 
     def __post_init__(self):
-        if self.radius <= 0 or self.altitude < 0 or self.tx_power < 0:
-            raise ValueError("invalid placement")
+        for f in fields(self):
+            check_positive(f.name, getattr(self, f.name), zero_ok=f.name != "radius")
 
 
 class BracketError(RuntimeError):
@@ -175,8 +166,7 @@ def _geometry_slope(h1: float, env: Environment) -> float:
 
 def normalized_tx_power(h1: float, env: Environment, radio: RadioConfig) -> float:
     """Transmit power [W] of a unit-radius, unit-density cell at ratio h1."""
-    if h1 < 0:
-        raise ValueError("altitude ratio must be nonnegative")
+    check_positive("altitude ratio h1", h1, zero_ok=True)
     return (
         radio.noise_density
         * radio.bandwidth_hz
@@ -191,11 +181,9 @@ def tx_power(radius: float, lam: float, h: float, env: Environment, radio: Radio
 
     Uses the scale identity P_tx = lam * R^4 * (2^(C/W)-1) * P1(h/R).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    check_density(lam, zero_ok=True)
-    if not h >= 0:
-        raise ValueError(f"altitude must be nonnegative, got {h!r}")
+    check_positive("radius", radius)
+    check_positive("density lam", lam, zero_ok=True)
+    check_positive("altitude h", h, zero_ok=True)
     if lam == 0.0:
         return 0.0
     return lam * radius**4 * radio.snr_gap * normalized_tx_power(h / radius, env, radio)
@@ -209,8 +197,7 @@ def tx_power_direct(
     Slower than :func:`tx_power`; kept as the independent route for
     validating the scale identity.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    check_positive("radius", radius)
 
     def f(r: float) -> float:
         if r == 0.0 and h == 0.0:
@@ -268,9 +255,8 @@ def optimal_radius(
     circuit power, shrinks with density.  The degenerate limit
     P_cu = 0 returns 0 (users camp on zero-size cells).
     """
-    check_density(lam)
-    if p_circuit < 0:
-        raise ValueError("circuit power must be nonnegative")
+    check_positive("density lam", lam)
+    check_positive("circuit power p_circuit", p_circuit, zero_ok=True)
     if p_circuit == 0.0:
         return 0.0
     p1 = optimal_normalized_power(env, radio)
@@ -291,10 +277,8 @@ def static_rf(
     Fleet size is the real-valued S / (pi R^2); each UAV drains at
     transmit plus circuit power against its battery.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if area <= 0:
-        raise ValueError("area must be positive")
+    check_positive("radius", radius)
+    check_positive("area", area)
     n = area / (math.pi * radius * radius)
     return n * (tx_power(radius, lam, h, env, radio) + energy.p_circuit) / energy.battery_j
 
@@ -309,25 +293,16 @@ def static_rf_at_optimal_altitude(
 ) -> float:
     """Static recall frequency when altitude tracks radius * h1*.
 
-    Closed form via the cached P1(h1*); this is the hot path of the
-    multi-slot scheduler (thousands of evaluations per run).
+    Closed form via the cached P1(h1*); it traces the recall frequency
+    over the radius for fig5 and ``uavrf static-rf``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    check_density(lam, zero_ok=True)
+    check_positive("radius", radius)
+    check_positive("density lam", lam, zero_ok=True)
+    check_positive("area", area)
     p1 = optimal_normalized_power(env, radio)
     return (area / (math.pi * energy.battery_j)) * (
         energy.p_circuit / radius**2 + lam * radio.snr_gap * p1 * radius**2
     )
-
-
-def check_density(lam: float, zero_ok: bool = False) -> None:
-    """Raise unless the user density is finite and positive (or zero,
-    with ``zero_ok``); the radius R* diverges at lam = 0."""
-    above_floor = lam >= 0 if zero_ok else lam > 0
-    if not (above_floor and lam < math.inf):
-        bound = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"density lam must be finite and {bound}, got {lam!r} users/m^2")
 
 
 def check_circuit_power(p_circuit: float) -> None:
@@ -336,11 +311,7 @@ def check_circuit_power(p_circuit: float) -> None:
     At P_cu = 0 the optimal radius is 0 (see :func:`optimal_radius`):
     the fleet size and the static recall frequency degenerate.
     """
-    if not 0 < p_circuit < math.inf:
-        raise ValueError(
-            "circuit power p_circuit must be finite and positive for an optimal placement, "
-            f"got {p_circuit!r} W"
-        )
+    check_positive("circuit power p_circuit", p_circuit)
 
 
 def min_static_rf(

@@ -31,8 +31,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .channel import Environment, RadioConfig
-from .placement import EnergyParams, check_density, optimal_normalized_power, static_rf
+from .channel import Environment, RadioConfig, check_positive
+from .placement import EnergyParams, optimal_normalized_power, static_rf
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,9 @@ class GeneralizationError:
     bias: float      # [users/m^2]
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
+        check_positive("variance", self.variance, zero_ok=True)
+        if not math.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias!r}")
 
     @property
     def xi(self) -> float:
@@ -73,10 +70,8 @@ class LearningBudget:
             raise ValueError("hypothesis volume must exceed 1")
         if not (0 < self.confidence_delta < 1):
             raise ValueError("confidence delta must lie in (0, 1)")
-        if self.max_training_error < 0:
-            raise ValueError("training error must be nonnegative")
-        if self.max_rf_increment <= 0:
-            raise ValueError("inflation cap must be positive")
+        check_positive("max_training_error", self.max_training_error, zero_ok=True)
+        check_positive("max_rf_increment", self.max_rf_increment)
 
 
 @dataclass(frozen=True)
@@ -102,9 +97,10 @@ def subregion_eigenvalue(
 
     Scales as lam^(-3/2): sparse subregions amplify prediction error.
     """
-    check_density(lam)  # the sensitivity diverges at 0
-    if p_circuit <= 0 or area <= 0 or battery_j <= 0:
-        raise ValueError("circuit power, area and battery must be positive")
+    check_positive("density lam", lam)  # the sensitivity diverges at 0
+    check_positive("circuit power p_circuit", p_circuit)
+    check_positive("area", area)
+    check_positive("battery_j", battery_j)
     p1 = optimal_normalized_power(env, radio)
     return (area / (4.0 * math.pi * battery_j)) * math.sqrt(
         p_circuit * radio.snr_gap * p1 / lam**3
@@ -117,8 +113,7 @@ def rf_increment(eigenvalue: float, error) -> float:
     ``error`` is a :class:`GeneralizationError` or a plain xi value.
     """
     xi = error.xi if isinstance(error, GeneralizationError) else float(error)
-    if not 0 <= xi < math.inf:
-        raise ValueError(f"generalization error xi must be finite and nonnegative, got {xi!r}")
+    check_positive("generalization error xi", xi, zero_ok=True)
     return eigenvalue * xi
 
 
@@ -163,7 +158,7 @@ def rf_increment_exact_samples(
     K = (S/(pi E_b)) * sqrt(P_cu (2^(C/W)-1) P1)); the scalar function
     stays the reference in tests.
     """
-    check_density(lam_true)
+    check_positive("density lam", lam_true)
     lam_hats = np.asarray(lam_hats, dtype=float)
     # min and max are NaN if any entry is: one pass each, no temporaries
     if lam_hats.size and not 0 < lam_hats.min() <= lam_hats.max() < math.inf:
@@ -177,8 +172,7 @@ def rf_increment_exact_samples(
 
 def vc_epsilon(d: float, n_samples: float, delta: float) -> float:
     """Deviation bound sqrt((log d + log(1/delta)) / (2 n))."""
-    if not n_samples > 0:
-        raise ValueError(f"sample count must be positive, got {n_samples!r}")
+    check_positive("sample count n_samples", n_samples)
     if not d > 1:
         raise ValueError(f"hypothesis volume must exceed 1, got {d!r}")
     if not (0 < delta < 1):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 import re
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
@@ -281,19 +282,24 @@ def _number(section: configparser.SectionProxy, key: str) -> float:
     return _floats(section, key)[0]
 
 
-def _parse_pattern_ref(value: str, base_dir: str | None) -> DensityPattern:
-    value = value.strip()
-    if value.startswith("preset:"):
-        return pattern_preset(value.split(":", 1)[1])
-    if value.startswith("file:"):
-        import os
-
-        path = value.split(":", 1)[1]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path) as fh:
-            return parse_pattern_file(fh.read())
-    raise ScenarioError(f"pattern must be 'preset:LABEL' or 'file:PATH', got {value!r}")
+def _parse_pattern_ref(
+    section: configparser.SectionProxy, base_dir: str | None
+) -> DensityPattern:
+    """The pattern that ``section`` names; an error names the section and the file."""
+    value = section.get("pattern", "preset:E").strip()
+    try:
+        if value.startswith("preset:"):
+            return pattern_preset(value.split(":", 1)[1])
+        if value.startswith("file:"):
+            # an absolute path discards base_dir
+            path = os.path.join(base_dir or "", value.split(":", 1)[1])
+            with open(path) as fh:
+                return parse_pattern_file(fh.read())
+    except ValueError as exc:
+        raise ScenarioError(f"[{section.name}] pattern {value!r}: {exc}") from None
+    raise ScenarioError(
+        f"[{section.name}] pattern must be 'preset:LABEL' or 'file:PATH', got {value!r}"
+    )
 
 
 def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
@@ -357,7 +363,7 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
         s = parser[section]
         label = s.get("label", section.split(None, 1)[-1])
         rect = Rect(*_floats(s, "rect", 4))
-        pattern = _parse_pattern_ref(s.get("pattern", "preset:E"), base_dir)
+        pattern = _parse_pattern_ref(s, base_dir)
         bands.append(_floats(s, "density_band", 2) if "density_band" in s else None)
         if "densities" in s:
             explicit.append(_floats(s, "densities", None))
@@ -394,8 +400,6 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
 
 
 def load_scenario(path: str) -> Scenario:
-    import os
-
     with open(path) as fh:
         text = fh.read()
     return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -425,7 +429,8 @@ def dump_scenario(scenario: Scenario) -> str:
         w(f"\n[{section}]\n")
         for f in fields(params):
             w(f"{f.name} = {getattr(params, f.name)!r}\n")
-    for sub, band in zip(scenario.subregions, scenario.density_bands):
+    series_of = scenario.explicit_densities or [None] * len(scenario.subregions)
+    for sub, band, series in zip(scenario.subregions, scenario.density_bands, series_of):
         w(f"\n[subregion {sub.label}]\n")
         w(f"label = {sub.label}\n")
         rc = sub.rect
@@ -440,8 +445,7 @@ def dump_scenario(scenario: Scenario) -> str:
             )
         if band is not None:
             w(f"density_band = {band[0]!r} {band[1]!r}\n")
-        if scenario.explicit_densities is not None:
-            series = scenario.explicit_densities[scenario.subregions.index(sub)]
+        if series is not None:
             w("densities = " + " ".join(repr(v) for v in series) + "\n")
     return buf.getvalue()
 

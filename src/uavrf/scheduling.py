@@ -322,9 +322,16 @@ class SchedulePlan:
         self.n = scenario.n_slots
         self.lams = slot_densities(scenario)
         if np.any(self.lams <= 0):
+            b, k = np.argwhere(self.lams <= 0)[0]
+            source = (
+                "its explicit densities, which override any density band"
+                if scenario.explicit_densities is not None
+                else "its pattern, which clamps to zero; a density_band rescales it"
+            )
             raise ValueError(
-                "scheduling needs strictly positive densities everywhere; "
-                "use a density band to rescale patterns that clamp to zero"
+                "scheduling needs strictly positive densities: subregion "
+                f"{scenario.subregions[b].label!r} has {float(self.lams[b, k])!r} at slot {k}, "
+                f"from {source}"
             )
         env, radio, energy = scenario.env, scenario.radio, scenario.energy
         check_circuit_power(energy.p_circuit)
@@ -459,10 +466,9 @@ class _Moves:
 
     def launch_energy(self, k: int) -> float:
         """Energy to launch the slot-k fleet from the depot."""
-        rsc = self.plan.scenario.rsc_position
-        return sum(
-            move_energy(rsc, pos, self.energy) for pos in self.plan.deployment(k).all_positions()
-        )
+        rsc = np.array(self.plan.scenario.rsc_position)
+        fleet = self.plan.deployment(k).all_positions()
+        return float(_flight_energies(rsc, fleet, self.energy).sum())
 
 
 def _moves_for(scenario: Scenario, plan: SchedulePlan | None) -> _Moves:

@@ -12,14 +12,11 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 from scipy.signal import find_peaks
 
 from uavrf.channel import RadioConfig, environment_preset
 from uavrf.patterns import pattern_preset, reconstruct_series
 from uavrf.placement import (
-    EnergyParams,
-    normalized_tx_power,
     optimal_altitude_ratio,
     optimal_radius,
     tx_power,

@@ -10,6 +10,7 @@ from uavrf.channel import (
     Environment,
     RadioConfig,
     avg_path_loss,
+    check_positive,
     elevation_angle_deg,
     environment_preset,
     los_probability,
@@ -18,6 +19,17 @@ from uavrf.channel import (
     per_user_tx_power,
     to_db,
 )
+from uavrf.layout import SubregionDeployment, layout_positions, num_uavs
+from uavrf.patterns import Rect, perturbed_density
+from uavrf.placement import (
+    EnergyParams,
+    normalized_tx_power,
+    optimal_radius,
+    static_rf,
+    static_rf_at_optimal_altitude,
+    tx_power,
+)
+from uavrf.sampling import subregion_eigenvalue
 
 # frozen against a 40-digit evaluation of the closed formulas
 PER_USER_POWER_URBAN_100_100 = 0.016310373953585637  # W
@@ -214,3 +226,52 @@ def test_to_db():
     assert to_db(100.0) == pytest.approx(20.0)
     with pytest.raises(ValueError):
         to_db(0.0)
+
+
+@pytest.mark.parametrize(
+    "value, zero_ok, bound",
+    [(0.0, False, "positive"), (-1.0, True, "nonnegative"), (math.nan, False, "positive"),
+     (math.nan, True, "nonnegative"), (math.inf, True, "nonnegative"), (-math.inf, False, "positive")],
+)
+def test_check_positive_rejects(value, zero_ok, bound):
+    with pytest.raises(ValueError, match=rf"^radius must be finite and {bound}, got {value!r}$"):
+        check_positive("radius", value, zero_ok=zero_ok)
+
+
+@pytest.mark.parametrize("value, zero_ok", [(1e-300, False), (0.0, True), (1.7e308, False)])
+def test_check_positive_accepts(value, zero_ok):
+    check_positive("radius", value, zero_ok=zero_ok)
+
+
+_URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyParams(0.5, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "named, call",
+    [
+        ("circuit power p_circuit", lambda v: optimal_radius(0.1, v, _URBAN, _RADIO)),
+        ("area", lambda v: static_rf(100.0, 0.1, 50.0, _ENERGY, v, _URBAN, _RADIO)),
+        ("radius", lambda v: static_rf_at_optimal_altitude(v, 0.1, _ENERGY, 1e6, _URBAN, _RADIO)),
+        ("circuit power p_circuit",
+         lambda v: subregion_eigenvalue(1.0, v, _URBAN, _RADIO, 1e6, 1.0)),
+        ("battery_j", lambda v: subregion_eigenvalue(1.0, 0.5, _URBAN, _RADIO, 1e6, v)),
+        ("altitude", lambda v: layout_positions(Rect(0.0, 0.0, 100.0, 100.0), 2, v)),
+        ("radius", lambda v: SubregionDeployment("A", v, 1.0, np.zeros((1, 3)))),
+        ("stddev", lambda v: perturbed_density(0.1, 0.0, v, 3, 0)),
+        ("linear", lambda v: to_db(v)),
+        (r"r\^2 \+ h\^2", lambda v: avg_path_loss(v, 1.0, _URBAN, _RADIO)),
+        ("r", lambda v: elevation_angle_deg(v, 1.0)),
+        ("altitude ratio h1", lambda v: normalized_tx_power(v, _URBAN, _RADIO)),
+        ("radius", lambda v: tx_power(v, 0.1, 1.0, _URBAN, _RADIO)),
+        ("area", lambda v: num_uavs(v, 1.0)),
+    ],
+    ids=["optimal_radius", "static_rf", "static_rf_at_optimal_altitude", "eigenvalue-p_circuit",
+         "eigenvalue-battery", "layout_positions", "SubregionDeployment", "perturbed_density",
+         "to_db", "avg_path_loss", "elevation_angle_deg", "normalized_tx_power", "tx_power",
+         "num_uavs"],
+)
+def test_non_finite_input_names_the_argument(named, call, value):
+    # each returned nan or inf, raised QuadratureError, or named no argument
+    with pytest.raises(ValueError, match=f"^{named} must be finite and"):
+        call(value)

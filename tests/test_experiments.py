@@ -1,4 +1,3 @@
-import filecmp
 import hashlib
 import os
 
@@ -350,3 +349,19 @@ def test_cli_csv_bytes(tmp_path, command, digests):
         for path in tmp_path.glob("*.csv")
     }
     assert written == digests
+
+
+def test_cli_pattern_file_error_names_the_line(tmp_path, capsys):
+    pattern = tmp_path / "zero.pat"
+    pattern.write_text("gamma_r 1.0\nN 0\n4 0.5 0.3\n")
+    assert main(["--out", str(tmp_path), "pattern", "--pattern-file", str(pattern)]) == 2
+    assert "line 2: N must be finite and positive" in capsys.readouterr().err
+
+
+def test_cli_schedule_zero_explicit_density_names_its_source(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("[subregion A]\nrect = 0 0 1000 1000\ndensities = 0.0 2e-6\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "schedule"]) == 2
+    err = capsys.readouterr().err
+    assert "subregion 'A' has 0.0 at slot 0, from its explicit densities" in err
+    assert "use a density band" not in err  # bands do not apply over explicit densities

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from uavrf.channel import RadioConfig
 from uavrf.patterns import (
     DensityPattern,
     Rect,
@@ -234,3 +233,24 @@ def test_user_density_clamped_overnight(radio):
     # clamps to zero density
     sub = Subregion(label="E", rect=Rect(0, 0, 100, 100), pattern=pattern_preset("E"))
     assert user_density(sub, 0.0, radio) == 0.0
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("gamma_r 1.0\nN 0\n0 1.0 0.0\n", "line 2: N must be finite and positive, got 0"),
+        ("gamma_r 1.0\nN -8\n0 1.0 0.0\n", "line 2: N must be finite and positive"),
+        ("gamma_r 1.0\nmu_seconds 0\n0 1.0 0.0\n",
+         "line 2: mu_seconds must be finite and positive, got 0.0"),
+        ("gamma_r 1.0\nN 8\n0 1.0 0.0\n5 1 0\n",
+         r"line 4: coefficient index 5 outside \[0, 4\] for N 8"),
+        # the index is checked against the final N, wherever N comes
+        ("gamma_r 1.0\n# header after the data\n6 1 0\n0 1.0 0.0\nN 8\n",
+         r"line 3: coefficient index 6 outside \[0, 4\] for N 8"),
+        ("gamma_r 1.0\n0 1.0 0.0\n-1 0.5 0.0\n", r"line 3: coefficient index -1 outside"),
+    ],
+    ids=["N-zero", "N-negative", "mu-zero", "index-above-half", "index-before-N", "index-negative"],
+)
+def test_pattern_file_range_errors_name_the_line_and_key(text, named):
+    with pytest.raises(ValueError, match=f"^pattern file {named}"):
+        parse_pattern_file(text)

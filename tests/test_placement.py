@@ -13,8 +13,6 @@ from uavrf.channel import (
     SUBURBAN,
     URBAN,
     Environment,
-    RadioConfig,
-    avg_path_loss,
     los_probability,
     los_probability_altitude_slope,
 )

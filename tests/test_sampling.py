@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uavrf.placement import EnergyParams, min_static_rf, optimal_radius, static_rf
+from uavrf.placement import EnergyParams, optimal_radius, static_rf
 from uavrf.sampling import (
     GeneralizationError,
     LearningBudget,

@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavrf.channel import Environment, RadioConfig, environment_preset
-from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset, user_density
+from uavrf.patterns import Rect, Subregion, pattern_preset, user_density
 from uavrf.placement import EnergyParams
 from uavrf.scenario import (
-    Scenario,
     ScenarioError,
     default_scenario,
     dump_scenario,
@@ -426,8 +425,13 @@ _names = st.one_of(
     ),
     energy_section=st.booleans(),
     names=st.lists(_names, min_size=5, max_size=5),
+    # per-zone series of unequal lengths, zeros allowed
+    series=st.one_of(st.none(), st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=6),
+        min_size=3, max_size=3,
+    )),
 )
-def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section, names):
+def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section, names, series):
     x, y, w, h = area
     lines = ["[scenario]", "name = drawn", f"area = {x!r} {y!r} {w!r} {h!r}"]
     if by_name and env in _PRESETS:
@@ -446,7 +450,11 @@ def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section, n
                   "pattern = preset:" + "ERTOC"[i]]
         if band is not None:
             lines.append(f"density_band = {band[0]!r} {band[1]!r}")
+        if series is not None:
+            lines.append("densities = " + " ".join(map(repr, series[i])))
     sc = parse_scenario("\n".join(lines) + "\n")
+    if series is not None:
+        assert sc.explicit_densities == tuple(map(tuple, series[: len(bands)]))
     assert sc.env == env
     assert sc.bounds == Rect(x, y, w, h)
     assert sc.density_bands == tuple(bands)
@@ -521,3 +529,26 @@ def test_time_axis_lands_on_the_slot_grid():
     sc = dataclasses.replace(default_scenario(), horizon_s=13 * 600.0 / 3600.0 * 3600.0,
                              start_s=49 * 600.0 / 3600.0 * 3600.0)
     assert (sc.horizon_s, sc.start_s) == (7800.0, 29400.0)
+
+
+@pytest.mark.parametrize(
+    "pattern_text, named",
+    [
+        ("gamma_r 1.0\nN 8\n0 1.0 0.0\n5 1 0\n", "line 4: coefficient index 5"),
+        ("gamma_r 1.0\nN 0\n0 1.0 0.0\n", "line 2: N must be finite and positive"),
+        ("gamma_r 1.0\nmu_seconds 0\n0 1.0 0.0\n", "line 2: mu_seconds must be finite"),
+    ],
+    ids=["index", "N", "mu_seconds"],
+)
+def test_pattern_file_errors_name_section_and_file(tmp_path, pattern_text, named):
+    (tmp_path / "bad.pat").write_text(pattern_text)
+    (tmp_path / "sc.cfg").write_text(
+        "[subregion A]\nrect = 0 0 1000 1000\npattern = file:bad.pat\n"
+    )
+    with pytest.raises(ScenarioError, match=r"^\[subregion A\] pattern 'file:bad.pat': .*" + named):
+        load_scenario(str(tmp_path / "sc.cfg"))
+
+
+def test_unknown_pattern_preset_names_the_section():
+    with pytest.raises(ScenarioError, match=r"^\[subregion A\] pattern 'preset:X': unknown"):
+        parse_scenario("[subregion A]\nrect = 0 0 1000 1000\npattern = preset:X\n")

@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from uavrf import experiments, scheduling
 from uavrf.channel import RadioConfig, environment_preset
 from uavrf.layout import Deployment, SubregionDeployment, build_deployment
-from uavrf.patterns import Rect, Subregion, constant_pattern
+from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset
 from uavrf.placement import (
     EnergyParams,
     optimal_altitude_ratio,
@@ -387,6 +387,39 @@ def test_interval_avg_mobility_amortization():
         assert lazy.mobility_total_j > 0.0
         charge.append(dynamic_rf(lazy, launched) - dynamic_rf(baseline_schedule("lazy", sc), sc))
     assert charge[0] == pytest.approx(2.0 * charge[1], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        dataclasses.replace(reference_scenario(), density_bands=((1e-2, 1e-1),) * 2),
+        # one UAV over the centre of the zone, straight above the depot
+        toy_scenario([[1e-8, 2e-8]]),
+    ],
+    ids=["84-uavs", "pure-vertical"],
+)
+def test_launch_energy_equals_sum_of_move_energies(sc):
+    energy = dataclasses.replace(
+        sc.energy, p_horizontal=1.5, p_ascend=2.5, p_descend=0.7,
+        v_horizontal=7.0, v_ascend=3.0, v_descend=5.0,
+    )
+    sc = dataclasses.replace(sc, energy=energy, include_initial_launch=True)
+    first = baseline_schedule("lazy", sc).epochs[0]
+    fleet = first.deployment.all_positions()
+    expected = sum(move_energy(sc.rsc_position, p, energy) for p in fleet)
+    assert first.mobility_j > 0.0
+    assert first.mobility_j == pytest.approx(expected, rel=1e-12)
+    if len(fleet) == 1:
+        assert tuple(fleet[0, :2]) == sc.rsc_position[:2]
+        assert first.mobility_j == pytest.approx(fleet[0, 2] * 2.5 / 3.0, rel=1e-15)
+
+
+def test_nonpositive_pattern_density_names_subregion_and_source():
+    sc = toy_scenario([[1e-6]])
+    sub = Subregion(label="E", rect=sc.subregions[0].rect, pattern=pattern_preset("E"))
+    sc = dataclasses.replace(sc, subregions=(sub,), explicit_densities=None)
+    with pytest.raises(ValueError, match="subregion 'E' has 0.0 at slot 0, from its pattern"):
+        SchedulePlan(sc)
 
 
 def test_interval_avg_two_slot_hand_oracle():
