@@ -198,6 +198,8 @@ def tx_power_direct(
     validating the scale identity.
     """
     check_positive("radius", radius)
+    check_positive("density lam", lam, zero_ok=True)
+    check_positive("altitude h", h, zero_ok=True)
 
     def f(r: float) -> float:
         if r == 0.0 and h == 0.0:

@@ -165,16 +165,21 @@ def rf_increment_exact_samples(
         raise ValueError("predicted densities lam_hats must be finite and positive")
     p1 = optimal_normalized_power(env, radio)
     k = (area / (math.pi * battery_j)) * math.sqrt(p_circuit * radio.snr_gap * p1)
-    phi_hat = k * (np.sqrt(lam_hats) + lam_true / np.sqrt(lam_hats))
-    phi_opt = 2.0 * k * math.sqrt(lam_true)
-    return phi_hat - phi_opt
+    # k*(sqrt(h) + lam/sqrt(h)) - 2k*sqrt(lam) in one fresh array, bit for
+    # bit: only the operands of + and * swap places, and IEEE + and * commute
+    root = np.sqrt(lam_hats)
+    out = lam_true / root
+    out += root
+    out *= k
+    out -= 2.0 * k * math.sqrt(lam_true)
+    return out
 
 
 def vc_epsilon(d: float, n_samples: float, delta: float) -> float:
     """Deviation bound sqrt((log d + log(1/delta)) / (2 n))."""
     check_positive("sample count n_samples", n_samples)
-    if not d > 1:
-        raise ValueError(f"hypothesis volume must exceed 1, got {d!r}")
+    if not 1 < d < math.inf:
+        raise ValueError(f"hypothesis volume must be finite and exceed 1, got {d!r}")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     return math.sqrt((math.log(d) + math.log(1.0 / delta)) / (2.0 * n_samples))

@@ -1,11 +1,17 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uavrf.cli import main
-from uavrf.experiments import run_figure, run_policy_comparison, write_csv
+from uavrf.experiments import (
+    run_figure,
+    run_learning_study,
+    run_policy_comparison,
+    write_csv,
+)
 from uavrf.scenario import default_scenario, dump_scenario, reference_scenario
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -56,6 +62,20 @@ def test_different_seed_changes_monte_carlo(tmp_path):
     b = run_figure(reference_scenario(seed=2), "fig10", str(tmp_path / "b"))
     assert read(a[0]) != read(b[0])      # Monte-Carlo depends on the seed
     assert read(a[1]) == read(b[1])      # the closed-form sweep does not
+
+
+def test_learning_study_memory_bounded(tmp_path):
+    # the 10^6 draws and one buffer of increments are 16 MiB; evaluating
+    # each (lambda, stddev) cell over all draws at once peaks near 38 MiB
+    sc = default_scenario()
+    run_learning_study(sc, str(tmp_path))  # fill the per-environment caches untraced
+    tracemalloc.start()
+    try:
+        run_learning_study(sc, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_policy_comparison_columns(tmp_path):
@@ -328,6 +348,15 @@ CLI_CSV_DIGESTS = [
     (
         ["radius", "--lambdas", "0.1", "1", "5", "--p-circuit", "0.5", "5", "50"],
         {"radius_grid.csv": "08352608c7983162e7c7678bd2e586289f3580bc0d0b44d884c8b4b071595d1b"},
+    ),
+    (
+        ["figure", "fig10"],
+        {
+            "fig10_rf_increment_mc.csv":
+                "43d4100a5f193824bbd8698d6e44b2dbecace049d4a912e25cfc63c5f86161b5",
+            "fig10_sampling_numbers.csv":
+                "39da78dc4971cda69c556cce10ea77e1b7930925863b4369beb1dfb3aade92fe",
+        },
     ),
     (
         ["compare", "--pm", "0", "0.2", "3", "20"],

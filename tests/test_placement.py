@@ -306,6 +306,18 @@ def test_power_and_rf_need_finite_nonnegative_density(lam, urban, radio, energy_
         pl.static_rf_at_optimal_altitude(100.0, lam, energy_unit_area, 1e6, urban, radio)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("named, index", [("density lam", 1), ("altitude h", 2)])
+@pytest.mark.parametrize("power", [tx_power, tx_power_direct])
+def test_tx_power_names_bad_density_and_altitude(power, named, index, value, urban, radio):
+    # unchecked, a bad density gives nan or a negative power and a nan
+    # altitude fails deep in the channel on "r^2 + h^2"
+    args = [100.0, 0.3, 50.0]
+    args[index] = value
+    with pytest.raises(ValueError, match=f"^{named} must be finite and nonnegative, got"):
+        power(*args, urban, radio)
+
+
 def test_slot_placement_validation():
     with pytest.raises(ValueError):
         SlotPlacement(radius=0.0, altitude=1.0, tx_power=1.0, static_rf=1.0)

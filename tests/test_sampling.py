@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from uavrf.placement import EnergyParams, optimal_radius, static_rf
+from uavrf.channel import RadioConfig, environment_preset
+from uavrf.placement import EnergyParams, optimal_normalized_power, optimal_radius, static_rf
 from uavrf.sampling import (
     GeneralizationError,
     LearningBudget,
@@ -116,6 +119,38 @@ def test_exact_increment_vector_matches_scalar(urban, radio):
         )
 
 
+def _increments_oracle(lam_true, lam_hats, p_circuit, env, radio):
+    # the closed form as one expression with temporaries: the reference
+    # that the in-place route must match bit for bit
+    p1 = optimal_normalized_power(env, radio)
+    k = (AREA / (math.pi * BATTERY)) * math.sqrt(p_circuit * radio.snr_gap * p1)
+    phi_hat = k * (np.sqrt(lam_hats) + lam_true / np.sqrt(lam_hats))
+    return phi_hat - 2.0 * k * math.sqrt(lam_true)
+
+
+_DENSITY = st.floats(1e-9, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam_true=_DENSITY,
+    hats=st.lists(_DENSITY, max_size=64),
+    p_circuit=st.floats(1e-3, 100.0),
+)
+@example(lam_true=3.0, hats=[], p_circuit=0.5)
+@example(lam_true=3.0, hats=[2.9], p_circuit=0.5)
+def test_exact_samples_bits_match_oracle(lam_true, hats, p_circuit):
+    urban, radio = environment_preset("urban"), RadioConfig()
+    hats = np.array(hats, dtype=float)
+    before = hats.copy()
+    out = rf_increment_exact_samples(lam_true, hats, p_circuit, urban, radio, AREA, BATTERY)
+    expected = _increments_oracle(lam_true, hats, p_circuit, urban, radio)
+    assert out.shape == hats.shape
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(hats.view(np.int64), before.view(np.int64))  # the input is untouched
+    assert not np.shares_memory(out, hats)
+
+
 def test_monte_carlo_slope_quick(urban, radio):
     # small version of the full study: slope of mean inflation vs xi
     lam = 10.0
@@ -157,6 +192,9 @@ def test_vc_epsilon_validation():
     for args in [(math.nan, 10, 0.05), (10.0, math.nan, 0.05), (10.0, 10, math.nan)]:
         with pytest.raises(ValueError):
             vc_epsilon(*args)
+    for d in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="hypothesis volume must be finite and exceed 1"):
+            vc_epsilon(d, 10, 0.05)
 
 
 BUDGET = LearningBudget(
