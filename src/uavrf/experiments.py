@@ -24,7 +24,6 @@ import numpy as np
 from .channel import environment_preset
 from .layout import num_uavs
 from .placement import (
-    check_circuit_power,
     min_static_rf,
     normalized_tx_power,
     optimal_altitude_ratio,
@@ -99,10 +98,9 @@ def run_altitude_curves(scenario: Scenario, out_dir: str) -> List[str]:
 
 def _static_rf_curve(scenario: Scenario, lam: float, p_cu: float, n: int):
     """(radius, static RF, is_optimal) at ``n`` radii from R*/8 to 8 R*, plus R*."""
-    check_circuit_power(p_cu)
-    energy = dataclasses.replace(scenario.energy, p_circuit=p_cu)
     area, env, radio = scenario.subregions[0].area, scenario.env, scenario.radio
     r_star = optimal_radius(lam, p_cu, env, radio)
+    energy = dataclasses.replace(scenario.energy, p_circuit=p_cu)
     for radius in np.unique(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, n), r_star)):
         phi = static_rf_at_optimal_altitude(radius, lam, energy, area, env, radio)
         yield radius, phi, radius == r_star

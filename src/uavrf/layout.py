@@ -157,8 +157,8 @@ def _worst_cover_distance(
 
 
 @lru_cache(maxsize=4096)
-def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float, float], ...]:
-    """Best row lattice for ``count`` points in a w x h rectangle at origin."""
+def _unit_layout(rect_w: float, rect_h: float, count: int) -> np.ndarray:
+    """Best row lattice for ``count`` points in a w x h rectangle at origin (shared, read-only)."""
     # ideal hex row count, searched in a window around it; a rectangle too
     # tall for ``count`` rows falls back to one UAV per row
     dx0 = math.sqrt(2.0 * rect_w * rect_h / (math.sqrt(3) * count))
@@ -196,7 +196,9 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> tuple[tuple[float,
         key = (fine, rows, staggered, margin)
         if best is None or key < best[0]:
             best = (key, lattice)
-    return tuple(map(tuple, _points(*best[1])))
+    points = _points(*best[1])
+    points.flags.writeable = False
+    return points
 
 
 def layout_positions(rect: Rect, count: int, altitude: float) -> np.ndarray:
@@ -210,7 +212,7 @@ def layout_positions(rect: Rect, count: int, altitude: float) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be at least 1")
     check_positive("altitude", altitude, zero_ok=True)
-    base = np.array(_unit_layout(rect.width, rect.height, count), dtype=float)
+    base = _unit_layout(rect.width, rect.height, count)
     out = np.empty((count, 3))
     out[:, 0] = base[:, 0] + rect.x
     out[:, 1] = base[:, 1] + rect.y

@@ -254,13 +254,11 @@ def optimal_radius(
     """Coverage radius R* [m] minimizing the static recall frequency.
 
     R* = (P_cu / (lam * (2^(C/W)-1) * P1(h1*)))^(1/4); grows with
-    circuit power, shrinks with density.  The degenerate limit
-    P_cu = 0 returns 0 (users camp on zero-size cells).
+    circuit power, shrinks with density.  Both must be finite and
+    positive: at P_cu = 0 the radius and the fleet would degenerate.
     """
     check_positive("density lam", lam)
-    check_positive("circuit power p_circuit", p_circuit, zero_ok=True)
-    if p_circuit == 0.0:
-        return 0.0
+    check_positive("circuit power p_circuit", p_circuit)
     p1 = optimal_normalized_power(env, radio)
     return (p_circuit / (lam * radio.snr_gap * p1)) ** 0.25
 
@@ -307,15 +305,6 @@ def static_rf_at_optimal_altitude(
     )
 
 
-def check_circuit_power(p_circuit: float) -> None:
-    """Raise unless the circuit power admits an optimal placement.
-
-    At P_cu = 0 the optimal radius is 0 (see :func:`optimal_radius`):
-    the fleet size and the static recall frequency degenerate.
-    """
-    check_positive("circuit power p_circuit", p_circuit)
-
-
 def min_static_rf(
     lam: float,
     energy: EnergyParams,
@@ -327,7 +316,6 @@ def min_static_rf(
 
     At the optimum the per-UAV transmit power equals the circuit power.
     """
-    check_circuit_power(energy.p_circuit)
     r_star = optimal_radius(lam, energy.p_circuit, env, radio)
     h1 = optimal_altitude_ratio(env)
     p1 = optimal_normalized_power(env, radio)

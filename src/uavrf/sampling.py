@@ -159,6 +159,9 @@ def rf_increment_exact_samples(
     stays the reference in tests.
     """
     check_positive("density lam", lam_true)
+    check_positive("circuit power p_circuit", p_circuit)
+    check_positive("area", area)
+    check_positive("battery_j", battery_j)
     lam_hats = np.asarray(lam_hats, dtype=float)
     # min and max are NaN if any entry is: one pass each, no temporaries
     if lam_hats.size and not 0 < lam_hats.min() <= lam_hats.max() < math.inf:

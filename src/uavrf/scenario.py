@@ -76,6 +76,8 @@ class Scenario:
             raise ScenarioError(f"subregion labels must be distinct, got {labels!r}")
         if len(self.density_bands) != len(self.subregions):
             raise ScenarioError("density_bands must align with subregions")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (0 < self.horizon_s < math.inf and 0 < self.slot_s < math.inf):
             raise ScenarioError(
                 f"horizon and slot must be finite and positive, got {self.horizon_s!r} s "

@@ -65,7 +65,7 @@ p_a/v_a, p_d/v_d) divided by their largest.  The plan keeps each solved
 permutation per shape, so a sweep over mobility powers solves each pair
 once, and every other power re-sums the n matched entries in O(n), with
 no n x n matrix and no assignment.  Free flight (all coefficients zero)
-stores and reuses none: every permutation is optimal there.  The re-sum
+solves nothing: every move costs exactly 0 J.  The re-sum
 has the bits of the solve for the same permutation, but a fresh plan may
 pick another of several tied optima (common on paper-density lattices),
 so its energies can differ from a shared plan's in the last bits; both
@@ -94,13 +94,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .channel import check_positive
 from .layout import Deployment, _as_points, build_deployment, pad_with_rsc
-from .placement import (
-    EnergyParams,
-    check_circuit_power,
-    optimal_altitude_ratio,
-    optimal_normalized_power,
-)
+from .placement import EnergyParams, optimal_altitude_ratio, optimal_normalized_power
 from .scenario import Scenario, slot_densities
 
 
@@ -261,7 +257,8 @@ class Schedule:
 
     @property
     def update_slots(self) -> List[int]:
-        return [int(round(e.tau // self.slot_s)) for e in self.epochs]
+        # k * slot_s / slot_s can fall just below k, so round, never floor
+        return [round(e.tau / self.slot_s) for e in self.epochs]
 
 
 def _static_rf(scenario: Scenario, lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -312,7 +309,7 @@ class SchedulePlan:
     per cost shape (see the module docstring), one int32 buffer per
     pair with equal buffers shared, so each pair is solved once per
     shape and re-summed in O(n) under every other energy model of that
-    shape; free flight keeps none.
+    shape; free flight solves and keeps nothing.
     """
 
     def __init__(self, scenario: Scenario):
@@ -334,7 +331,7 @@ class SchedulePlan:
                 f"from {source}"
             )
         env, radio, energy = scenario.env, scenario.radio, scenario.energy
-        check_circuit_power(energy.p_circuit)
+        check_positive("circuit power p_circuit", energy.p_circuit)
         p1 = optimal_normalized_power(env, radio)
         self.h1 = optimal_altitude_ratio(env)
         areas = np.array([s.area for s in scenario.subregions])
@@ -355,8 +352,8 @@ class SchedulePlan:
         self._deployments: Dict[int, Deployment] = {}
         self._pair_energies: Dict[EnergyParams, Dict[int, float]] = {}
         # solved permutations per cost shape and pair, int32 buffers shared
-        # through the pool when equal
-        self._permutations: Dict[Tuple[Fraction, ...], Dict[int, bytes]] = {}
+        # through the pool when equal; free flight's shape None stays empty
+        self._permutations: Dict[Tuple[Fraction, ...] | None, Dict[int, bytes]] = {}
         self._permutation_pool: Dict[bytes, bytes] = {}
 
     def static(self, k: int, t0: int, t1: int) -> np.ndarray:
@@ -397,13 +394,7 @@ class SchedulePlan:
             raise ValueError(
                 "plan was built for another circuit power or battery capacity"
             )
-        shape = _cost_shape(energy)
-        return _Moves(
-            self,
-            energy,
-            self._pair_energies.setdefault(energy, {}),
-            None if shape is None else self._permutations.setdefault(shape, {}),
-        )
+        return _Moves(self, energy)
 
     def deployment(self, k: int) -> Deployment:
         key = self.deployment_ids[k]
@@ -425,42 +416,37 @@ class _Moves:
 
     Pair energies go to a dict that the plan keeps per energy model, so
     every scheduler call at the same mobility solves each pair once.
-    Solved permutations go to a dict that the plan keeps per cost shape
-    (None for free flight), so a pair already solved under another model
-    of the same shape is re-summed along its permutation, not solved.
+    Solved permutations go to a dict that the plan keeps per cost shape,
+    so a pair already solved under another model of the same shape is
+    re-summed along its permutation, not solved.  Under free flight every
+    move costs 0 J, and nothing is solved or kept.
     """
 
-    def __init__(
-        self,
-        plan: SchedulePlan,
-        energy: EnergyParams,
-        cache: Dict[int, float],
-        permutations: Dict[int, bytes] | None,
-    ):
+    def __init__(self, plan: SchedulePlan, energy: EnergyParams):
         self.plan = plan
         self.energy = energy
-        self._pair_energy = cache
-        self._permutations = permutations
+        shape = _cost_shape(energy)
+        self._free = shape is None
+        self._pair_energy = plan._pair_energies.setdefault(energy, {})
+        self._permutations = plan._permutations.setdefault(shape, {})
 
     def pair_energy(self, i: int, j: int) -> float:
         ids = self.plan.deployment_ids
         a, b = ids[i], ids[j]
-        if a == b:
+        if a == b or self._free:
             return 0.0
         key = a * self.plan._pair_stride + b
         value = self._pair_energy.get(key)
         if value is None:
             prev, nxt = self.plan.deployment(i), self.plan.deployment(j)
-            perms = self._permutations
-            stored = None if perms is None else perms.get(key)
+            stored = self._permutations.get(key)
             if stored is not None:
                 perm = np.frombuffer(stored, dtype=np.int32)
                 value = _matched_energy(prev, nxt, perm, self.energy)
             else:
                 value, assignment = mobility_energy_at(prev, nxt, self.energy)
-                if perms is not None:
-                    buf = np.array(assignment.permutation, dtype=np.int32).tobytes()
-                    perms[key] = self.plan._permutation_pool.setdefault(buf, buf)
+                buf = np.array(assignment.permutation, dtype=np.int32).tobytes()
+                self._permutations[key] = self.plan._permutation_pool.setdefault(buf, buf)
             self._pair_energy[key] = value
         return value
 

@@ -29,7 +29,7 @@ from uavrf.placement import (
     static_rf_at_optimal_altitude,
     tx_power,
 )
-from uavrf.sampling import subregion_eigenvalue
+from uavrf.sampling import rf_increment_exact_samples, subregion_eigenvalue
 
 # frozen against a 40-digit evaluation of the closed formulas
 PER_USER_POWER_URBAN_100_100 = 0.016310373953585637  # W
@@ -256,6 +256,10 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
         ("circuit power p_circuit",
          lambda v: subregion_eigenvalue(1.0, v, _URBAN, _RADIO, 1e6, 1.0)),
         ("battery_j", lambda v: subregion_eigenvalue(1.0, 0.5, _URBAN, _RADIO, 1e6, v)),
+        ("circuit power p_circuit",
+         lambda v: rf_increment_exact_samples(1.0, [1.0], v, _URBAN, _RADIO, 1e6, 1.0)),
+        ("area", lambda v: rf_increment_exact_samples(1.0, [1.0], 0.5, _URBAN, _RADIO, v, 1.0)),
+        ("battery_j", lambda v: rf_increment_exact_samples(1.0, [1.0], 0.5, _URBAN, _RADIO, 1e6, v)),
         ("altitude", lambda v: layout_positions(Rect(0.0, 0.0, 100.0, 100.0), 2, v)),
         ("radius", lambda v: SubregionDeployment("A", v, 1.0, np.zeros((1, 3)))),
         ("stddev", lambda v: perturbed_density(0.1, 0.0, v, 3, 0)),
@@ -267,7 +271,8 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
         ("area", lambda v: num_uavs(v, 1.0)),
     ],
     ids=["optimal_radius", "static_rf", "static_rf_at_optimal_altitude", "eigenvalue-p_circuit",
-         "eigenvalue-battery", "layout_positions", "SubregionDeployment", "perturbed_density",
+         "eigenvalue-battery", "exact_samples-p_circuit", "exact_samples-area",
+         "exact_samples-battery", "layout_positions", "SubregionDeployment", "perturbed_density",
          "to_db", "avg_path_loss", "elevation_angle_deg", "normalized_tx_power", "tx_power",
          "num_uavs"],
 )

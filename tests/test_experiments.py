@@ -146,6 +146,15 @@ def test_cli_numerical_exit_code(tmp_path):
     assert code == 3
 
 
+def test_cli_negative_seed_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[scenario]\nseed = -3\n")
+    for source in (["--seed", "-1"], ["--config", str(cfg)]):
+        assert main([*source, "--out", str(tmp_path), "radius"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_static_rf_non_finite_circuit_power_exit_2(tmp_path, capsys, value):
     assert main(["--out", str(tmp_path), "static-rf", "--p-circuit", value]) == 2

@@ -439,6 +439,15 @@ def test_unit_layout_positions_unchanged():
     assert got == LAYOUT_DIGESTS
 
 
+def test_unit_layout_is_one_read_only_array():
+    # the cache hands every caller the same array, so no caller may write it
+    points = _unit_layout(500.0, 1000.0, 23)
+    assert points is _unit_layout(500.0, 1000.0, 23)
+    assert points.shape == (23, 2) and points.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        points[0, 0] = 1.0
+
+
 def test_unit_layout_memory_bounded():
     # a score that builds the (res^2, m, 2) distance tensor needs 60+ MB here
     _unit_layout.cache_clear()

@@ -21,7 +21,6 @@ from uavrf.placement import (
     ConvergenceError,
     EnergyParams,
     SlotPlacement,
-    check_circuit_power,
     min_static_rf,
     normalized_tx_power,
     optimal_altitude_ratio,
@@ -187,7 +186,8 @@ def test_optimal_radius_density_scaling(urban, radio):
 
 
 def test_optimal_radius_degenerate_inputs(urban, radio):
-    assert optimal_radius(0.1, 0.0, urban, radio) == 0.0
+    with pytest.raises(ValueError, match="circuit power"):
+        optimal_radius(0.1, 0.0, urban, radio)
     with pytest.raises(ValueError):
         optimal_radius(0.0, 0.5, urban, radio)
 
@@ -282,9 +282,9 @@ def test_energy_params_reject_non_finite(field, value):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
-def test_check_circuit_power_needs_finite_positive(value):
+def test_check_circuit_power_needs_finite_positive(value, urban, radio):
     with pytest.raises(ValueError, match="p_circuit must be finite and positive"):
-        check_circuit_power(value)
+        optimal_radius(0.1, value, urban, radio)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -0.1])

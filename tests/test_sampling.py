@@ -352,6 +352,31 @@ def test_exact_samples_reject_bad_true_density(urban, radio, lam_true):
 
 
 @pytest.mark.parametrize(
+    "route",
+    [
+        lambda p_cu, area, eb, env, radio: rf_increment_exact_samples(
+            3.0, [1.0], p_cu, env, radio, area, eb
+        ),
+        lambda p_cu, area, eb, env, radio: rf_increment_exact(3.0, 1.0, p_cu, env, radio, area, eb),
+    ],
+    ids=["samples", "scalar"],
+)
+@pytest.mark.parametrize(
+    "named, p_circuit, area, battery_j",
+    [("circuit power p_circuit", 0.0, AREA, BATTERY), ("area", 0.5, -1e6, BATTERY),
+     ("battery_j", 0.5, AREA, -1.0)],
+    ids=["p_circuit-zero", "area-negative", "battery-negative"],
+)
+def test_exact_increment_rejects_nonpositive_constants(
+    urban, radio, route, named, p_circuit, area, battery_j
+):
+    # the samples returned an increment of 0 or a negative one, and the
+    # scalar route named the radius at zero circuit power
+    with pytest.raises(ValueError, match=f"^{named} must be finite and positive"):
+        route(p_circuit, area, battery_j, urban, radio)
+
+
+@pytest.mark.parametrize(
     "hats", [[math.nan], [1.0, math.inf], [1.0, math.nan, 2.0], [0.0], [1.0, -1.0]]
 )
 def test_exact_samples_reject_bad_predictions(urban, radio, hats):

@@ -67,6 +67,16 @@ def test_roundtrip_from_file(tmp_path):
     assert load_scenario(str(path)) == sc
 
 
+def test_negative_seed_rejected(tmp_path):
+    # numpy rejected it only when fig10 drew a stream, naming neither
+    path = tmp_path / "seed.cfg"
+    path.write_text("[scenario]\nseed = -3\n")
+    with pytest.raises(ScenarioError, match=r"^seed must be a nonnegative integer, got -3$"):
+        load_scenario(str(path))
+    with pytest.raises(ScenarioError, match="seed"):
+        dataclasses.replace(reference_scenario(), seed=-1)
+
+
 def test_overlapping_subregions_rejected():
     text = """
 [scenario]
