@@ -20,18 +20,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 LIGHT_SPEED = 3e8  # m/s
 
 LOS = "los"
 NLOS = "nlos"
 
 
-def check_positive(name: str, value: float, zero_ok: bool = False) -> None:
+def check_positive(name: str, value, zero_ok: bool = False) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
-    positive (or zero, with ``zero_ok``).  NaN fails both comparisons."""
+    positive (or zero, with ``zero_ok``).  NaN fails both comparisons.
+    An ndarray is checked entry by entry (an empty one passes), and the
+    error names the first failing entry and its index."""
+    where = ""
+    if isinstance(value, np.ndarray):
+        # min and max are NaN if any entry is; the initial values pass an empty array
+        low, high = value.min(initial=math.inf), value.max(initial=0.0)
+        if (low >= 0 if zero_ok else low > 0) and high < math.inf:
+            return
+        index = np.argwhere(~((value >= 0 if zero_ok else value > 0) & (value < math.inf)))[0]
+        where, value = f" at index {index.tolist()}", float(value[tuple(index)])
     if not ((value >= 0 if zero_ok else value > 0) and value < math.inf):
         bound = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}{where}")
 
 
 @dataclass(frozen=True)

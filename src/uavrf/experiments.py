@@ -33,6 +33,7 @@ from .placement import (
 from .sampling import (
     LearningBudget,
     equal_share_sampling_numbers,
+    rf_increment,
     rf_increment_exact_samples,
     subregion_eigenvalue,
 )
@@ -264,7 +265,7 @@ def run_learning_study(scenario: Scenario, out_dir: str) -> List[str]:
                 )
             measured = float(np.mean(increments))
             xi = stddev * stddev
-            rows.append((lam, stddev, xi, measured, eig * xi))
+            rows.append((lam, stddev, xi, measured, rf_increment(eig, xi)))
     mc_path = write_csv(
         os.path.join(out_dir, "fig10_rf_increment_mc.csv"),
         ("lambda_per_m2", "stddev", "xi", "measured_increment", "second_order_increment"),

@@ -15,9 +15,10 @@ on-board circuit power, and the minimal per-subregion recall frequency
     phi* = (2 S / (pi E_b)) * sqrt(lam * (2^(C/W) - 1) * P_cu * P1(h1*)).
 
 Only h1* (per environment) and P1(h1*) (per environment and radio) are
-cached; everything downstream of them is closed-form and cheap.  P1 or
-its slope at any other ratio is a fresh radial quadrature, so the
-integrands are fused into one Python frame per evaluation.
+cached; everything downstream of them is closed-form, cheap, and
+broadcasts over arrays of densities and areas.  P1 or its slope at any
+other ratio is a fresh radial quadrature, so the integrands are fused
+into one Python frame per evaluation.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
+
+import numpy as np
 
 from .channel import Environment, RadioConfig, check_positive, per_user_tx_power
 from .channel import los_probability  # noqa: F401  module attribute that perfbench/layers.py counts
@@ -53,7 +56,7 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class SlotPlacement:
-    """Optimal per-subregion placement for one time slot."""
+    """Optimal per-subregion placement for one time slot (or per entry of arrays)."""
 
     radius: float      # coverage radius R* [m]
     altitude: float    # hovering altitude h* [m]
@@ -283,6 +286,19 @@ def static_rf(
     return n * (tx_power(radius, lam, h, env, radio) + energy.p_circuit) / energy.battery_j
 
 
+def static_rf_terms(
+    radius: float, energy: EnergyParams, area: float, env: Environment, radio: RadioConfig
+) -> tuple[float, float]:
+    """The circuit and transmit terms S P_cu / (pi E_b R^2) and
+    S (2^(C/W)-1) P1(h1*) R^2 / (pi E_b) of the static recall frequency
+    with altitude R * h1*: at density lam it is circuit + transmit * lam."""
+    check_positive("radius", radius)
+    check_positive("area", area)
+    p1 = optimal_normalized_power(env, radio)
+    spe = area / (math.pi * energy.battery_j)  # S / (pi E_b)
+    return spe * energy.p_circuit / radius**2, spe * radio.snr_gap * p1 * radius**2
+
+
 def static_rf_at_optimal_altitude(
     radius: float,
     lam: float,
@@ -296,13 +312,9 @@ def static_rf_at_optimal_altitude(
     Closed form via the cached P1(h1*); it traces the recall frequency
     over the radius for fig5 and ``uavrf static-rf``.
     """
-    check_positive("radius", radius)
     check_positive("density lam", lam, zero_ok=True)
-    check_positive("area", area)
-    p1 = optimal_normalized_power(env, radio)
-    return (area / (math.pi * energy.battery_j)) * (
-        energy.p_circuit / radius**2 + lam * radio.snr_gap * p1 * radius**2
-    )
+    circuit, transmit = static_rf_terms(radius, energy, area, env, radio)
+    return circuit + transmit * lam
 
 
 def min_static_rf(
@@ -317,9 +329,10 @@ def min_static_rf(
     At the optimum the per-UAV transmit power equals the circuit power.
     """
     r_star = optimal_radius(lam, energy.p_circuit, env, radio)
+    check_positive("area", area)
     h1 = optimal_altitude_ratio(env)
     p1 = optimal_normalized_power(env, radio)
-    phi = (2.0 * area / (math.pi * energy.battery_j)) * math.sqrt(
+    phi = (2.0 * area / (math.pi * energy.battery_j)) * np.sqrt(
         lam * radio.snr_gap * energy.p_circuit * p1
     )
     placement = SlotPlacement(

@@ -32,7 +32,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .channel import Environment, RadioConfig, check_positive
-from .placement import EnergyParams, optimal_normalized_power, static_rf
+from .placement import EnergyParams, min_static_rf, optimal_normalized_power, static_rf
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,11 @@ def rf_increment_exact(
     optimized for lam_hat (no Taylor truncation).
 
     Routes through the general static RF evaluation with the stale
-    radius and its matched altitude.
+    placement, the optimum for lam_hat.
     """
-    from .placement import min_static_rf, optimal_altitude_ratio, optimal_radius
-
     energy = EnergyParams(p_circuit=p_circuit, battery_j=battery_j)
-    h1 = optimal_altitude_ratio(env)
-    r_hat = optimal_radius(lam_hat, p_circuit, env, radio)
-    phi_hat = static_rf(r_hat, lam_true, r_hat * h1, energy, area, env, radio)
+    _, stale = min_static_rf(lam_hat, energy, area, env, radio)
+    phi_hat = static_rf(stale.radius, lam_true, stale.altitude, energy, area, env, radio)
     phi_opt, _ = min_static_rf(lam_true, energy, area, env, radio)
     return phi_hat - phi_opt
 
@@ -163,9 +160,7 @@ def rf_increment_exact_samples(
     check_positive("area", area)
     check_positive("battery_j", battery_j)
     lam_hats = np.asarray(lam_hats, dtype=float)
-    # min and max are NaN if any entry is: one pass each, no temporaries
-    if lam_hats.size and not 0 < lam_hats.min() <= lam_hats.max() < math.inf:
-        raise ValueError("predicted densities lam_hats must be finite and positive")
+    check_positive("predicted densities lam_hats", lam_hats)
     p1 = optimal_normalized_power(env, radio)
     k = (area / (math.pi * battery_j)) * math.sqrt(p_circuit * radio.snr_gap * p1)
     # k*(sqrt(h) + lam/sqrt(h)) - 2k*sqrt(lam) in one fresh array, bit for

@@ -402,9 +402,13 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
 
 
 def load_scenario(path: str) -> Scenario:
+    """:func:`parse_scenario` on the file at ``path``; its errors end naming the file."""
     with open(path) as fh:
         text = fh.read()
-    return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    except ScenarioError as exc:
+        raise ScenarioError(f"{exc} (in {path})") from None
 
 
 def dump_scenario(scenario: Scenario) -> str:

@@ -94,9 +94,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .channel import check_positive
 from .layout import Deployment, _as_points, build_deployment, pad_with_rsc
-from .placement import EnergyParams, optimal_altitude_ratio, optimal_normalized_power
+from .placement import EnergyParams, min_static_rf, optimal_altitude_ratio, static_rf_terms
 from .scenario import Scenario, slot_densities
 
 
@@ -261,30 +260,16 @@ class Schedule:
         return [round(e.tau / self.slot_s) for e in self.epochs]
 
 
-def _static_rf(scenario: Scenario, lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Per-slot area-wide static RF of fixed radii under densities ``lams`` (B, m)."""
-    energy = scenario.energy
-    areas = np.array([s.area for s in scenario.subregions])
-    spe = areas / (math.pi * energy.battery_j)  # S_b / (pi E_b)
-    p1 = optimal_normalized_power(scenario.env, scenario.radio)
-    c1 = (spe * energy.p_circuit / radii**2).sum()
-    c2 = spe * scenario.radio.snr_gap * p1 * radii**2
-    return c1 + c2 @ lams
-
-
 # the fields of ``EnergyParams`` that only move energies depend on
 _MOBILITY_FIELDS = (
     "p_horizontal", "p_ascend", "p_descend", "v_horizontal", "v_ascend", "v_descend"
 )
 
 
-def _without_mobility(energy: EnergyParams) -> EnergyParams:
-    return dataclasses.replace(energy, **dict.fromkeys(_MOBILITY_FIELDS, 1.0))
-
-
 def _plan_inputs(scenario: Scenario) -> Scenario:
     """What a plan depends on: the scenario without its mobility fields."""
-    return dataclasses.replace(scenario, energy=_without_mobility(scenario.energy))
+    energy = dataclasses.replace(scenario.energy, **dict.fromkeys(_MOBILITY_FIELDS, 1.0))
+    return dataclasses.replace(scenario, energy=energy)
 
 
 class SchedulePlan:
@@ -293,7 +278,8 @@ class SchedulePlan:
     Every array is per slot, so a plan takes O(B n) memory for B
     subregions and n slots: the densities LAMS (B, n), the slot-optimal
     radii (B, n), the static-cost coefficients C1 (n,) and C2 (B, n),
-    the per-slot optimum OPT (n,) and TAIL (n,).  :meth:`static` is the
+    the per-slot optimum OPT (n,) and TAIL (n,), all but LAMS and TAIL
+    from placement's closed forms on LAMS.  :meth:`static` is the
     area-wide static recall frequency over a range of slots with every
     subregion holding its slot-k optimal placement, and
     :meth:`excess_suffix` sums its excess max(static - OPT, 0) times the
@@ -304,12 +290,12 @@ class SchedulePlan:
 
     None of this depends on the flight powers and speeds of the
     scenario's energy, so one plan serves every scheduler call of a
-    mobility-power sweep.  Move energies come from :meth:`with_energy`,
-    cached on the plan per energy model.  Solved permutations are kept
-    per cost shape (see the module docstring), one int32 buffer per
-    pair with equal buffers shared, so each pair is solved once per
-    shape and re-summed in O(n) under every other energy model of that
-    shape; free flight solves and keeps nothing.
+    mobility-power sweep.  Move energies are cached on the plan per
+    energy model.  Solved permutations are kept per cost shape (see the
+    module docstring), one int32 buffer per pair with equal buffers
+    shared, so each pair is solved once per shape and re-summed in O(n)
+    under every other energy model of that shape; free flight solves and
+    keeps nothing.
     """
 
     def __init__(self, scenario: Scenario):
@@ -331,18 +317,12 @@ class SchedulePlan:
                 f"from {source}"
             )
         env, radio, energy = scenario.env, scenario.radio, scenario.energy
-        check_positive("circuit power p_circuit", energy.p_circuit)
-        p1 = optimal_normalized_power(env, radio)
         self.h1 = optimal_altitude_ratio(env)
-        areas = np.array([s.area for s in scenario.subregions])
-        q = radio.snr_gap
-        eb = energy.battery_j
-        # R*[b, k] and per-slot optima
-        self.radii = (energy.p_circuit / (self.lams * q * p1)) ** 0.25
-        spe = areas / (math.pi * eb)  # S_b / (pi E_b)
-        self.c1 = (spe[:, None] * energy.p_circuit / self.radii**2).sum(axis=0)  # (n,)
-        self.c2 = spe[:, None] * q * p1 * self.radii**2                           # (B, n)
-        self.opt = 2.0 * (spe[:, None] * np.sqrt(self.lams * q * energy.p_circuit * p1)).sum(axis=0)
+        areas = np.array([[s.area] for s in scenario.subregions])  # (B, 1)
+        phi, placement = min_static_rf(self.lams, energy, areas, env, radio)
+        self.radii, self.opt = placement.radius, phi.sum(axis=0)
+        circuit, self.c2 = static_rf_terms(self.radii, energy, areas, env, radio)
+        self.c1 = circuit.sum(axis=0)
         self.tail = np.array([self.excess_suffix(k)[0] for k in range(self.n)])
         distinct, ids = np.unique(self.radii.T, axis=0, return_inverse=True)
         self.deployment_ids: List[int] = ids.tolist()
@@ -387,14 +367,6 @@ class SchedulePlan:
                 f"plan was built for another scenario: {', '.join(differ)} differ "
                 "(only the mobility powers and speeds may)"
             )
-
-    def with_energy(self, energy: EnergyParams) -> "_Moves":
-        """Move energies between this plan's deployments under ``energy``."""
-        if _without_mobility(energy) != self.scenario.energy:
-            raise ValueError(
-                "plan was built for another circuit power or battery capacity"
-            )
-        return _Moves(self, energy)
 
     def deployment(self, k: int) -> Deployment:
         key = self.deployment_ids[k]
@@ -463,7 +435,7 @@ def _moves_for(scenario: Scenario, plan: SchedulePlan | None) -> _Moves:
         plan = SchedulePlan(scenario)
     else:
         plan.check(scenario)
-    return plan.with_energy(scenario.energy)
+    return _Moves(plan, scenario.energy)
 
 
 def _assemble(
@@ -605,11 +577,13 @@ def dynamic_rf(schedule: Schedule, scenario: Scenario) -> float:
     mu = schedule.slot_s
     n = int(round(horizon / mu))
     lams = slot_densities(dataclasses.replace(scenario, horizon_s=horizon))
+    areas = np.array([s.area for s in scenario.subregions])
     slots = schedule.update_slots
     total_static = 0.0
     total_mobility = sum(e.mobility_j for e in schedule.epochs)
     for i, k in enumerate(slots):
         end = slots[i + 1] if i + 1 < len(slots) else n
         radii = np.array(schedule.epochs[i].deployment.radii())
-        total_static += float(_static_rf(scenario, lams[:, k:end], radii).sum()) * mu
+        terms = static_rf_terms(radii, scenario.energy, areas, scenario.env, scenario.radio)
+        total_static += float((terms[0].sum() + terms[1] @ lams[:, k:end]).sum()) * mu
     return (total_static + total_mobility / scenario.energy.battery_j) / horizon

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,33 @@ def test_check_positive_rejects(value, zero_ok, bound):
 @pytest.mark.parametrize("value, zero_ok", [(1e-300, False), (0.0, True), (1.7e308, False)])
 def test_check_positive_accepts(value, zero_ok):
     check_positive("radius", value, zero_ok=zero_ok)
+
+
+@pytest.mark.parametrize(
+    "entries, zero_ok, message",
+    [
+        ([1.0, math.nan], False, "positive, got nan at index [1]"),
+        ([math.nan, -1.0], True, "nonnegative, got nan at index [0]"),
+        ([[1.0, 2.0], [math.inf, 3.0]], True, "nonnegative, got inf at index [1, 0]"),
+        ([2.0, -math.inf], False, "positive, got -inf at index [1]"),
+        ([1.0, 0.0, -1.0], True, "nonnegative, got -1.0 at index [2]"),
+        ([3.0, 0.0], False, "positive, got 0.0 at index [1]"),
+        ([[1.0], [-2.0]], False, "positive, got -2.0 at index [1, 0]"),
+    ],
+)
+def test_check_positive_names_the_failing_entry(entries, zero_ok, message):
+    # the first failing entry in C order, not the whole array
+    with pytest.raises(ValueError, match="^" + re.escape(f"lam must be finite and {message}") + "$"):
+        check_positive("lam", np.array(entries), zero_ok=zero_ok)
+
+
+@pytest.mark.parametrize(
+    "entries, zero_ok",
+    [([], False), ([], True), (np.empty((2, 0)), False), ([0.0, 1.0], True),
+     ([[1e-300, 1.7e308]], False)],
+)
+def test_check_positive_accepts_arrays(entries, zero_ok):
+    check_positive("lam", np.array(entries), zero_ok=zero_ok)
 
 
 _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyParams(0.5, 1.0)

@@ -155,6 +155,26 @@ def test_cli_negative_seed_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[scenario]\nseed = -3\n", "seed must be a nonnegative integer, got -3"),
+        (
+            "[subregion A]\nrect = 0 0 600 1000\n\n[subregion B]\nrect = 500 0 500 1000\n",
+            "subregions 'A' and 'B' overlap",
+        ),
+    ],
+    ids=["seed", "overlap"],
+)
+def test_cli_scenario_invariant_errors_name_the_file(tmp_path, capsys, text, message):
+    # Scenario's own checks run after parsing, and named no file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "radius"]) == 2
+    assert capsys.readouterr().err == f"error: {message} (in {cfg})\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_static_rf_non_finite_circuit_power_exit_2(tmp_path, capsys, value):
     assert main(["--out", str(tmp_path), "static-rf", "--p-circuit", value]) == 2

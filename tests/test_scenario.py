@@ -71,7 +71,9 @@ def test_negative_seed_rejected(tmp_path):
     # numpy rejected it only when fig10 drew a stream, naming neither
     path = tmp_path / "seed.cfg"
     path.write_text("[scenario]\nseed = -3\n")
-    with pytest.raises(ScenarioError, match=r"^seed must be a nonnegative integer, got -3$"):
+    with pytest.raises(
+        ScenarioError, match=r"^seed must be a nonnegative integer, got -3 \(in .*seed\.cfg\)$"
+    ):
         load_scenario(str(path))
     with pytest.raises(ScenarioError, match="seed"):
         dataclasses.replace(reference_scenario(), seed=-1)

@@ -16,8 +16,10 @@ from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset
 from uavrf.placement import (
     EnergyParams,
     optimal_altitude_ratio,
+    min_static_rf,
     optimal_normalized_power,
     optimal_radius,
+    static_rf_terms,
 )
 from uavrf.scenario import Scenario, reference_scenario, slot_densities
 from uavrf.scheduling import (
@@ -561,7 +563,7 @@ def test_single_update_hand_oracle():
 def _brute_force_schedule(sc):
     """The cheapest of every update-slot subset, each assembled as the
     schedulers assemble theirs (exponential; toys only)."""
-    moves = SchedulePlan(sc).with_energy(sc.energy)
+    moves = _Moves(SchedulePlan(sc), sc.energy)
     n = moves.plan.n
     return min(
         (
@@ -767,6 +769,38 @@ def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
         assert sched.avg_dynamic_rf >= optimal_schedule(sc).avg_dynamic_rf * (1 - 1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plan_tables_are_the_placement_closed_forms(data):
+    # each entry has the bits of placement's closed form at that one entry
+    # (a one-entry array: numpy's array power and libm's pow, which a Python
+    # float takes, can differ in the last bit), and C1 and OPT sum them over
+    # the subregions in order
+    n_sub = data.draw(st.integers(min_value=1, max_value=3))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    lam = st.floats(min_value=1e-8, max_value=10.0)
+    sc = toy_scenario([[data.draw(lam) for _ in range(n)] for _ in range(n_sub)])
+    energy = dataclasses.replace(
+        sc.energy,
+        p_circuit=data.draw(st.floats(min_value=1e-3, max_value=100.0)),
+        battery_j=data.draw(st.floats(min_value=1.0, max_value=1e7)),
+    )
+    sc = dataclasses.replace(sc, energy=energy)
+    plan = SchedulePlan(sc)
+    for k in range(n):
+        circuit, opt = [], []
+        for b, sub in enumerate(sc.subregions):
+            lams = plan.lams[b, k : k + 1]
+            radius = optimal_radius(lams, energy.p_circuit, sc.env, sc.radio)
+            assert plan.radii[b, k].hex() == radius[0].hex()
+            terms = static_rf_terms(radius, energy, sub.area, sc.env, sc.radio)
+            assert plan.c2[b, k].hex() == terms[1][0].hex()
+            circuit.append(terms[0][0])
+            opt.append(min_static_rf(lams, energy, sub.area, sc.env, sc.radio)[0][0])
+        assert plan.c1[k].hex() == sum(circuit).hex()
+        assert plan.opt[k].hex() == sum(opt).hex()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     start_slot=st.integers(min_value=0, max_value=4031),
@@ -902,7 +936,7 @@ def test_shared_plan_matches_fresh_plans(monkeypatch):
     )
 
     def pairs_solved(sc):
-        return len(plan.with_energy(sc.energy)._pair_energy)
+        return len(_Moves(plan, sc.energy)._pair_energy)
 
     base = dataclasses.replace(
         reference_scenario(), horizon_s=2 * 86400.0, start_s=3 * 86400.0
@@ -930,7 +964,7 @@ def test_shared_plan_matches_fresh_plans(monkeypatch):
     # over the positive powers, one solve per distinct pair
     distinct = set()
     for pm in (0.05, 1.5, 50.0):
-        distinct |= set(plan.with_energy(base.with_mobility_power(pm).energy)._pair_energy)
+        distinct |= set(_Moves(plan, base.with_mobility_power(pm).energy)._pair_energy)
     assert shared_solves[0.05] + shared_solves[1.5] + shared_solves[50.0] == len(distinct)
     assert shared_solves[1.5] < pairs_solved(base.with_mobility_power(1.5))
     # the mobility speeds are mobility inputs too, and change the cost shape
@@ -978,8 +1012,6 @@ def test_plan_for_other_horizon_argument_raises():
         smgd_schedule(base, plan=plan)
     with pytest.raises(TypeError):
         smgd_schedule(half, 43200.0, plan=plan)
-    with pytest.raises(ValueError, match="circuit power or battery"):
-        plan.with_energy(dataclasses.replace(base.energy, p_circuit=1.0))
 
 
 def test_reassembly_reads_no_tables():
