@@ -27,7 +27,6 @@ from .layout import (
     build_deployment,
     layout_positions,
     num_uavs,
-    pad_with_rsc,
 )
 from .patterns import (
     DensityPattern,

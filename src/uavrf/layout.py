@@ -25,16 +25,12 @@ those xs of ``fl(dx2 + dy2_i)`` is ``fl(dx2 + min_i dy2_i)``; the square
 root is monotone, so one root of the maximum is the maximum of the roots.
 No k-d tree is built; time is O(res * m + rows * res + distinct rows *
 res^2) and memory O(res^2) per candidate.
-
-The depot (recall-and-supplement center, RSC) absorbs fleet-size
-differences between consecutive deployments by padding the shorter
-position list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -220,36 +216,6 @@ def layout_positions(rect: Rect, count: int, altitude: float) -> np.ndarray:
     return out
 
 
-def pad_with_rsc(
-    positions_before: np.ndarray,
-    positions_after: np.ndarray,
-    rsc_position: Point3,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equalize two position lists by padding the shorter with RSC copies.
-
-    Recalled UAVs fly to the depot; supplemented ones launch from it.
-    Equal lengths come back unchanged, and (n, 3) float arrays are not
-    copied.
-    """
-    before = _as_points(positions_before)
-    after = _as_points(positions_after)
-    missing = len(after) - len(before)
-    if missing == 0:
-        return before, after
-    rsc = np.broadcast_to(np.asarray(rsc_position, dtype=float), (abs(missing), 3))
-    if missing > 0:
-        return np.concatenate((before, rsc)), after
-    return before, np.concatenate((after, rsc))
-
-
-def _as_points(positions) -> np.ndarray:
-    """``positions`` as an (n, 3) float array; no copy if it already is one."""
-    if type(positions) is np.ndarray and positions.dtype == float and positions.ndim == 2:
-        return positions
-    points = np.atleast_2d(np.asarray(positions, dtype=float))
-    return points.reshape(0, 3) if points.size == 0 else points
-
-
 @dataclass(frozen=True)
 class SubregionDeployment:
     """One subregion's share of a deployment."""
@@ -257,7 +223,8 @@ class SubregionDeployment:
     label: str
     radius: float
     altitude: float
-    positions: np.ndarray  # (count, 3)
+    # (count, 3); follows from the zone, radius and altitude, so == and hash skip it
+    positions: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         check_positive("radius", self.radius)

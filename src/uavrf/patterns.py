@@ -216,6 +216,9 @@ def perturbed_density(lam: float, bias: float, stddev: float, n: int, seed) -> n
     Means and variances converge to lam + bias and stddev^2 up to
     truncation at the floor.
     """
+    check_positive("density lam", lam, zero_ok=True)
+    if not math.isfinite(bias):
+        raise ValueError(f"bias must be finite, got {bias!r}")
     check_positive("stddev", stddev, zero_ok=True)
     rng = np.random.default_rng(seed)
     draws = lam + bias + stddev * rng.standard_normal(n)

@@ -259,11 +259,16 @@ def optimal_radius(
     R* = (P_cu / (lam * (2^(C/W)-1) * P1(h1*)))^(1/4); grows with
     circuit power, shrinks with density.  Both must be finite and
     positive: at P_cu = 0 the radius and the fleet would degenerate.
+    An array of densities gets, entry by entry, the bits of a float.
     """
     check_positive("density lam", lam)
     check_positive("circuit power p_circuit", p_circuit)
     p1 = optimal_normalized_power(env, radio)
-    return (p_circuit / (lam * radio.snr_gap * p1)) ** 0.25
+    x = p_circuit / (lam * radio.snr_gap * p1)
+    if isinstance(x, np.ndarray):
+        # numpy's SIMD array power can differ from libm's pow in the last bit
+        return np.array([v ** 0.25 for v in x.ravel().tolist()]).reshape(x.shape)
+    return x ** 0.25
 
 
 def static_rf(

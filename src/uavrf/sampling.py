@@ -112,6 +112,7 @@ def rf_increment(eigenvalue: float, error) -> float:
 
     ``error`` is a :class:`GeneralizationError` or a plain xi value.
     """
+    check_positive("eigenvalue", eigenvalue, zero_ok=True)
     xi = error.xi if isinstance(error, GeneralizationError) else float(error)
     check_positive("generalization error xi", xi, zero_ok=True)
     return eigenvalue * xi

@@ -94,7 +94,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .layout import Deployment, _as_points, build_deployment, pad_with_rsc
+from .layout import Deployment, build_deployment
 from .placement import EnergyParams, min_static_rf, optimal_altitude_ratio, static_rf_terms
 from .scenario import Scenario, slot_densities
 
@@ -151,6 +151,14 @@ def _flight_energies(
     return cost
 
 
+def _as_points(positions) -> np.ndarray:
+    """``positions`` as an (n, 3) float array; no copy if it already is one."""
+    if type(positions) is np.ndarray and positions.dtype == float and positions.ndim == 2:
+        return positions
+    points = np.atleast_2d(np.asarray(positions, dtype=float))
+    return points.reshape(0, 3) if points.size == 0 else points
+
+
 def cost_matrix(
     origins: np.ndarray, destinations: np.ndarray, energy: EnergyParams
 ) -> np.ndarray:
@@ -184,12 +192,20 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
 
 
 def _padded_positions(prev: Deployment, nxt: Deployment) -> Tuple[np.ndarray, np.ndarray]:
-    """Both fleets' positions, the shorter padded with depot copies."""
+    """Both fleets' positions, the shorter padded with depot copies; equal
+    fleets return their two read-only ``all_positions()`` arrays themselves."""
     if prev.rsc_position != nxt.rsc_position:
         raise ValueError("deployments must share the depot position")
     if [e.label for e in prev.entries] != [e.label for e in nxt.entries]:
         raise ValueError("deployments must cover the same subregions")
-    return pad_with_rsc(prev.all_positions(), nxt.all_positions(), prev.rsc_position)
+    before, after = prev.all_positions(), nxt.all_positions()
+    missing = len(after) - len(before)
+    if missing == 0:
+        return before, after
+    depot = np.broadcast_to(np.asarray(prev.rsc_position, dtype=float), (abs(missing), 3))
+    if missing > 0:
+        return np.concatenate((before, depot)), after
+    return before, np.concatenate((after, depot))
 
 
 def mobility_energy_at(

@@ -30,7 +30,7 @@ from uavrf.placement import (
     static_rf_at_optimal_altitude,
     tx_power,
 )
-from uavrf.sampling import rf_increment_exact_samples, subregion_eigenvalue
+from uavrf.sampling import rf_increment, rf_increment_exact_samples, subregion_eigenvalue
 
 # frozen against a 40-digit evaluation of the closed formulas
 PER_USER_POWER_URBAN_100_100 = 0.016310373953585637  # W
@@ -291,6 +291,8 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
         ("altitude", lambda v: layout_positions(Rect(0.0, 0.0, 100.0, 100.0), 2, v)),
         ("radius", lambda v: SubregionDeployment("A", v, 1.0, np.zeros((1, 3)))),
         ("stddev", lambda v: perturbed_density(0.1, 0.0, v, 3, 0)),
+        ("density lam", lambda v: perturbed_density(v, 0.0, 1.0, 3, 0)),
+        ("eigenvalue", lambda v: rf_increment(v, 1.0)),
         ("linear", lambda v: to_db(v)),
         (r"r\^2 \+ h\^2", lambda v: avg_path_loss(v, 1.0, _URBAN, _RADIO)),
         ("r", lambda v: elevation_angle_deg(v, 1.0)),
@@ -301,10 +303,29 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
     ids=["optimal_radius", "static_rf", "static_rf_at_optimal_altitude", "eigenvalue-p_circuit",
          "eigenvalue-battery", "exact_samples-p_circuit", "exact_samples-area",
          "exact_samples-battery", "layout_positions", "SubregionDeployment", "perturbed_density",
-         "to_db", "avg_path_loss", "elevation_angle_deg", "normalized_tx_power", "tx_power",
+         "perturbed_density-lam", "rf_increment", "to_db", "avg_path_loss", "elevation_angle_deg", "normalized_tx_power", "tx_power",
          "num_uavs"],
 )
 def test_non_finite_input_names_the_argument(named, call, value):
     # each returned nan or inf, raised QuadratureError, or named no argument
     with pytest.raises(ValueError, match=f"^{named} must be finite and"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        ("density lam must be finite and nonnegative, got -1.0",
+         lambda: perturbed_density(-1.0, 0.0, 1.0, 3, 0)),
+        ("bias must be finite, got nan", lambda: perturbed_density(0.1, math.nan, 1.0, 3, 0)),
+        ("bias must be finite, got inf", lambda: perturbed_density(0.1, math.inf, 1.0, 3, 0)),
+        ("bias must be finite, got -inf", lambda: perturbed_density(0.1, -math.inf, 1.0, 3, 0)),
+        ("eigenvalue must be finite and nonnegative, got -2.0", lambda: rf_increment(-2.0, 1.0)),
+    ],
+    ids=["perturbed_density-negative-lam", "bias-nan", "bias-inf", "bias-neg-inf",
+         "rf_increment-negative"],
+)
+def test_out_of_range_input_names_the_argument(message, call):
+    # each returned nan, inf, a negative increment or floored draws
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

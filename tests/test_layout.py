@@ -23,7 +23,6 @@ from uavrf.layout import (
     build_deployment,
     layout_positions,
     num_uavs,
-    pad_with_rsc,
 )
 from uavrf.patterns import Rect, Subregion, constant_pattern
 
@@ -52,42 +51,6 @@ def test_num_uavs_monotone_in_radius():
     radii = np.linspace(20.0, 600.0, 100)
     counts = [num_uavs(1e6, r) for r in radii]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-
-def test_pad_with_rsc_recall():
-    before = np.arange(15, dtype=float).reshape(5, 3)
-    after = np.arange(9, dtype=float).reshape(3, 3) + 100.0
-    rsc = (7.0, 8.0, 0.0)
-    pb, pa = pad_with_rsc(before, after, rsc)
-    assert pb.shape == pa.shape == (5, 3)
-    assert np.array_equal(pb, before)
-    assert np.array_equal(pa[3:], np.tile(np.array(rsc), (2, 1)))
-
-
-def test_pad_with_rsc_supplement():
-    before = np.zeros((3, 3))
-    after = np.ones((5, 3))
-    pb, pa = pad_with_rsc(before, after, (1.0, 2.0, 0.0))
-    assert pb.shape == pa.shape == (5, 3)
-    assert np.array_equal(pb[3:], np.tile(np.array([1.0, 2.0, 0.0]), (2, 1)))
-    assert np.array_equal(pa, after)
-
-
-def test_pad_with_rsc_equal_lengths_untouched():
-    before = np.zeros((4, 3))
-    after = np.ones((4, 3))
-    pb, pa = pad_with_rsc(before, after, (0.0, 0.0, 0.0))
-    assert np.array_equal(pb, before) and np.array_equal(pa, after)
-
-
-def test_pad_lengths_match_reposition_count():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        nb, na = rng.integers(0, 9, size=2)
-        pb, pa = pad_with_rsc(
-            rng.normal(size=(nb, 3)), rng.normal(size=(na, 3)), (0.0, 0.0, 0.0)
-        )
-        assert len(pb) == len(pa) == max(nb, na)
 
 
 def test_single_uav_at_center():

@@ -185,6 +185,17 @@ def test_optimal_radius_density_scaling(urban, radio):
     assert r2 / r3 == pytest.approx(5.0**0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(64,), (2, 2016)])
+def test_optimal_radius_array_has_the_float_bits(urban, radio, shape):
+    # 64 entries and more run numpy's SIMD power loop, whose last bit can
+    # differ from libm's pow, the route of a float
+    lams = np.random.default_rng(7).lognormal(-3.0, 2.0, size=shape)
+    radii = optimal_radius(lams, 0.5, urban, radio)
+    assert radii.shape == shape
+    expected = [optimal_radius(lam, 0.5, urban, radio).hex() for lam in lams.ravel().tolist()]
+    assert [radius.hex() for radius in radii.ravel().tolist()] == expected
+
+
 def test_optimal_radius_degenerate_inputs(urban, radio):
     with pytest.raises(ValueError, match="circuit power"):
         optimal_radius(0.1, 0.0, urban, radio)

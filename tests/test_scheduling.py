@@ -28,6 +28,7 @@ from uavrf.scheduling import (
     _assemble,
     _matched_energy,
     _Moves,
+    _padded_positions,
     baseline_schedule,
     cost_matrix,
     dynamic_rf,
@@ -223,6 +224,82 @@ def test_mobility_energy_validation():
     c = _single_uav_deployment((0, 0, 10), label="OTHER")
     with pytest.raises(ValueError):
         mobility_energy_at(a, c, UNIT_MOVES)
+
+
+def _fleet(positions, rsc=(500.0, 500.0, 0.0)):
+    """One zone holding ``positions`` (an (n, 3) array, n >= 0)."""
+    zone = SubregionDeployment(label="S0", radius=1.0, altitude=0.0, positions=positions)
+    return Deployment(entries=(zone,), rsc_position=rsc)
+
+
+def test_padded_positions_recall():
+    before = np.arange(15, dtype=float).reshape(5, 3)
+    after = np.arange(9, dtype=float).reshape(3, 3) + 100.0
+    rsc = (7.0, 8.0, 0.0)
+    pb, pa = _padded_positions(_fleet(before, rsc), _fleet(after, rsc))
+    assert pb.shape == pa.shape == (5, 3)
+    assert np.array_equal(pb, before)
+    assert np.array_equal(pa[:3], after)
+    assert np.array_equal(pa[3:], np.tile(np.array(rsc), (2, 1)))
+
+
+def test_padded_positions_supplement():
+    before = np.zeros((3, 3))
+    after = np.ones((5, 3))
+    rsc = (1.0, 2.0, 0.0)
+    pb, pa = _padded_positions(_fleet(before, rsc), _fleet(after, rsc))
+    assert pb.shape == pa.shape == (5, 3)
+    assert np.array_equal(pb[:3], before)
+    assert np.array_equal(pb[3:], np.tile(np.array([1.0, 2.0, 0.0]), (2, 1)))
+    assert np.array_equal(pa, after)
+
+
+def test_padded_positions_equal_lengths_untouched():
+    before = np.zeros((4, 3))
+    after = np.ones((4, 3))
+    prev, nxt = _fleet(before), _fleet(after)
+    pb, pa = _padded_positions(prev, nxt)
+    assert np.array_equal(pb, before) and np.array_equal(pa, after)
+    # the read-only stacked arrays themselves, not copies
+    assert pb is prev.all_positions() and pa is nxt.all_positions()
+
+
+def test_pad_lengths_match_reposition_count():
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        nb, na = rng.integers(0, 9, size=2)
+        pb, pa = _padded_positions(
+            _fleet(rng.normal(size=(nb, 3)), (0.0, 0.0, 0.0)),
+            _fleet(rng.normal(size=(na, 3)), (0.0, 0.0, 0.0)),
+        )
+        assert len(pb) == len(pa) == max(nb, na)
+
+
+def test_deployment_equality_and_hash():
+    # positions follow from the zone, radius and altitude, so == and hash
+    # compare those; before, == on (count, 3) arrays raised ValueError
+    sc = reference_scenario()
+    subs, rsc = sc.subregions, sc.rsc_position
+
+    def build(radius):
+        return build_deployment(subs, (radius, radius), (2.0 * radius, 2.0 * radius), rsc)
+
+    a, b, other = build(150.0), build(150.0), build(200.0)
+    assert min(e.count for e in a.entries) >= 2
+    assert a is not b and a.all_positions() is not b.all_positions()
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a != other and not a == other
+    assert a.entries[0] == b.entries[0] and hash(a.entries[0]) == hash(b.entries[0])
+
+
+def test_schedules_from_fresh_plans_compare_equal():
+    sc = dataclasses.replace(
+        reference_scenario(), density_bands=((1e-5, 1e-4),) * 2, horizon_s=1200.0
+    )
+    first, second = smgd_schedule(sc), smgd_schedule(sc)
+    assert max(e.count for e in first.epochs[0].deployment.entries) >= 2
+    assert first == second and not first != second
 
 
 def _reference_pair_energy(prev, nxt, energy):
@@ -772,10 +849,10 @@ def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_plan_tables_are_the_placement_closed_forms(data):
-    # each entry has the bits of placement's closed form at that one entry
-    # (a one-entry array: numpy's array power and libm's pow, which a Python
-    # float takes, can differ in the last bit), and C1 and OPT sum them over
-    # the subregions in order
+    # each entry has the bits of placement's closed form at that one entry,
+    # and C1 and OPT sum them over the subregions in order; R* also has the
+    # bits of a float, but C2, C1 and OPT take a one-entry array (a float's
+    # R**2 is libm's pow, which differs from numpy's R*R in the last bit)
     n_sub = data.draw(st.integers(min_value=1, max_value=3))
     n = data.draw(st.integers(min_value=1, max_value=4))
     lam = st.floats(min_value=1e-8, max_value=10.0)
@@ -793,12 +870,28 @@ def test_plan_tables_are_the_placement_closed_forms(data):
             lams = plan.lams[b, k : k + 1]
             radius = optimal_radius(lams, energy.p_circuit, sc.env, sc.radio)
             assert plan.radii[b, k].hex() == radius[0].hex()
+            scalar = optimal_radius(float(lams[0]), energy.p_circuit, sc.env, sc.radio)
+            assert plan.radii[b, k].hex() == scalar.hex()
             terms = static_rf_terms(radius, energy, sub.area, sc.env, sc.radio)
             assert plan.c2[b, k].hex() == terms[1][0].hex()
             circuit.append(terms[0][0])
             opt.append(min_static_rf(lams, energy, sub.area, sc.env, sc.radio)[0][0])
         assert plan.c1[k].hex() == sum(circuit).hex()
         assert plan.opt[k].hex() == sum(opt).hex()
+
+
+@pytest.mark.parametrize("bands", [None, ((0.1, 1.0),) * 2], ids=["reference", "paper"])
+def test_plan_radii_have_the_float_bits_at_four_weeks(bands):
+    # numpy's SIMD array power differs from libm's pow in the last bit on
+    # a few percent of inputs; the plan must not depend on which one runs
+    sc = dataclasses.replace(reference_scenario(), horizon_s=28 * 86400.0)
+    if bands is not None:
+        sc = dataclasses.replace(sc, density_bands=bands)
+    plan = SchedulePlan(sc)
+    p_cu = sc.energy.p_circuit
+    for lams, radii in zip(plan.lams.tolist(), plan.radii.tolist()):
+        expected = [optimal_radius(lam, p_cu, sc.env, sc.radio).hex() for lam in lams]
+        assert [radius.hex() for radius in radii] == expected
 
 
 @settings(max_examples=40, deadline=None)
