@@ -41,7 +41,9 @@ from .scenario import Scenario
 from .scheduling import Schedule, SchedulePlan, baseline_schedule, smgd_schedule
 
 MOBILITY_POWER_GRID = (0.05, 1.5, 50.0)  # W
-_MC_CHUNK = 1 << 16  # Monte Carlo draws evaluated per slice in run_learning_study
+# most Monte Carlo draws held at once in run_learning_study; at least 128,
+# the longest node that numpy's pairwise sum does not split
+_MC_CHUNK = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -65,6 +67,21 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str
 
 def _stream(scenario: Scenario, stream_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(stream_id,)))
+
+
+def _pairwise_total(n: int, leaf_totals):
+    """``np.add.reduce`` of n values, given ``leaf_totals(m)``: the
+    ``np.add.reduce`` of the next m values (or an array of such totals).
+
+    numpy sums a contiguous float64 array as one pairwise tree, whose
+    nodes of more than 128 values split at ``n // 2 - (n // 2) % 8``.
+    Walking those splits down to leaves of at most ``_MC_CHUNK`` values
+    and adding the leaf totals back up gives the bits of one reduce.
+    """
+    if n <= _MC_CHUNK:
+        return leaf_totals(n)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_total(half, leaf_totals) + _pairwise_total(n - half, leaf_totals)
 
 
 def run_altitude_curves(scenario: Scenario, out_dir: str) -> List[str]:
@@ -237,35 +254,45 @@ def run_learning_study(scenario: Scenario, out_dir: str) -> List[str]:
     (:func:`equal_share_sampling_numbers`), not the smaller total-count
     minimum of :func:`min_sampling_numbers`.
 
-    The 10^6 standard normal draws are taken once and shared by every
-    (lambda, stddev) cell.  Each cell fills one preallocated buffer of
-    increments slice by slice (``_MC_CHUNK`` draws at a time), so its
-    temporaries are a slice long, not 10^6.  The bytes do not depend on the slicing: every step before
-    the mean is elementwise, so each increment is the value the
-    full-length expression gives, and the mean is taken once over the
-    whole buffer, so numpy's pairwise summation sees the same array in
-    the same order.
+    Every (lambda, stddev) cell averages its increment over the same 10^6
+    standard normal draws, which stream in leaves of at most ``_MC_CHUNK``
+    through reused buffers; no array of 10^6 floats is held.  The means
+    still have the bits of ``np.mean`` over full-length arrays: the leaves
+    continue one generator stream, each increment is elementwise, the
+    leaves are nodes of numpy's own pairwise-sum tree
+    (:func:`_pairwise_total`), and the total is divided by 10^6 as
+    ``np.mean`` does.
     """
     env, radio = scenario.env, scenario.radio
     area = scenario.subregions[0].area
     p_cu = scenario.energy.p_circuit
     battery = scenario.energy.battery_j
-    z = _stream(scenario, 10).standard_normal(10**6)
-    increments = np.empty_like(z)
+    lams = (3.0, 10.0)
+    eigs = {lam: subregion_eigenvalue(lam, p_cu, env, radio, area, battery) for lam in lams}
+    fracs = (0.005, 0.01, 0.02, 0.04, 0.08, 0.12, 0.16)
+    cells = [(lam, frac * lam) for lam in lams for frac in fracs]
+    rng = _stream(scenario, 10)
+    z, draws, increments = (np.empty(_MC_CHUNK) for _ in range(3))
+
+    def leaf_totals(n: int) -> np.ndarray:
+        rng.standard_normal(n, out=z[:n])
+        totals = np.empty(len(cells))
+        for c, (lam, stddev) in enumerate(cells):
+            lam_hats = np.multiply(z[:n], stddev, out=draws[:n])
+            lam_hats += lam
+            np.maximum(lam_hats, 1e-12, out=lam_hats)
+            inc = rf_increment_exact_samples(
+                lam, lam_hats, p_cu, env, radio, area, battery, out=increments[:n]
+            )
+            totals[c] = np.add.reduce(inc)
+        return totals
+
+    n_draws = 10**6
+    means = _pairwise_total(n_draws, leaf_totals) / n_draws
     rows = []
-    for lam in (3.0, 10.0):
-        eig = subregion_eigenvalue(lam, p_cu, env, radio, area, battery)
-        for frac in (0.005, 0.01, 0.02, 0.04, 0.08, 0.12, 0.16):
-            stddev = frac * lam
-            for i in range(0, len(z), _MC_CHUNK):
-                j = i + _MC_CHUNK
-                draws = np.maximum(lam + stddev * z[i:j], 1e-12)
-                increments[i:j] = rf_increment_exact_samples(
-                    lam, draws, p_cu, env, radio, area, battery
-                )
-            measured = float(np.mean(increments))
-            xi = stddev * stddev
-            rows.append((lam, stddev, xi, measured, rf_increment(eig, xi)))
+    for (lam, stddev), measured in zip(cells, means.tolist()):
+        xi = stddev * stddev
+        rows.append((lam, stddev, xi, measured, rf_increment(eigs[lam], xi)))
     mc_path = write_csv(
         os.path.join(out_dir, "fig10_rf_increment_mc.csv"),
         ("lambda_per_m2", "stddev", "xi", "measured_increment", "second_order_increment"),

@@ -301,7 +301,9 @@ def static_rf_terms(
     check_positive("area", area)
     p1 = optimal_normalized_power(env, radio)
     spe = area / (math.pi * energy.battery_j)  # S / (pi E_b)
-    return spe * energy.p_circuit / radius**2, spe * radio.snr_gap * p1 * radius**2
+    # R * R, not R**2: a float's ** is libm's pow, an array's ** 2 is R * R
+    r2 = radius * radius
+    return spe * energy.p_circuit / r2, spe * radio.snr_gap * p1 * r2
 
 
 def static_rf_at_optimal_altitude(

@@ -148,13 +148,16 @@ def rf_increment_exact_samples(
     radio: RadioConfig,
     area: float,
     battery_j: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`rf_increment_exact` via the closed radius form.
 
     Algebraically identical to the scalar route (the stale-radius static
     RF reduces to K*(sqrt(lam_hat) + lam_true/sqrt(lam_hat)) with
     K = (S/(pi E_b)) * sqrt(P_cu (2^(C/W)-1) P1)); the scalar function
-    stays the reference in tests.
+    stays the reference in tests.  As in a numpy ufunc, ``out`` (a float
+    array of ``lam_hats``' shape) receives the increments and is returned;
+    by default a fresh array does.
     """
     check_positive("density lam", lam_true)
     check_positive("circuit power p_circuit", p_circuit)
@@ -164,10 +167,10 @@ def rf_increment_exact_samples(
     check_positive("predicted densities lam_hats", lam_hats)
     p1 = optimal_normalized_power(env, radio)
     k = (area / (math.pi * battery_j)) * math.sqrt(p_circuit * radio.snr_gap * p1)
-    # k*(sqrt(h) + lam/sqrt(h)) - 2k*sqrt(lam) in one fresh array, bit for
+    # k*(sqrt(h) + lam/sqrt(h)) - 2k*sqrt(lam) in one output array, bit for
     # bit: only the operands of + and * swap places, and IEEE + and * commute
     root = np.sqrt(lam_hats)
-    out = lam_true / root
+    out = np.divide(lam_true, root, out=out)
     out += root
     out *= k
     out -= 2.0 * k * math.sqrt(lam_true)

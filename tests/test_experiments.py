@@ -4,9 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavrf.cli import main
 from uavrf.experiments import (
+    _MC_CHUNK,
+    _pairwise_total,
+    _stream,
     run_figure,
     run_learning_study,
     run_policy_comparison,
@@ -65,8 +70,10 @@ def test_different_seed_changes_monte_carlo(tmp_path):
 
 
 def test_learning_study_memory_bounded(tmp_path):
-    # the 10^6 draws and one buffer of increments are 16 MiB; evaluating
-    # each (lambda, stddev) cell over all draws at once peaks near 38 MiB
+    # the study streams leaves of at most _MC_CHUNK draws through a few
+    # half-MiB buffers (about 2 MiB traced); one array of the 10^6 draws
+    # alone is 7.6 MiB, and holding the draws and a full buffer of
+    # increments peaked near 17 MiB
     sc = default_scenario()
     run_learning_study(sc, str(tmp_path))  # fill the per-environment caches untraced
     tracemalloc.start()
@@ -75,7 +82,70 @@ def test_learning_study_memory_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 4 * 2**20
+
+
+def _leaf_reader(values):
+    """A ``leaf_totals`` for :func:`_pairwise_total` that sums the next
+    leaf of ``values``, and the list of leaf lengths it was asked for."""
+    lengths = []
+
+    def leaf_totals(n):
+        start = sum(lengths)
+        lengths.append(n)
+        return np.add.reduce(values[start : start + n])
+
+    return leaf_totals, lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3 * _MC_CHUNK),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=1, seed=0)
+@example(n=127, seed=1)
+@example(n=129, seed=2)
+@example(n=_MC_CHUNK, seed=3)
+@example(n=_MC_CHUNK + 1, seed=4)
+@example(n=2 * _MC_CHUNK + 13, seed=5)
+@example(n=3 * _MC_CHUNK, seed=6)
+@example(n=10**6, seed=7)  # fig10's length: 16 leaves of 62,496 or 62,504
+def test_pairwise_total_has_the_bits_of_add_reduce(n, seed):
+    # pins numpy's summation tree that fig10's streamed mean relies on: a
+    # numpy that splits its pairwise sum elsewhere fails here, not only in
+    # the fig10 digests (adding the leaves' totals one after another gives
+    # other bits on fig10's own increments)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
+    leaf_totals, lengths = _leaf_reader(values)
+    total = _pairwise_total(n, leaf_totals)
+    assert total.hex() == np.add.reduce(values).hex()
+    assert sum(lengths) == n and max(lengths) <= _MC_CHUNK
+
+
+def test_learning_study_draws_continue_the_one_shot_stream():
+    # fig10 draws each leaf into a reused buffer; the leaves, concatenated,
+    # are the generator's one-shot standard_normal(10**6), bit for bit
+    sc = default_scenario()
+    rng, buffer, leaves = _stream(sc, 10), np.empty(_MC_CHUNK), []
+
+    def draw_leaf(n):
+        leaves.append(rng.standard_normal(n, out=buffer[:n]).copy())
+        return 0.0
+
+    _pairwise_total(10**6, draw_leaf)
+    one_shot = _stream(sc, 10).standard_normal(10**6)
+    streamed = np.concatenate(leaves)
+    assert {len(leaf) for leaf in leaves} == {62_496, 62_504}
+    assert np.array_equal(streamed.view(np.int64), one_shot.view(np.int64))
+    # nor does the split need multiples of 8: chunks of a prime length
+    rng = _stream(sc, 10)
+    odd = np.concatenate(
+        [rng.standard_normal(m, out=buffer[:m]).copy()
+         for m in np.diff(np.r_[0:10**6:4093, 10**6])]
+    )
+    assert np.array_equal(odd.view(np.int64), one_shot.view(np.int64))
 
 
 def test_policy_comparison_columns(tmp_path):

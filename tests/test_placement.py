@@ -28,6 +28,7 @@ from uavrf.placement import (
     optimal_radius,
     static_rf,
     static_rf_at_optimal_altitude,
+    static_rf_terms,
     tx_power,
     tx_power_direct,
 )
@@ -274,6 +275,18 @@ def test_static_rf_fast_path_matches_general(urban, radio, energy_unit_area):
         )
         general = static_rf(radius, lam, radius * h1, energy_unit_area, 1e6, urban, radio)
         assert fast == pytest.approx(general, rel=1e-6)
+
+
+def test_static_rf_terms_float_has_the_array_bits(urban, radio):
+    # a float's R**2 went through libm's pow, which differs from numpy's
+    # R * R in the last bit on a few radii in 10^4: C2 and C1 from a float
+    # (fig5, `uavrf static-rf`) then differed from the plan's arrays
+    energy = EnergyParams(p_circuit=5.16, battery_j=1e5)
+    radii = np.random.default_rng(0).lognormal(3.0, 1.0, 10**4)
+    for radius in radii.tolist():
+        scalar = static_rf_terms(radius, energy, 1e6, urban, radio)
+        array = static_rf_terms(np.array([radius]), energy, 1e6, urban, radio)
+        assert [t.hex() for t in scalar] == [t[0].hex() for t in array], radius
 
 
 def test_energy_params_validation():

@@ -149,6 +149,15 @@ def test_exact_samples_bits_match_oracle(lam_true, hats, p_circuit):
     assert np.array_equal(out.view(np.int64), expected.view(np.int64))
     assert np.array_equal(hats.view(np.int64), before.view(np.int64))  # the input is untouched
     assert not np.shares_memory(out, hats)
+    # into a given array, as fig10 does with a slice of a reused buffer
+    buffer = np.full(len(hats) + 3, np.nan)
+    given_out = buffer[: len(hats)]
+    into = rf_increment_exact_samples(
+        lam_true, hats, p_circuit, urban, radio, AREA, BATTERY, out=given_out
+    )
+    assert into is given_out
+    assert np.array_equal(buffer[: len(hats)].view(np.int64), expected.view(np.int64))
+    assert np.isnan(buffer[len(hats) :]).all()
 
 
 def test_monte_carlo_slope_quick(urban, radio):

@@ -849,10 +849,8 @@ def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_plan_tables_are_the_placement_closed_forms(data):
-    # each entry has the bits of placement's closed form at that one entry,
-    # and C1 and OPT sum them over the subregions in order; R* also has the
-    # bits of a float, but C2, C1 and OPT take a one-entry array (a float's
-    # R**2 is libm's pow, which differs from numpy's R*R in the last bit)
+    # each entry has the bits of placement's closed forms at that entry's
+    # floats, and C1 and OPT sum them over the subregions in order
     n_sub = data.draw(st.integers(min_value=1, max_value=3))
     n = data.draw(st.integers(min_value=1, max_value=4))
     lam = st.floats(min_value=1e-8, max_value=10.0)
@@ -867,15 +865,13 @@ def test_plan_tables_are_the_placement_closed_forms(data):
     for k in range(n):
         circuit, opt = [], []
         for b, sub in enumerate(sc.subregions):
-            lams = plan.lams[b, k : k + 1]
-            radius = optimal_radius(lams, energy.p_circuit, sc.env, sc.radio)
-            assert plan.radii[b, k].hex() == radius[0].hex()
-            scalar = optimal_radius(float(lams[0]), energy.p_circuit, sc.env, sc.radio)
-            assert plan.radii[b, k].hex() == scalar.hex()
+            density = float(plan.lams[b, k])
+            radius = optimal_radius(density, energy.p_circuit, sc.env, sc.radio)
+            assert plan.radii[b, k].hex() == radius.hex()
             terms = static_rf_terms(radius, energy, sub.area, sc.env, sc.radio)
-            assert plan.c2[b, k].hex() == terms[1][0].hex()
-            circuit.append(terms[0][0])
-            opt.append(min_static_rf(lams, energy, sub.area, sc.env, sc.radio)[0][0])
+            assert plan.c2[b, k].hex() == terms[1].hex()
+            circuit.append(terms[0])
+            opt.append(float(min_static_rf(density, energy, sub.area, sc.env, sc.radio)[0]))
         assert plan.c1[k].hex() == sum(circuit).hex()
         assert plan.opt[k].hex() == sum(opt).hex()
 
