@@ -40,7 +40,9 @@ from .patterns import (
 )
 from .placement import (
     EnergyParams,
+    NumericalError,
     SlotPlacement,
+    adaptive_simpson,
     min_static_rf,
     normalized_tx_power,
     optimal_altitude_ratio,
@@ -51,7 +53,6 @@ from .placement import (
     tx_power,
     tx_power_direct,
 )
-from .quadrature import QuadratureError, adaptive_simpson
 from .sampling import (
     GeneralizationError,
     LearningBudget,

@@ -12,7 +12,7 @@ Subcommands map one-to-one onto the library's main capabilities:
   compare    the three policies side by side across mobility powers
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure (quadrature or bracket search did not converge).
+failure (any ArithmeticError: no convergence, or a non-real series).
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from .experiments import (
 )
 from .layout import num_uavs
 from .patterns import pattern_preset, reconstruct_series, parse_pattern_file
-from .placement import (
-    BracketError,
-    min_static_rf,
-    normalized_tx_power,
-    optimal_altitude_ratio,
-)
-from .quadrature import QuadratureError
+from .placement import min_static_rf, normalized_tx_power, optimal_altitude_ratio
 from .sampling import LearningBudget, min_sampling_numbers, subregion_eigenvalue
 from .scenario import (
     ScenarioError,
@@ -313,7 +307,7 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (QuadratureError, BracketError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .channel import environment_preset
 from .layout import num_uavs
+from .patterns import DENSITY_FLOOR
 from .placement import (
     min_static_rf,
     normalized_tx_power,
@@ -280,7 +281,7 @@ def run_learning_study(scenario: Scenario, out_dir: str) -> List[str]:
         for c, (lam, stddev) in enumerate(cells):
             lam_hats = np.multiply(z[:n], stddev, out=draws[:n])
             lam_hats += lam
-            np.maximum(lam_hats, 1e-12, out=lam_hats)
+            np.maximum(lam_hats, DENSITY_FLOOR, out=lam_hats)
             inc = rf_increment_exact_samples(
                 lam, lam_hats, p_cu, env, radio, area, battery, out=increments[:n]
             )

@@ -17,8 +17,9 @@ on-board circuit power, and the minimal per-subregion recall frequency
 Only h1* (per environment) and P1(h1*) (per environment and radio) are
 cached; everything downstream of them is closed-form, cheap, and
 broadcasts over arrays of densities and areas.  P1 or its slope at any
-other ratio is a fresh radial quadrature, so the integrands are fused
-into one Python frame per evaluation.
+other ratio is a fresh radial quadrature (:func:`adaptive_simpson`), so
+the integrands are fused into one Python frame per evaluation.  Every
+failure to converge raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .channel import Environment, RadioConfig, check_positive, per_user_tx_power
 from .channel import los_probability  # noqa: F401  module attribute that perfbench/layers.py counts
-from .quadrature import adaptive_simpson
 
 
 @dataclass(frozen=True)
@@ -68,24 +68,83 @@ class SlotPlacement:
             check_positive(f.name, getattr(self, f.name), zero_ok=f.name != "radius")
 
 
-class BracketError(RuntimeError):
-    """The altitude-derivative never changed sign below the cap."""
-
-    def __init__(self, cap: float):
-        super().__init__(f"no derivative sign change found below altitude ratio {cap:g}")
-        self.cap = cap
+class NumericalError(ArithmeticError):
+    """A quadrature or the h1* search did not converge."""
 
 
-class ConvergenceError(BracketError):
-    """The bisection ran out of iterations before the derivative vanished."""
+def adaptive_simpson(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    rel_tol: float = 1e-8,
+    abs_tol: float = 0.0,
+    max_depth: int = 48,
+) -> float:
+    """Integrate ``f`` over [a, b] to a relative tolerance.
 
-    def __init__(self, iterations: int, ratio: float, slope: float):
-        RuntimeError.__init__(
-            self,
-            f"altitude-ratio bisection did not converge in {iterations} iterations "
-            f"(last ratio {ratio:g}, derivative {slope:g})",
-        )
-        self.iterations = iterations
+    The interval is halved wherever the two-panel Simpson estimate
+    disagrees with the one-panel estimate by more than the (scaled)
+    local tolerance; accepted panels take the standard delta/15
+    Richardson correction.  The relative tolerance applies per panel
+    against its own scale; the absolute tolerance halves with each
+    split.  Raises :class:`NumericalError` if any panel reaches
+    ``max_depth`` halvings.
+
+    The rule runs on an explicit stack, depth-first and left half first,
+    so it evaluates the integrand at the recursive rule's points in its
+    order.  A split panel leaves a ``None`` marker under its two halves;
+    popping it adds the halves' totals, left plus right, so the sum
+    follows the recursion's tree and keeps every bit of its result
+    (``tests/test_quadrature.py`` keeps the recursive rule as oracle).
+    """
+    if b < a:
+        raise ValueError("integration bounds must satisfy a <= b")
+    if b == a:
+        return 0.0
+
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    # Each entry is a panel (a, f(a), midpoint, f(mid), b, f(b), its
+    # one-panel estimate, absolute tolerance, halvings left) or None,
+    # which adds the two totals on top of ``done``.
+    stack = [(a, fa, m, fm, b, fb, whole, abs_tol, max_depth)]
+    done = []
+    pop, push, finish = stack.pop, stack.append, done.append
+    while stack:
+        panel = pop()
+        if panel is None:
+            right_total = done.pop()
+            done[-1] += right_total
+            continue
+        a, fa, m, fm, b, fb, whole, abs_tol, depth = panel
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = f(lm)
+        frm = f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        both = left + right
+        delta = both - whole
+        # max(abs_tol, rel_tol * |both|) without the call
+        tol = abs_tol
+        scaled = rel_tol * abs(both)
+        if scaled > tol:
+            tol = scaled
+        if abs(delta) <= 15.0 * tol:
+            finish(both + delta / 15.0)
+            continue
+        if depth <= 0:
+            raise NumericalError(
+                f"adaptive Simpson hit the subdivision cap on [{a:g}, {b:g}]; "
+                f"estimate {both + delta / 15.0!r}, error estimate {abs(delta) / 15.0!r}"
+            )
+        half_tol = abs_tol / 2.0
+        push(None)
+        push((m, fm, rm, frm, b, fb, right, half_tol, depth - 1))
+        push((a, fa, lm, flm, m, fm, left, half_tol, depth - 1))
+    return done[0]
 
 
 _RAD_TO_DEG = 180.0 / math.pi  # math.degrees(x) is x * _RAD_TO_DEG, bit for bit
@@ -218,9 +277,9 @@ def optimal_altitude_ratio(env: Environment) -> float:
 
     Bracketed bisection on the analytic derivative; depends only on the
     environment, so results are cached per environment.  Raises
-    :class:`BracketError` when no bracket exists below the cap, and its
-    subclass :class:`ConvergenceError` when the iterations run out
-    before the derivative falls below the stopping threshold.
+    :class:`NumericalError` when no bracket exists below the cap or the
+    iterations run out before the derivative falls below the stopping
+    threshold.
     """
     slope = lambda h1: _geometry_slope(h1, env)
     h_min, h_max = 0.0, 1.0
@@ -228,7 +287,9 @@ def optimal_altitude_ratio(env: Environment) -> float:
     while d_min * slope(h_max) >= 0.0:
         h_max *= _BRACKET_SCALE
         if h_max > _BRACKET_CAP:
-            raise BracketError(_BRACKET_CAP)
+            raise NumericalError(
+                f"no derivative sign change found below altitude ratio {_BRACKET_CAP:g}"
+            )
     h_star, d = h_min, d_min
     for _ in range(_MAX_ITERATIONS):
         h_star = 0.5 * (h_min + h_max)
@@ -239,7 +300,10 @@ def optimal_altitude_ratio(env: Environment) -> float:
             h_max = h_star
         else:
             h_min = h_star
-    raise ConvergenceError(_MAX_ITERATIONS, h_star, d)
+    raise NumericalError(
+        f"altitude-ratio bisection did not converge in {_MAX_ITERATIONS} iterations "
+        f"(last ratio {h_star:g}, derivative {d:g})"
+    )
 
 
 @lru_cache(maxsize=None)

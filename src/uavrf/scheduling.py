@@ -587,8 +587,13 @@ def dynamic_rf(schedule: Schedule, scenario: Scenario) -> float:
     from the densities and the closed-form static recall frequency of
     each epoch's radii over the schedule's horizon, without the
     scheduler's plan; agrees with ``schedule.avg_dynamic_rf`` to float
-    precision.
+    precision.  A scenario with another slot length raises ValueError.
     """
+    if scenario.slot_s != schedule.slot_s:
+        raise ValueError(
+            f"scenario slot_s {scenario.slot_s:g} s differs from the schedule's "
+            f"slot_s {schedule.slot_s:g} s"
+        )
     horizon = schedule.horizon_s
     mu = schedule.slot_s
     n = int(round(horizon / mu))

@@ -307,7 +307,7 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
          "num_uavs"],
 )
 def test_non_finite_input_names_the_argument(named, call, value):
-    # each returned nan or inf, raised QuadratureError, or named no argument
+    # each returned nan or inf, raised NumericalError, or named no argument
     with pytest.raises(ValueError, match=f"^{named} must be finite and"):
         call(value)
 

@@ -205,7 +205,7 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cli_numerical_exit_code(tmp_path):
+def test_cli_numerical_exit_code(tmp_path, capsys):
     # flat excess loss: the altitude search has no interior optimum
     cfg = tmp_path / "flat.cfg"
     cfg.write_text(
@@ -214,6 +214,7 @@ def test_cli_numerical_exit_code(tmp_path):
     )
     code = main(["--config", str(cfg), "--out", str(tmp_path), "altitude"])
     assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_cli_negative_seed_exit_2(tmp_path, capsys):

@@ -17,9 +17,8 @@ from uavrf.channel import (
     los_probability_altitude_slope,
 )
 from uavrf.placement import (
-    BracketError,
-    ConvergenceError,
     EnergyParams,
+    NumericalError,
     SlotPlacement,
     min_static_rf,
     normalized_tx_power,
@@ -122,19 +121,42 @@ def test_altitude_bracket_failure(radio, monkeypatch):
     # flat excess kills the descending branch: no interior optimum
     env = Environment(a=1.0, b=1.0, eta_los=1.0, eta_nlos=1.0)
     monkeypatch.setattr(pl, "_BRACKET_CAP", 1e4)
-    with pytest.raises(BracketError, match="below altitude ratio 10000"):
+    with pytest.raises(NumericalError, match="below altitude ratio 10000"):
         optimal_altitude_ratio(env)
 
 
 def test_altitude_unconverged_search_raises(urban, monkeypatch):
     # two bisection steps cannot reach |derivative| < 1e-300; the search
-    # must fail loudly (a BracketError, so the CLI exits with code 3)
+    # must fail loudly (a NumericalError, so the CLI exits with code 3)
     monkeypatch.setattr(pl, "_MAX_ITERATIONS", 2)
     monkeypatch.setattr(pl, "_SLOPE_TOL", 1e-300)
-    with pytest.raises(ConvergenceError, match="did not converge in 2 iterations") as info:
+    with pytest.raises(NumericalError, match="did not converge in 2 iterations"):
         optimal_altitude_ratio.__wrapped__(urban)  # past the cache, which may hold urban
-    assert isinstance(info.value, BracketError)
-    assert info.value.iterations == 2
+
+
+@pytest.mark.parametrize(
+    "patches, call",
+    [
+        ({}, lambda: pl.adaptive_simpson(
+            lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-14), 0.0, 1.0, rel_tol=1e-13, max_depth=6
+        )),
+        ({"_BRACKET_CAP": 1e4}, lambda: optimal_altitude_ratio.__wrapped__(
+            Environment(a=1.0, b=1.0, eta_los=1.0, eta_nlos=1.0)
+        )),
+        ({"_MAX_ITERATIONS": 2, "_SLOPE_TOL": 1e-300},
+         lambda: optimal_altitude_ratio.__wrapped__(URBAN)),
+    ],
+    ids=["simpson-cap", "no-bracket", "bisection-iterations"],
+)
+def test_numerical_failures_are_one_arithmetic_error(patches, call, monkeypatch):
+    # every kind raises the one class, and the CLI's `except ArithmeticError`
+    # maps it to exit code 3
+    for name, value in patches.items():
+        monkeypatch.setattr(pl, name, value)
+    with pytest.raises(NumericalError) as info:
+        call()
+    assert type(info.value) is NumericalError
+    assert isinstance(info.value, ArithmeticError)
 
 
 def test_optimal_altitude_scales_with_radius(urban, radio):

@@ -595,6 +595,15 @@ def test_dynamic_rf_reassembly_matches():
         assert dynamic_rf(sched, sc) == pytest.approx(sched.avg_dynamic_rf, rel=1e-12)
 
 
+def test_dynamic_rf_rejects_another_slot_length():
+    # densities sampled on 1200 s slots but indexed by the schedule's 600 s
+    # slots scored the lazy day at 1.809e-6 instead of 3.619e-6, silently
+    sc = reference_scenario().with_mobility_power(1.5)
+    sched = baseline_schedule("lazy", sc)
+    with pytest.raises(ValueError, match="slot_s 1200 s differs from the schedule's slot_s 600 s"):
+        dynamic_rf(sched, dataclasses.replace(sc, slot_s=1200.0))
+
+
 @pytest.mark.parametrize("slot_s, n", [(7.3, 120), (599.9, 144), (0.1, 120)])
 def test_update_slots_exact_for_inexact_slot_lengths(slot_s, n):
     # k * slot_s / slot_s can fall below k: a floor gave [0, 1, 2, 2, 4, ...]
