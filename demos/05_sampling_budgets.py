@@ -18,6 +18,7 @@ from uavrf import (
     subregion_eigenvalue,
     vc_epsilon,
 )
+from uavrf.patterns import DENSITY_FLOOR
 from uavrf.sampling import rf_increment_exact_samples
 
 radio = RadioConfig()
@@ -36,7 +37,7 @@ eig = subregion_eigenvalue(lam, 0.5, urban, radio, area, battery)
 z = np.random.default_rng(7).standard_normal(200_000)
 for frac in (0.01, 0.02):
     s = frac * lam
-    inc = rf_increment_exact_samples(lam, np.maximum(lam + s * z, 1e-12),
+    inc = rf_increment_exact_samples(lam, np.maximum(lam + s * z, DENSITY_FLOOR),
                                      0.5, urban, radio, area, battery)
     print(f"  stddev {s:4.2f}: measured/xi = {inc.mean() / (s * s):.4e} "
           f"vs Lambda = {eig:.4e}")

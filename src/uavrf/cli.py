@@ -36,7 +36,12 @@ from .experiments import (
 )
 from .layout import num_uavs
 from .patterns import pattern_preset, reconstruct_series, parse_pattern_file
-from .placement import min_static_rf, normalized_tx_power, optimal_altitude_ratio
+from .placement import (
+    min_static_rf,
+    normalized_tx_power,
+    optimal_altitude_ratio,
+    optimal_normalized_power,
+)
 from .sampling import LearningBudget, min_sampling_numbers, subregion_eigenvalue
 from .scenario import (
     ScenarioError,
@@ -84,7 +89,7 @@ def _cmd_altitude(args) -> int:
         rows,
     )
     print(f"environment={env.name} h1_star={h1_star:.6f} "
-          f"p1_star={normalized_tx_power(h1_star, env, radio):.6e} W")
+          f"p1_star={optimal_normalized_power(env, radio):.6e} W")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -120,9 +120,9 @@ def _static_rf_curve(scenario: Scenario, lam: float, p_cu: float, n: int):
     area, env, radio = scenario.subregions[0].area, scenario.env, scenario.radio
     r_star = optimal_radius(lam, p_cu, env, radio)
     energy = dataclasses.replace(scenario.energy, p_circuit=p_cu)
-    for radius in np.unique(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, n), r_star)):
-        phi = static_rf_at_optimal_altitude(radius, lam, energy, area, env, radio)
-        yield radius, phi, radius == r_star
+    radii = np.unique(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, n), r_star))
+    phis = static_rf_at_optimal_altitude(radii, lam, energy, area, env, radio)
+    return [(radius, phi, radius == r_star) for radius, phi in zip(radii, phis)]
 
 
 def run_rf_vs_radius(scenario: Scenario, out_dir: str) -> List[str]:

@@ -14,8 +14,10 @@ on-board circuit power, and the minimal per-subregion recall frequency
 
     phi* = (2 S / (pi E_b)) * sqrt(lam * (2^(C/W) - 1) * P_cu * P1(h1*)).
 
-Only h1* (per environment) and P1(h1*) (per environment and radio) are
-cached; everything downstream of them is closed-form, cheap, and
+The one memo, :func:`_optimum`, keeps h1* and its disk integral for the
+last ``_OPTIMUM_MEMO`` environments (its ``cache_info()`` misses count
+the h1* solves); P1(h1*) for any radio is that integral times the
+radio's scale.  Everything downstream is closed-form, cheap, and
 broadcasts over arrays of densities and areas.  P1 or its slope at any
 other ratio is a fresh radial quadrature (:func:`adaptive_simpson`), so
 the integrands are fused into one Python frame per evaluation.  Every
@@ -226,16 +228,15 @@ def _geometry_slope(h1: float, env: Environment) -> float:
     )
 
 
+def _radio_scale(radio: RadioConfig) -> float:
+    """N0 * W * Gamma * K [W]: the normalized power per unit disk integral."""
+    return radio.noise_density * radio.bandwidth_hz * radio.snr_gap * radio.fspl_factor
+
+
 def normalized_tx_power(h1: float, env: Environment, radio: RadioConfig) -> float:
     """Transmit power [W] of a unit-radius, unit-density cell at ratio h1."""
     check_positive("altitude ratio h1", h1, zero_ok=True)
-    return (
-        radio.noise_density
-        * radio.bandwidth_hz
-        * radio.snr_gap
-        * radio.fspl_factor
-        * _geometry_integral(h1, env)
-    )
+    return _radio_scale(radio) * _geometry_integral(h1, env)
 
 
 def tx_power(radius: float, lam: float, h: float, env: Environment, radio: RadioConfig) -> float:
@@ -271,12 +272,16 @@ def tx_power_direct(
     return lam * adaptive_simpson(f, 0.0, radius, rel_tol=_QUAD_TOL)
 
 
-@lru_cache(maxsize=None)
-def optimal_altitude_ratio(env: Environment) -> float:
-    """Altitude-to-radius ratio h1* minimizing the normalized power.
+# environments whose optimum is kept: every preset and the 50 drawn
+# environments of a single-slot study, with room to spare
+_OPTIMUM_MEMO = 128
 
-    Bracketed bisection on the analytic derivative; depends only on the
-    environment, so results are cached per environment.  Raises
+
+@lru_cache(maxsize=_OPTIMUM_MEMO)
+def _optimum(env: Environment) -> tuple[float, float]:
+    """(h1*, the disk integral at h1*) for one environment.
+
+    Bracketed bisection on the analytic derivative; raises
     :class:`NumericalError` when no bracket exists below the cap or the
     iterations run out before the derivative falls below the stopping
     threshold.
@@ -295,7 +300,7 @@ def optimal_altitude_ratio(env: Environment) -> float:
         h_star = 0.5 * (h_min + h_max)
         d = slope(h_star)
         if abs(d) < _SLOPE_TOL:
-            return h_star
+            return h_star, _geometry_integral(h_star, env)
         if d >= 0.0:
             h_max = h_star
         else:
@@ -306,10 +311,14 @@ def optimal_altitude_ratio(env: Environment) -> float:
     )
 
 
-@lru_cache(maxsize=None)
+def optimal_altitude_ratio(env: Environment) -> float:
+    """Altitude-to-radius ratio h1* minimizing the normalized power."""
+    return _optimum(env)[0]
+
+
 def optimal_normalized_power(env: Environment, radio: RadioConfig) -> float:
-    """P1(h1*), cached per environment and radio configuration."""
-    return normalized_tx_power(optimal_altitude_ratio(env), env, radio)
+    """P1(h1*): :func:`normalized_tx_power` at h1*, bit for bit."""
+    return _radio_scale(radio) * _optimum(env)[1]
 
 
 def optimal_radius(
@@ -380,8 +389,8 @@ def static_rf_at_optimal_altitude(
 ) -> float:
     """Static recall frequency when altitude tracks radius * h1*.
 
-    Closed form via the cached P1(h1*); it traces the recall frequency
-    over the radius for fig5 and ``uavrf static-rf``.
+    Closed form via the memoized P1(h1*); an array of radii gets the
+    whole curve of fig5 and ``uavrf static-rf`` in one call.
     """
     check_positive("density lam", lam, zero_ok=True)
     circuit, transmit = static_rf_terms(radius, energy, area, env, radio)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from uavrf.channel import RadioConfig, environment_preset
-from uavrf.patterns import pattern_preset, reconstruct_series
+from uavrf.patterns import DENSITY_FLOOR, pattern_preset, reconstruct_series
 from uavrf.placement import (
     optimal_altitude_ratio,
     optimal_radius,
@@ -265,7 +265,7 @@ def test_criterion_08_inflation_slope():
     xis, means = [], []
     for frac in (0.005, 0.0075, 0.01, 0.0125, 0.015, 0.0175, 0.02):
         s = frac * lam
-        draws = np.maximum(lam + s * z, 1e-12)
+        draws = np.maximum(lam + s * z, DENSITY_FLOOR)
         inc = rf_increment_exact_samples(lam, draws, 0.5, URBAN, RADIO, AREA, BATTERY)
         xis.append(s * s)
         means.append(float(inc.mean()))
@@ -282,7 +282,7 @@ def test_criterion_08_inflation_slope():
     # margin for 1e6 draws), so the floor clamp never dominates the mean
     for frac in (0.04, 0.08, 0.12, 0.16):
         s = frac * lam
-        draws = np.maximum(lam + s * z, 1e-12)
+        draws = np.maximum(lam + s * z, DENSITY_FLOOR)
         measured = float(
             rf_increment_exact_samples(lam, draws, 0.5, URBAN, RADIO, AREA, BATTERY).mean()
         )

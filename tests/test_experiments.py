@@ -441,6 +441,11 @@ CLI_CSV_DIGESTS = [
                 "13d168d06e70f916ab63dc36c267ba5a1afd40d30f49b7a3a889c09605e0ba73",
         },
     ),
+    (["altitude"], {"altitude_curve.csv": "bbc488d20c7dc1fd87e42c02445e827077bf66bb0773a24ffd2d33fc24da6c83"}),
+    (
+        ["--env", "suburban", "altitude"],
+        {"altitude_curve.csv": "ddcb817794910c7c905b5014e35cad0920a2fe21a023eaf113d48eb0ac7e7991"},
+    ),
     (
         ["static-rf", "--lam", "0.1", "--p-circuit", "0.5"],
         {"static_rf_curve.csv": "c97effc8168eef74014d13eea543a664bd7615c58b570127862011c311aaae74"},

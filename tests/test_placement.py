@@ -13,6 +13,7 @@ from uavrf.channel import (
     SUBURBAN,
     URBAN,
     Environment,
+    RadioConfig,
     los_probability,
     los_probability_altitude_slope,
 )
@@ -131,7 +132,7 @@ def test_altitude_unconverged_search_raises(urban, monkeypatch):
     monkeypatch.setattr(pl, "_MAX_ITERATIONS", 2)
     monkeypatch.setattr(pl, "_SLOPE_TOL", 1e-300)
     with pytest.raises(NumericalError, match="did not converge in 2 iterations"):
-        optimal_altitude_ratio.__wrapped__(urban)  # past the cache, which may hold urban
+        pl._optimum.__wrapped__(urban)  # past the memo, which may hold urban
 
 
 @pytest.mark.parametrize(
@@ -140,11 +141,11 @@ def test_altitude_unconverged_search_raises(urban, monkeypatch):
         ({}, lambda: pl.adaptive_simpson(
             lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-14), 0.0, 1.0, rel_tol=1e-13, max_depth=6
         )),
-        ({"_BRACKET_CAP": 1e4}, lambda: optimal_altitude_ratio.__wrapped__(
+        ({"_BRACKET_CAP": 1e4}, lambda: pl._optimum.__wrapped__(
             Environment(a=1.0, b=1.0, eta_los=1.0, eta_nlos=1.0)
         )),
         ({"_MAX_ITERATIONS": 2, "_SLOPE_TOL": 1e-300},
-         lambda: optimal_altitude_ratio.__wrapped__(URBAN)),
+         lambda: pl._optimum.__wrapped__(URBAN)),
     ],
     ids=["simpson-cap", "no-bracket", "bisection-iterations"],
 )
@@ -463,7 +464,7 @@ def test_p1_curve_matches_recursive_composition(monkeypatch, radio):
     def curve():
         values = []
         for env in (URBAN, DENSE_URBAN, SUBURBAN):
-            values.append(pl.optimal_altitude_ratio.__wrapped__(env))
+            values.append(pl._optimum.__wrapped__(env)[0])
             values += [normalized_tx_power(h, env, radio) for h in np.linspace(0.0, 3.0, 301)]
         return [float(v).hex() for v in values]
 
@@ -473,3 +474,46 @@ def test_p1_curve_matches_recursive_composition(monkeypatch, radio):
     monkeypatch.setattr(pl, "_p1_slope_integrand", _composed_slope)
     assert len(fast) == 906
     assert curve() == fast
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_box("a"),
+    b=_box("b"),
+    eta_los=_box("eta_los"),
+    eta_nlos=_box("eta_nlos"),
+    carrier_hz=st.floats(1e8, 1e10),
+    bandwidth_hz=st.floats(1e3, 1e5),
+    noise_density=st.floats(1e-18, 1e-12),
+    rate_bps=st.floats(1e3, 1e5),
+)
+def test_memoized_optimum_power_is_the_direct_quadrature(
+    a, b, eta_los, eta_nlos, carrier_hz, bandwidth_hz, noise_density, rate_bps
+):
+    # the memo keeps one integral per environment; any radio's P1(h1*)
+    # must still be the bits of a fresh quadrature at h1*
+    env = Environment(a=a, b=b, eta_los=eta_los, eta_nlos=eta_nlos)
+    radio = RadioConfig(
+        carrier_hz=carrier_hz,
+        bandwidth_hz=bandwidth_hz,
+        noise_density=noise_density,
+        rate_bps=rate_bps,
+    )
+    want = normalized_tx_power(optimal_altitude_ratio(env), env, radio)
+    assert optimal_normalized_power(env, radio).hex() == want.hex()
+
+
+def test_optimum_memo_stays_bounded_and_resolves_the_same_bits():
+    bound = pl._optimum.cache_info().maxsize
+    envs = [
+        dataclasses.replace(URBAN, a=URBAN.a + 0.01 * i, name=f"sweep{i}")
+        for i in range(bound + 8)
+    ]
+    first = [pl._optimum(env) for env in envs]
+    info = pl._optimum.cache_info()
+    assert info.currsize == bound
+    # the eight oldest were evicted: each is solved again, to the same bits
+    again = [pl._optimum(env) for env in envs[:8]]
+    assert pl._optimum.cache_info().misses == info.misses + 8
+    assert pl._optimum.cache_info().currsize == bound
+    assert [(h.hex(), g.hex()) for h, g in again] == [(h.hex(), g.hex()) for h, g in first[:8]]

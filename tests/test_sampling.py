@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavrf.channel import RadioConfig, environment_preset
+from uavrf.patterns import DENSITY_FLOOR
 from uavrf.placement import EnergyParams, optimal_normalized_power, optimal_radius, static_rf
 from uavrf.sampling import (
     GeneralizationError,
@@ -170,7 +171,7 @@ def test_monte_carlo_slope_quick(urban, radio):
     for frac in (0.01, 0.015, 0.02):
         s = frac * lam
         inc = rf_increment_exact_samples(
-            lam, np.maximum(lam + s * z, 1e-12), 0.5, urban, radio, AREA, BATTERY
+            lam, np.maximum(lam + s * z, DENSITY_FLOOR), 0.5, urban, radio, AREA, BATTERY
         )
         xis.append(s * s)
         means.append(float(inc.mean()))
