@@ -12,7 +12,7 @@ Subcommands map one-to-one onto the library's main capabilities:
   compare    the three policies side by side across mobility powers
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure (any ArithmeticError: no convergence, or a non-real series).
+failure (any ArithmeticError: a quadrature or search that does not converge).
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 Measured weekly traffic in a city block is well captured by a handful
 of DFT coefficients (a DC term plus the 1-, 7- and 14-cycles-per-week
 harmonics).  A pattern here stores only those coefficients; the mirror
-coefficients are synthesized by conjugation so the reconstruction is
-real by construction.  Traffic maps to user density by dividing by the
-per-user rate and a reference cell area, with floor quantization to the
-sampling period.
+coefficients are synthesized by conjugation, and a coefficient that is
+its own mirror (the DC term, and the N/2 term for even N) must be real,
+so the reconstruction is real by construction.  Traffic maps to user
+density by dividing by the per-user rate and a reference cell area,
+with floor quantization to the sampling period.
 
 The raw reconstructions of the shipped presets oscillate around a small
 DC value, so negative values are clamped to zero; scenario code that
@@ -25,8 +26,9 @@ import numpy as np
 
 from .channel import RadioConfig, check_positive
 
-#: Relative imaginary residual allowed before a reconstruction is
-#: declared non-real (conjugate symmetry violated).
+#: Relative imaginary part allowed in a coefficient that is its own
+#: mirror (k = 0, and k = N/2 for even N); a DC written with phase pi
+#: keeps about 1.2e-16.
 REALNESS_TOL = 1e-9
 
 #: Truncation floor for perturbed density draws [users/m^2].
@@ -74,6 +76,19 @@ class Rect:
         )
 
 
+def _coefficient_problem(k: int, x: complex, n_samples: int) -> str | None:
+    """Why ``x`` cannot be stored at index ``k`` of an ``n_samples`` record."""
+    half = n_samples // 2
+    if not 0 <= k <= half:
+        return (
+            f"coefficient index {k} outside [0, {half}] for N {n_samples}; "
+            "mirror indices are implied"
+        )
+    if (k == 0 or 2 * k == n_samples) and abs(x.imag) > REALNESS_TOL * abs(x):
+        return f"coefficient {k} is its own mirror and must be real (phase 0 or pi), got {x!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class DensityPattern:
     """Sparse spectral description of one subregion's weekly traffic.
@@ -94,13 +109,11 @@ class DensityPattern:
             raise ValueError(f"scale must be finite, got {self.scale!r}")
         check_positive("sample_period", self.sample_period)
         for k, x in self.coefficients.items():
-            if not 0 <= k <= self.n_samples // 2:
-                raise ValueError(
-                    f"coefficient index {k} outside [0, {self.n_samples // 2}]; "
-                    "mirror indices are implied and must not be stored"
-                )
             if not cmath.isfinite(x):
                 raise ValueError(f"coefficient {k} must be finite, got {x!r}")
+            problem = _coefficient_problem(k, x, self.n_samples)
+            if problem:
+                raise ValueError(problem)
 
     def week_samples(self) -> int:
         """Samples per week (one quarter of the default 4-week record)."""
@@ -169,18 +182,9 @@ def reconstruct_series(pattern: DensityPattern, n: Iterable[int]) -> np.ndarray:
     """Reconstructed traffic amounts at sample indices ``n``.
 
     Indices wrap modulo the record length, giving the periodic
-    extension.  Results are clamped at zero; a non-vanishing imaginary
-    part (impossible for conjugate-symmetric coefficients) raises.
+    extension.  Results are clamped at zero.
     """
-    raw = _raw_series(pattern, np.asarray(list(n)))
-    scale = max(1.0, float(np.max(np.abs(raw.real))) if raw.size else 1.0)
-    worst = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst > REALNESS_TOL * scale:
-        raise ArithmeticError(
-            f"reconstruction is not real (worst imag {worst:g}); "
-            "coefficients violate conjugate symmetry"
-        )
-    return np.maximum(raw.real, 0.0)
+    return np.maximum(_raw_series(pattern, np.asarray(list(n))).real, 0.0)
 
 
 def user_density(sub: Subregion, t: float, radio: RadioConfig) -> float:
@@ -275,11 +279,9 @@ def parse_pattern_file(text: str) -> DensityPattern:
     if not coeffs:
         raise ValueError("pattern file defines no coefficients")
     for k, lineno in coeff_lines.items():
-        if not 0 <= k <= n_samples // 2:
-            raise ValueError(
-                f"pattern file line {lineno}: coefficient index {k} outside "
-                f"[0, {n_samples // 2}] for N {n_samples}; mirror indices are implied"
-            )
+        problem = _coefficient_problem(k, coeffs[k], n_samples)
+        if problem:
+            raise ValueError(f"pattern file line {lineno}: {problem}")
     return DensityPattern(scale=gamma, coefficients=coeffs, n_samples=n_samples, sample_period=mu)
 
 

@@ -19,8 +19,9 @@ last ``_OPTIMUM_MEMO`` environments (its ``cache_info()`` misses count
 the h1* solves); P1(h1*) for any radio is that integral times the
 radio's scale.  Everything downstream is closed-form, cheap, and
 broadcasts over arrays of densities and areas.  P1 or its slope at any
-other ratio is a fresh radial quadrature (:func:`adaptive_simpson`), so
-the integrands are fused into one Python frame per evaluation.  Every
+other ratio is a fresh radial quadrature by the recursive adaptive
+Simpson rule (:func:`adaptive_simpson`; Lyness, J. ACM 1969), so the
+integrands are fused into one Python frame per evaluation.  Every
 failure to converge raises :class:`NumericalError`.
 """
 
@@ -91,36 +92,13 @@ def adaptive_simpson(
     against its own scale; the absolute tolerance halves with each
     split.  Raises :class:`NumericalError` if any panel reaches
     ``max_depth`` halvings.
-
-    The rule runs on an explicit stack, depth-first and left half first,
-    so it evaluates the integrand at the recursive rule's points in its
-    order.  A split panel leaves a ``None`` marker under its two halves;
-    popping it adds the halves' totals, left plus right, so the sum
-    follows the recursion's tree and keeps every bit of its result
-    (``tests/test_quadrature.py`` keeps the recursive rule as oracle).
     """
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
         return 0.0
 
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # Each entry is a panel (a, f(a), midpoint, f(mid), b, f(b), its
-    # one-panel estimate, absolute tolerance, halvings left) or None,
-    # which adds the two totals on top of ``done``.
-    stack = [(a, fa, m, fm, b, fb, whole, abs_tol, max_depth)]
-    done = []
-    pop, push, finish = stack.pop, stack.append, done.append
-    while stack:
-        panel = pop()
-        if panel is None:
-            right_total = done.pop()
-            done[-1] += right_total
-            continue
-        a, fa, m, fm, b, fb, whole, abs_tol, depth = panel
+    def panel(a, fa, m, fm, b, fb, whole, abs_tol, depth):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm = f(lm)
@@ -135,18 +113,21 @@ def adaptive_simpson(
         if scaled > tol:
             tol = scaled
         if abs(delta) <= 15.0 * tol:
-            finish(both + delta / 15.0)
-            continue
+            return both + delta / 15.0
         if depth <= 0:
             raise NumericalError(
                 f"adaptive Simpson hit the subdivision cap on [{a:g}, {b:g}]; "
                 f"estimate {both + delta / 15.0!r}, error estimate {abs(delta) / 15.0!r}"
             )
         half_tol = abs_tol / 2.0
-        push(None)
-        push((m, fm, rm, frm, b, fb, right, half_tol, depth - 1))
-        push((a, fa, lm, flm, m, fm, left, half_tol, depth - 1))
-    return done[0]
+        return panel(a, fa, lm, flm, m, fm, left, half_tol, depth - 1) + panel(
+            m, fm, rm, frm, b, fb, right, half_tol, depth - 1
+        )
+
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    return panel(a, fa, m, fm, b, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), abs_tol, max_depth)
 
 
 _RAD_TO_DEG = 180.0 / math.pi  # math.degrees(x) is x * _RAD_TO_DEG, bit for bit

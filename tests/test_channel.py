@@ -70,6 +70,9 @@ def test_radio_validation():
     with pytest.raises(ValueError):
         RadioConfig(bandwidth_hz=0.0)
     assert RadioConfig().snr_gap == pytest.approx(1.0)  # C = W regime
+    # each field finite and positive, their ratio not
+    with pytest.raises(ValueError, match="rate/bandwidth ratio must be finite"):
+        RadioConfig(rate_bps=1e300, bandwidth_hz=1e-300)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -464,6 +464,14 @@ CLI_CSV_DIGESTS = [
         },
     ),
     (
+        ["pattern", "--label", "E", "--week"],
+        {"pattern_E.csv": "9e8972dfd0f7508611164fcf1a2961e56568455f13175754a003988e8c0d6084"},
+    ),
+    (
+        ["pattern", "--label", "C"],
+        {"pattern_C.csv": "a6cb241836a33861c570725772271322e22e5afb1567fbf0e9db9ac2be5fe7af"},
+    ),
+    (
         ["compare", "--pm", "0", "0.2", "3", "20"],
         {
             "fig8_policy_comparison.csv":
@@ -490,6 +498,28 @@ def test_cli_pattern_file_error_names_the_line(tmp_path, capsys):
     pattern.write_text("gamma_r 1.0\nN 0\n4 0.5 0.3\n")
     assert main(["--out", str(tmp_path), "pattern", "--pattern-file", str(pattern)]) == 2
     assert "line 2: N must be finite and positive" in capsys.readouterr().err
+
+
+_NON_REAL_DC = "gamma_r 8.35e11\n0 3.24e-4 0.5\n28 0.5 2.36\n"
+
+
+def test_cli_pattern_file_non_real_dc_is_a_validation_error(tmp_path, capsys):
+    # a DC phase of 0.5 would make every reconstruction complex: the file
+    # is rejected where it is read, naming the line, not later as exit 3
+    pattern = tmp_path / "dc.pat"
+    pattern.write_text(_NON_REAL_DC)
+    assert main(["--out", str(tmp_path), "pattern", "--pattern-file", str(pattern)]) == 2
+    assert "line 2: coefficient 0 is its own mirror and must be real" in capsys.readouterr().err
+
+
+def test_cli_scenario_non_real_dc_names_section_and_file(tmp_path, capsys):
+    (tmp_path / "dc.pat").write_text(_NON_REAL_DC)
+    cfg = tmp_path / "dc.cfg"
+    cfg.write_text("[subregion A]\nrect = 0 0 1000 1000\npattern = file:dc.pat\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "schedule"]) == 2
+    err = capsys.readouterr().err
+    assert "[subregion A] pattern 'file:dc.pat': pattern file line 2: coefficient 0" in err
+    assert "dc.cfg" in err
 
 
 def test_cli_schedule_zero_explicit_density_names_its_source(tmp_path, capsys):

@@ -248,9 +248,40 @@ def test_user_density_clamped_overnight(radio):
         ("gamma_r 1.0\n# header after the data\n6 1 0\n0 1.0 0.0\nN 8\n",
          r"line 3: coefficient index 6 outside \[0, 4\] for N 8"),
         ("gamma_r 1.0\n0 1.0 0.0\n-1 0.5 0.0\n", r"line 3: coefficient index -1 outside"),
+        # the DC term and, for even N, the N/2 term have no conjugate
+        # partner, so any phase but 0 or pi would make the series complex
+        ("gamma_r 8.35e11\n0 3.24e-4 0.5\n28 0.5 2.36\n",
+         "line 2: coefficient 0 is its own mirror and must be real"),
+        ("gamma_r 1.0\nN 8\n0 1.0 0.0\n4 0.5 0.3\n",
+         "line 4: coefficient 4 is its own mirror and must be real"),
     ],
-    ids=["N-zero", "N-negative", "mu-zero", "index-above-half", "index-before-N", "index-negative"],
+    ids=["N-zero", "N-negative", "mu-zero", "index-above-half", "index-before-N", "index-negative",
+         "dc-phase", "nyquist-phase"],
 )
 def test_pattern_file_range_errors_name_the_line_and_key(text, named):
     with pytest.raises(ValueError, match=f"^pattern file {named}"):
         parse_pattern_file(text)
+
+
+def test_pattern_rejects_non_real_self_mirror():
+    for k, n_samples in ((0, 8), (4, 8), (0, 9)):
+        with pytest.raises(ValueError, match=f"^coefficient {k} is its own mirror"):
+            DensityPattern(scale=1.0, coefficients={k: cmath.rect(1.0, 0.5)}, n_samples=n_samples)
+    # for odd N the top stored index has a mirror, so it may be complex
+    DensityPattern(scale=1.0, coefficients={4: cmath.rect(1.0, 0.5)}, n_samples=9)
+
+
+def test_negative_real_self_mirror_round_trips():
+    # dump_pattern writes a negative real coefficient with phase pi, whose
+    # sine leaves an imaginary part of about 1.2e-16 relative
+    pat = DensityPattern(scale=2.0, coefficients={0: -3.0 + 0j, 2: 1j, 4: -0.5 + 0j}, n_samples=8)
+    back = parse_pattern_file(dump_pattern(pat))
+    assert back.coefficients[0].imag != 0.0
+    assert reconstruct_series(back, range(8)) == pytest.approx(
+        reconstruct_series(pat, range(8)), rel=1e-14, abs=1e-14
+    )
+
+
+def test_constant_pattern_shape_is_all_ones():
+    shape = normalized_shape(constant_pattern(2.5, n_samples=64))
+    assert shape.tolist() == [1.0] * 64

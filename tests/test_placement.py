@@ -459,8 +459,8 @@ def test_fused_integrands_equal_channel_composition(a, b, eta_los, eta_nlos, r, 
 
 def test_p1_curve_matches_recursive_composition(monkeypatch, radio):
     # h1* and the 301-point curve of `uavrf altitude` for each preset, by
-    # the fused integrands and stack-based rule and again by the channel
-    # composition and the recursive rule: equal bit for bit
+    # the fused integrands and the inlined rule and again by the channel
+    # composition and the reference rule: equal bit for bit
     def curve():
         values = []
         for env in (URBAN, DENSE_URBAN, SUBURBAN):

@@ -14,7 +14,8 @@ def _simpson(fa, fm, fb, width):
 
 
 def _recursive_simpson(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_depth=48):
-    """The recursive adaptive Simpson rule that the stack-based rule replaces.
+    """Independent reference: the textbook recursive rule, written with
+    helper calls and ``max()`` rather than the inlined arithmetic.
 
     Reference for bit-exactness: the same points, the same panel tests
     and the same summation tree must give the same bits.
@@ -86,6 +87,13 @@ def test_sharp_peak_meets_tolerance():
     assert value == pytest.approx(reference, rel=1e-7)
 
 
+def test_default_depth_cap_raises_numerical_error():
+    # an all-NaN integrand fails every panel test, so the rule recurses
+    # to the default cap of 48 halvings: NumericalError, not RecursionError
+    with pytest.raises(NumericalError, match=r"subdivision cap on \[0, 3\.55271e-15\]"):
+        adaptive_simpson(lambda x: math.nan, 0.0, 1.0)
+
+
 def test_depth_cap_raises_with_estimate():
     f = lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-14)
     with pytest.raises(NumericalError, match="subdivision cap") as err:
@@ -137,12 +145,12 @@ def _outcome(rule, f, a, b, rel_tol, abs_tol, max_depth):
     abs_tol=st.one_of(st.just(0.0), st.floats(1e-14, 1e-2)),
     max_depth=st.integers(0, 24),
 )
-def test_stack_rule_matches_recursive_bits(family, c, w, a, width, rel_tol, abs_tol, max_depth):
+def test_rule_matches_reference_bits(family, c, w, a, width, rel_tol, abs_tol, max_depth):
     # same evaluation points in the same order, the same value bits, and at
     # the cap the same panel, estimate and error bits
     f = _integrand(family, c, w)
     b = a + width
-    new, new_points = _outcome(adaptive_simpson, f, a, b, rel_tol, abs_tol, max_depth)
-    old, old_points = _outcome(_recursive_simpson, f, a, b, rel_tol, abs_tol, max_depth)
-    assert new == old
-    assert [x.hex() for x in new_points] == [x.hex() for x in old_points]
+    got, got_points = _outcome(adaptive_simpson, f, a, b, rel_tol, abs_tol, max_depth)
+    ref, ref_points = _outcome(_recursive_simpson, f, a, b, rel_tol, abs_tol, max_depth)
+    assert got == ref
+    assert [x.hex() for x in got_points] == [x.hex() for x in ref_points]

@@ -309,6 +309,12 @@ def test_infeasible_budget_rejected():
         equal_share_sampling_numbers([1.0, 2.0], tight)
 
 
+def test_sampling_needs_an_eigenvalue():
+    for allocate in (min_sampling_numbers, equal_share_sampling_numbers):
+        with pytest.raises(ValueError, match="at least one subregion eigenvalue"):
+            allocate([], BUDGET)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         LearningBudget(hypothesis_volume=1.0, confidence_delta=0.1,

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavrf.channel import Environment, RadioConfig, environment_preset
-from uavrf.patterns import Rect, Subregion, pattern_preset, user_density
+from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset, user_density
 from uavrf.placement import EnergyParams
 from uavrf.scenario import (
     ScenarioError,
@@ -173,6 +173,21 @@ def test_time_axis_must_be_finite_with_a_slot(field, value):
 def test_band_validation():
     with pytest.raises(ScenarioError, match="band"):
         dataclasses.replace(default_scenario(), density_bands=((0.0, 1.0),))
+
+
+def test_scenario_needs_subregions_with_aligned_bands():
+    sc = default_scenario()
+    with pytest.raises(ScenarioError, match="at least one subregion"):
+        dataclasses.replace(sc, subregions=(), density_bands=())
+    with pytest.raises(ScenarioError, match="density_bands must align"):
+        dataclasses.replace(sc, density_bands=sc.density_bands * 2)
+
+
+def test_dump_refuses_a_custom_pattern():
+    sc = default_scenario()
+    sub = dataclasses.replace(sc.subregions[0], pattern=constant_pattern(1.0))
+    with pytest.raises(ScenarioError, match="custom pattern inline"):
+        dump_scenario(dataclasses.replace(sc, subregions=(sub,)))
 
 
 def test_parse_error_reports_line():

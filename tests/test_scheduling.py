@@ -438,6 +438,11 @@ def test_paper_size_pair_memory():
     assert peak < 10e6
 
 
+def test_baseline_schedule_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind must be 'lazy' or 'diligent', got 'sideways'"):
+        baseline_schedule("sideways", toy_scenario([[2e-6] * 2]))
+
+
 def test_interval_avg_constant_density_no_mobility():
     # dynamic_rf of a lazy schedule is the average over the whole horizon
     lam = 2e-6
