@@ -42,11 +42,19 @@ from .patterns import Rect
 Point3 = Tuple[float, float, float]
 
 
-def num_uavs(area: float, radius: float) -> int:
-    """Fleet size covering ``area`` with disks of ``radius``: ceil(S / (pi R^2)), at least 1."""
+def num_uavs(area, radius):
+    """Fleet size covering ``area`` with disks of ``radius``: ceil(S / (pi R R)), at least 1.
+
+    Arrays broadcast entry by entry, with the bits of the scalar formula,
+    and give an int array; two scalars give an int.
+    """
     check_positive("area", area)
     check_positive("radius", radius)
-    return max(1, math.ceil(area / (math.pi * radius * radius)))
+    with np.errstate(divide="ignore", over="ignore"):  # raised below instead
+        count = np.maximum(np.ceil(np.divide(area, math.pi * radius * radius)), 1.0)
+    if not count.max() < 2.0**63:  # an int64 cast would wrap silently
+        raise OverflowError(f"fleet size {float(count.max())!r} does not fit an int64")
+    return int(count) if count.ndim == 0 else count.astype(np.int64)
 
 
 def _row_counts(count: int, rows: int) -> list[int]:
@@ -272,9 +280,10 @@ def build_deployment(
     """Assemble a :class:`Deployment` from per-subregion radii/altitudes."""
     if not (len(subregions) == len(radii) == len(altitudes)):
         raise ValueError("subregions, radii and altitudes must align")
+    areas = np.array([sub.area for sub in subregions], dtype=float)
+    counts = num_uavs(areas, np.asarray(radii, dtype=float))
     entries = []
-    for sub, radius, altitude in zip(subregions, radii, altitudes):
-        count = num_uavs(sub.area, radius)
+    for sub, radius, altitude, count in zip(subregions, radii, altitudes, counts.tolist()):
         entries.append(
             SubregionDeployment(
                 label=sub.label,

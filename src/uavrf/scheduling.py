@@ -15,8 +15,15 @@ to scipy's ``linear_sum_assignment`` (Crouse 2016).  It keeps every
 check: the two deployments share the depot and the subregion labels,
 the matrix is square and finite, and the result is a permutation.  On
 the two-zone reference scenario (2 x 2 matrices) a solve costs about
-22 us on a 2-vCPU VM, of which the assignment itself is under 2 us; at
+18 us on a 2-vCPU VM, of which the assignment itself is about 1 us; at
 paper density (a few hundred UAVs per zone) the assignment dominates.
+The consecutive moves j -> j + 1, which the diligent plan needs before
+any scan, are known up front, so they are filled in batches of one
+padded size: one stacked cost build, then ``solve_assignment`` per
+matrix (about 12 us a pair at reference size), or, for pairs already
+solved under the same cost shape, one gather and one row sum (about
+4 us a pair, against 10 us one at a time).  A batch holds at most 2^18
+cost entries, so paper-density fleets are solved one pair at a time.
 
 Epoch selection works on the excess-cost scale: per-slot static recall
 frequency above the instantaneous optimum (a policy-independent
@@ -37,15 +44,23 @@ changed, and with prohibitive mobility the hold plan wins immediately.
 
 An update at slot k costs its staleness up to k, plus its move energy,
 plus a continuation from k on: for SMGD, the excess of holding the
-slot-k placement to the horizon.  Staleness plus continuation is a lower
-bound that needs no assignment solve, because move energy is
-nonnegative.  Each step therefore visits the updates in ascending bound
-(a stable sort, so equal bounds stay in slot order) and stops at the
-first bound above the incumbent: no later update can win, the ordering
-trick of PELT-style pruning (Killick, Fearnhead & Eckley 2012).  Ties
-resolve as in a scan in slot order: holding beats an update of equal
-value, the earliest of equal updates wins, and the diligent plan wins
-only when strictly cheaper, so pruning never changes the plan taken.
+slot-k placement to the horizon.  A lower bound on that cost needs no
+assignment solve: the move energy is at least the climb cost of the net
+climb, because the climb cost (p_a/v_a per metre up, p_d/v_d per metre
+down) is convex and positively homogeneous and horizontal flight costs
+no less than 0.  The net climb of a padded move j -> k is
+Z[k] - Z[j] - (N[k] - N[j]) z_depot for fleet sizes N and altitude
+sums Z, which the plan keeps per slot, so one vector pass bounds every
+update of a step.  The bound is shaved to stay below the float energy
+and summed in the order of the value, so it never exceeds the value in
+floating point.  Each step then visits the updates by repeated argmin
+of the bound (the first of equal bounds, so equal bounds go in slot
+order), marking each one visited, and stops at the first bound above
+the incumbent: no other update can win, the ordering trick of
+PELT-style pruning (Killick, Fearnhead & Eckley 2012).  Ties resolve as
+in a scan in slot order: holding beats an update of equal value, the
+earliest of equal updates wins, and the diligent plan wins only when
+strictly cheaper, so pruning never changes the plan taken.
 ``Schedule.candidate_evaluations`` counts the hold plan and every update
 at each step, pruned or not.  Move energies are solved once per ordered
 pair of distinct deployments (slots with equal radii share one).
@@ -94,7 +109,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .layout import Deployment, build_deployment
+from .layout import Deployment, build_deployment, num_uavs
 from .placement import EnergyParams, min_static_rf, optimal_altitude_ratio, static_rf_terms
 from .scenario import Scenario, slot_densities
 
@@ -234,6 +249,47 @@ def _matched_energy(
     return float(_flight_energies(origins, destinations[permutation], energy).sum())
 
 
+# cost entries in one stacked build of consecutive moves (2 MiB of floats)
+_BATCH_ENTRIES = 2**18
+
+# relative shave of the climb bound: above (n + 10) * eps for fleets of up
+# to 10^6 UAVs, the rounding of a float move energy of n entries
+_CLIMB_SHAVE = 1e-9
+
+
+def _net_altitudes(
+    counts: np.ndarray, altitudes: np.ndarray, depot_z: float
+) -> Tuple[np.ndarray, float]:
+    """Per fleet (one column of the (B, m) ``counts`` and ``altitudes``),
+    its altitude sum less one depot altitude per UAV, and one slack for all
+    of them that bounds the rounding of a difference of two.
+
+    W[k] - W[j] is the net climb of the padded move j -> k: depot copies
+    pad the smaller fleet, so the sum of destination minus origin
+    altitudes is Z[k] - Z[j] - (N[k] - N[j]) z_depot.
+    """
+    total = (counts * altitudes).sum(axis=0)
+    size = counts.sum(axis=0)
+    scale = np.abs(total) + size * abs(depot_z)
+    return total - size * depot_z, 2.0 * _CLIMB_SHAVE * float(scale.max(initial=0.0))
+
+
+def _climb_bound(net: np.ndarray, slack: float, energy: EnergyParams) -> np.ndarray:
+    """A lower bound on the energy [J] of moves whose padded fleets climb
+    by ``net`` [m] in total.
+
+    The climb cost, dz p_a/v_a up and -dz p_d/v_d down, is convex and
+    positively homogeneous, so the matched climbs cost at least the climb
+    cost of their sum, and horizontal flight costs no less than 0.  The
+    net climb is shaved by ``slack`` and the result by ``_CLIMB_SHAVE``,
+    so the bound stays below the float energy of the move.
+    """
+    up = energy.p_ascend / energy.v_ascend * (1.0 - _CLIMB_SHAVE)
+    down = energy.p_descend / energy.v_descend * (1.0 - _CLIMB_SHAVE)
+    magnitude = np.maximum(np.abs(net) - slack, 0.0)
+    return magnitude * np.where(net >= 0, up, down)
+
+
 def _cost_shape(energy: EnergyParams) -> Tuple[Fraction, ...] | None:
     """The flight coefficients (p_h/v_h, p_a/v_a, p_d/v_d) divided by
     their largest, in exact arithmetic; None if all three are zero.
@@ -302,7 +358,9 @@ class SchedulePlan:
     slot length from each slot to the horizon; both are computed on
     demand.  TAIL[k] is the excess of holding slot k's placement from k
     to the horizon.  Slots with equal radii columns share one deployment
-    id, and deployments are cached per id.
+    id, and deployments are cached per id.  The fleet sizes (n,) and the
+    net altitudes (n,) of the climb bound (see the module docstring) come
+    from ``num_uavs`` on the radii, so no deployment is built for them.
 
     None of this depends on the flight powers and speeds of the
     scenario's energy, so one plan serves every scheduler call of a
@@ -340,6 +398,13 @@ class SchedulePlan:
         circuit, self.c2 = static_rf_terms(self.radii, energy, areas, env, radio)
         self.c1 = circuit.sum(axis=0)
         self.tail = np.array([self.excess_suffix(k)[0] for k in range(self.n)])
+        # deployment(k)'s fleet sizes by construction, so neither the climb
+        # bound nor the batch sizes build a deployment
+        counts = num_uavs(areas, self.radii)
+        self.fleet_sizes = counts.sum(axis=0)
+        self.net_altitude, self.climb_slack = _net_altitudes(
+            counts, self.radii * self.h1, scenario.rsc_position[2]
+        )
         distinct, ids = np.unique(self.radii.T, axis=0, return_inverse=True)
         self.deployment_ids: List[int] = ids.tolist()
         # the pair caches key deployment ids (a, b) by the int a * stride + b,
@@ -431,12 +496,61 @@ class _Moves:
             if stored is not None:
                 perm = np.frombuffer(stored, dtype=np.int32)
                 value = _matched_energy(prev, nxt, perm, self.energy)
+                self._pair_energy[key] = value
             else:
-                value, assignment = mobility_energy_at(prev, nxt, self.energy)
-                buf = np.array(assignment.permutation, dtype=np.int32).tobytes()
-                self._permutations[key] = self.plan._permutation_pool.setdefault(buf, buf)
-            self._pair_energy[key] = value
+                value = self._keep(key, mobility_energy_at(prev, nxt, self.energy)[1])
         return value
+
+    def _keep(self, key: int, assignment: Assignment) -> float:
+        """Cache a solved pair's energy and its permutation; return the energy."""
+        buf = np.array(assignment.permutation, dtype=np.int32).tobytes()
+        self._permutations[key] = self.plan._permutation_pool.setdefault(buf, buf)
+        self._pair_energy[key] = assignment.total_energy
+        return assignment.total_energy
+
+    def fill_consecutive(self) -> None:
+        """Cache the energy of every move j -> j + 1, with the bits of
+        :meth:`pair_energy`, in batches of pairs of one padded size.
+
+        A batch of new pairs builds its cost matrices in one stacked
+        ``_flight_energies`` call and hands each to ``solve_assignment``;
+        a batch of pairs with a stored permutation is one gather and one
+        row sum, which has the bits of the 1-D sum.  A batch holds at most
+        ``_BATCH_ENTRIES`` cost entries (at least one pair).
+        """
+        if self._free:
+            return
+        plan = self.plan
+        ids, stride = plan.deployment_ids, plan._pair_stride
+        sizes = plan.fleet_sizes.tolist()
+        batches: Dict[Tuple[bool, int], Dict[int, int]] = {}  # key -> j
+        for j in range(plan.n - 1):
+            key = ids[j] * stride + ids[j + 1]
+            if ids[j] != ids[j + 1] and key not in self._pair_energy:
+                size = max(sizes[j], sizes[j + 1])
+                batches.setdefault((key in self._permutations, size), {}).setdefault(key, j)
+        for (stored, size), pairs in batches.items():
+            pairs = list(pairs.items())
+            step = max(1, _BATCH_ENTRIES // (size if stored else size * size))
+            for start in range(0, len(pairs), step):
+                self._fill(pairs[start : start + step], stored)
+
+    def _fill(self, pairs: List[Tuple[int, int]], stored: bool) -> None:
+        """Energies of the (key, j) moves j -> j + 1, of one padded size."""
+        plan = self.plan
+        padded = [_padded_positions(plan.deployment(j), plan.deployment(j + 1)) for _, j in pairs]
+        origins = np.stack([before for before, _ in padded])
+        destinations = np.stack([after for _, after in padded])
+        keys = [key for key, _ in pairs]
+        if stored:
+            perms = np.stack([np.frombuffer(self._permutations[k], dtype=np.int32) for k in keys])
+            moved = destinations[np.arange(len(keys))[:, None], perms]
+            totals = _flight_energies(origins, moved, self.energy).sum(axis=1)
+            self._pair_energy.update(zip(keys, totals.tolist()))
+        else:
+            costs = _flight_energies(origins[:, :, None], destinations[:, None], self.energy)
+            for key, cost in zip(keys, costs):
+                self._keep(key, solve_assignment(cost))
 
     def launch_energy(self, k: int) -> float:
         """Energy to launch the slot-k fleet from the depot."""
@@ -502,18 +616,23 @@ def _best_update(
     """The cheapest plan from slot ``cur`` (see module docstring): hold, or
     update at k > cur and then pay ``continuation[k - cur - 1] >= 0``.
     Returns its excess cost and the update slot, None to hold."""
-    suffix = moves.plan.excess_suffix(cur)
+    plan = moves.plan
+    suffix = plan.excess_suffix(cur)
     eb = moves.energy.battery_j
     hold_value = float(suffix[0])
     best_value, nxt = hold_value, None
     stale = hold_value - suffix[1:]
-    bound = stale + continuation  # mobility only adds cost to an update plan
-    # only an update whose bound is at most the hold value can win
-    cand = np.flatnonzero(bound <= hold_value)
-    for i in cand[np.argsort(bound[cand], kind="stable")]:
+    # a move costs at least its net climb, and the bound sums in the
+    # order of the value, so bound <= value in floats
+    net = plan.net_altitude[cur + 1 :] - plan.net_altitude[cur]
+    bound = stale + _climb_bound(net, plan.climb_slack, moves.energy) / eb
+    bound += continuation
+    for _ in range(len(bound)):
+        i = int(bound.argmin())  # the first of equal bounds: slot order
         if bound[i] > best_value:
-            break  # every later candidate has a larger bound
-        k = cur + 1 + int(i)
+            break  # every other candidate has a larger bound
+        bound[i] = math.inf
+        k = cur + 1 + i
         value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(continuation[i])
         if value < best_value or (value == best_value and nxt is not None and k < nxt):
             best_value, nxt = value, k
@@ -532,6 +651,7 @@ def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Sc
     n = pre.n
     eb = scenario.energy.battery_j
     # diligent continuation cost from each slot: all remaining consecutive moves
+    moves.fill_consecutive()
     dil_suffix = np.zeros(n + 1)
     for j in range(n - 2, -1, -1):
         dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
@@ -576,6 +696,8 @@ def baseline_schedule(
     if kind not in ("lazy", "diligent"):
         raise ValueError(f"kind must be 'lazy' or 'diligent', got {kind!r}")
     moves = _moves_for(scenario, plan)
+    if kind == "diligent":
+        moves.fill_consecutive()
     slots = [0] if kind == "lazy" else list(range(moves.plan.n))
     return _assemble(kind, moves, slots, scenario)
 

@@ -47,6 +47,26 @@ def test_num_uavs_examples():
         num_uavs(10.0, 0.0)
 
 
+def test_num_uavs_arrays_entry_by_entry():
+    rng = np.random.default_rng(3)
+    areas = rng.lognormal(12.0, 2.0, size=(4, 1))
+    radii = rng.lognormal(4.0, 1.5, size=(4, 500))
+    counts = num_uavs(areas, radii)
+    assert counts.dtype == np.int64 and counts.shape == (4, 500)
+    assert counts.tolist() == [
+        [max(1, math.ceil(area / (math.pi * r * r))) for r in row]
+        for area, row in zip(areas[:, 0].tolist(), radii.tolist())
+    ]
+    assert type(num_uavs(1e6, 327.3)) is int
+    with pytest.raises(ValueError, match=r"^radius must be finite and positive, got nan at index"):
+        num_uavs(areas, np.array([[1.0, np.nan]]))
+    # R R underflows to 0, or the count leaves int64: raise, never wrap
+    with pytest.raises(OverflowError, match="does not fit an int64"):
+        num_uavs(areas, np.full((4, 2), 1e-160))
+    with pytest.raises(OverflowError, match="does not fit an int64"):
+        num_uavs(1e300, 1e-3)
+
+
 def test_num_uavs_monotone_in_radius():
     radii = np.linspace(20.0, 600.0, 100)
     counts = [num_uavs(1e6, r) for r in radii]

@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from uavrf import experiments, scheduling
 from uavrf.channel import RadioConfig, environment_preset
-from uavrf.layout import Deployment, SubregionDeployment, build_deployment
+from uavrf.layout import Deployment, SubregionDeployment, build_deployment, num_uavs
 from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset
 from uavrf.placement import (
     EnergyParams,
@@ -23,11 +23,14 @@ from uavrf.placement import (
 )
 from uavrf.scenario import Scenario, reference_scenario, slot_densities
 from uavrf.scheduling import (
+    _BATCH_ENTRIES,
     Assignment,
     SchedulePlan,
     _assemble,
+    _climb_bound,
     _matched_energy,
     _Moves,
+    _net_altitudes,
     _padded_positions,
     baseline_schedule,
     cost_matrix,
@@ -1129,3 +1132,193 @@ def test_reassembly_reads_no_tables():
     again, peak = _traced_peak(lambda: dynamic_rf(sched, same))
     assert abs(again - sched.avg_dynamic_rf) <= 1e-9 * sched.avg_dynamic_rf
     assert peak < 5e6
+
+
+def _vertical_pair(counts, altitudes, depot_z, xy_seed, pure):
+    """Two fleets over the reference zones, zone b of fleet f holding
+    ``counts[f][b]`` UAVs at ``altitudes[f][b]``; with ``pure`` the second
+    fleet keeps the first one's ground positions (counts must be equal)."""
+    rects = [s.rect for s in reference_scenario().subregions]
+    rng = np.random.default_rng(xy_seed)
+    rsc = (rects[0].x, rects[0].y, depot_z)
+    grounds = [[rng.random((c, 2)) * (r.width, r.height) for c, r in zip(cs, rects)] for cs in counts]
+    if pure:
+        grounds[1] = grounds[0]
+    fleets = []
+    for f in range(2):
+        entries = []
+        for b, rect in enumerate(rects):
+            count, altitude = counts[f][b], altitudes[f][b]
+            pos = np.column_stack((grounds[f][b] + (rect.x, rect.y), np.full(count, altitude)))
+            entries.append(SubregionDeployment(f"S{b}", 100.0, altitude, pos))
+        fleets.append(Deployment(tuple(entries), rsc))
+    return fleets
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    fleets=st.sampled_from(["equal, vertical", "equal", "one UAV more", "one UAV fewer", "any"]),
+    near=st.booleans(),
+    depot=st.sampled_from(["below", "above", "between"]),
+    powers=st.tuples(*[st.floats(0.01, 100.0)] * 3),
+    speeds=st.tuples(*[st.floats(0.1, 30.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_climb_bound_is_below_the_float_energy(data, fleets, near, depot, powers, speeds, seed):
+    size = st.integers(1, 30)
+    base = [data.draw(size), data.draw(size)]
+    first, second = {
+        "any": (base, [data.draw(size), data.draw(size)]),
+        "one UAV more": (base, [base[0] + 1, base[1]]),
+        "one UAV fewer": ([base[0], base[1] + 1], base),
+    }.get(fleets, (base, base))
+    low = data.draw(st.floats(1.0, 500.0))
+    heights = [low, data.draw(st.floats(1.0, 500.0))]
+    # altitudes 1e-12 relative apart, or drawn
+    after = [h * (1 + 1e-12 * data.draw(st.sampled_from([-1, 0, 1]))) for h in heights]
+    after = after if near else [data.draw(st.floats(1.0, 500.0)) for _ in heights]
+    depot_z = {"below": 0.0, "above": 600.0, "between": 0.5 * (heights[0] + after[0])}[depot]
+    prev, nxt = _vertical_pair(
+        [first, second], [heights, after], depot_z, seed, fleets == "equal, vertical"
+    )
+    energy = EnergyParams(
+        p_circuit=0.5,
+        battery_j=7.0e4,
+        p_horizontal=powers[0],
+        p_ascend=powers[1],
+        p_descend=powers[2],
+        v_horizontal=speeds[0],
+        v_ascend=speeds[1],
+        v_descend=speeds[2],
+    )
+    value, _ = mobility_energy_at(prev, nxt, energy)
+    counts = np.array([first, second], dtype=float).T
+    net, slack = _net_altitudes(counts, np.array([heights, after]).T, depot_z)
+    bound = _climb_bound(net[1:] - net[0], slack, energy)
+    assert bound.shape == (1,) and 0.0 <= bound[0] <= value
+    if fleets == "equal, vertical" and min(a - h for a, h in zip(after, heights)) > 0:
+        # every UAV climbs straight up: the bound is the energy, shaved
+        assert bound[0] >= value * (1 - 1e-8) - slack * energy.p_ascend / energy.v_ascend
+
+
+def _chain_oracle(plan, energy, stored=None):
+    """Energy and permutation bytes of every move j -> j + 1 of distinct
+    deployments, pair by pair: re-summed along the permutation ``stored``
+    keeps for the pair, else solved."""
+    out = {}
+    for j in range(plan.n - 1):
+        a, b = plan.deployment_ids[j], plan.deployment_ids[j + 1]
+        key = a * plan._pair_stride + b
+        if a == b or key in out:
+            continue
+        prev, nxt = plan.deployment(j), plan.deployment(j + 1)
+        if key in (stored or {}):
+            perm = np.frombuffer(stored[key], dtype=np.int32)
+            out[key] = (_matched_energy(prev, nxt, perm, energy).hex(), stored[key])
+        else:
+            value, assignment = mobility_energy_at(prev, nxt, energy)
+            perm = np.array(assignment.permutation, dtype=np.int32).tobytes()
+            out[key] = (value.hex(), perm)
+    return out
+
+
+def _filled_chain(plan, energy):
+    moves = _Moves(plan, energy)
+    moves.fill_consecutive()
+    energies = moves._pair_energy
+    return {key: (energies[key].hex(), moves._permutations[key]) for key in energies}
+
+
+@pytest.mark.parametrize("start_day", [0, 7])
+def test_consecutive_moves_have_the_pair_bits_on_reference_weeks(start_day):
+    base = dataclasses.replace(
+        reference_scenario(), horizon_s=7 * 86400.0, start_s=start_day * 86400.0
+    )
+    plan = SchedulePlan(base)
+    slow, fast = (base.with_mobility_power(pm).energy for pm in (0.05, 50.0))
+    solved = _filled_chain(plan, slow)
+    assert len(solved) > 300 and solved == _chain_oracle(plan, slow)
+    # the same cost shape: every pair re-summed along its stored permutation
+    stored = {key: perm for key, (_, perm) in solved.items()}
+    assert _filled_chain(plan, fast) == _chain_oracle(plan, fast, stored)
+    # half the pairs solved one at a time, the rest stored, then one fill
+    # under a third power re-sums the first half and solves the second
+    slower = dataclasses.replace(
+        base.energy, p_horizontal=2.0, p_ascend=2.0, p_descend=2.0, v_horizontal=3.0
+    )
+    moves = _Moves(plan, slower)
+    ids = plan.deployment_ids
+    half = [j for j in range(0, plan.n - 1, 2) if ids[j] != ids[j + 1]]
+    for j in half:
+        moves.pair_energy(j, j + 1)
+    kept = dict(moves._permutations)
+    assert 0 < len(kept) < len(solved)
+    moves._pair_energy.clear()  # the energies go, the permutations stay
+    moves.fill_consecutive()
+    filled = {key: (e.hex(), moves._permutations[key]) for key, e in moves._pair_energy.items()}
+    assert filled == _chain_oracle(plan, slower, kept)
+
+
+def test_consecutive_batches_hold_at_most_the_cap(monkeypatch):
+    base = dataclasses.replace(reference_scenario(), horizon_s=86400.0)
+    plan = SchedulePlan(base)
+    slow, fast = (base.with_mobility_power(pm).energy for pm in (0.05, 50.0))
+    oracle = _chain_oracle(plan, slow)
+    stored = {key: perm for key, (_, perm) in oracle.items()}
+    oracle_fast = _chain_oracle(plan, fast, stored)
+    built = []
+    flight = scheduling._flight_energies
+
+    def spy(*args):
+        out = flight(*args)
+        built.append(out.size)
+        return out
+
+    monkeypatch.setattr(scheduling, "_flight_energies", spy)
+    # 2 x 2 solves: three pairs of 4 entries a batch; re-sums: six of 2
+    monkeypatch.setattr(scheduling, "_BATCH_ENTRIES", 12)
+    assert _filled_chain(plan, slow) == oracle and _filled_chain(plan, fast) == oracle_fast
+    assert max(built) == 12 and sum(built) == 6 * len(oracle)
+    assert len(built) == -(-len(oracle) // 3) + -(-len(oracle) // 6)
+
+
+def test_row_sums_have_the_bits_of_1d_sums():
+    # a batch of re-sums adds each row of a (P, n) array; numpy sums a
+    # contiguous row with the pairwise tree of a 1-D array
+    rng = np.random.default_rng(0)
+    for n in range(2, 5001):
+        rows = rng.random((3, n)) * 1e3
+        assert rows.sum(axis=1).tolist() == [float(row.sum()) for row in rows]
+
+
+def test_consecutive_moves_at_paper_density_keep_bits_and_memory():
+    # a paper-density day: fleets of 330-620 UAVs, nearly every pair unequal
+    base = dataclasses.replace(reference_scenario(), density_bands=((0.1, 1.0),) * 2)
+    plan = SchedulePlan(base)
+    for k in range(plan.n):
+        plan.deployment(k)  # lattice searches untraced
+    energy = base.with_mobility_power(1.5).energy
+    oracle, pair_peak = _traced_peak(lambda: _chain_oracle(plan, energy))
+    filled, peak = _traced_peak(lambda: _filled_chain(plan, energy))
+    assert filled == oracle
+    sizes = plan.fleet_sizes
+    unequal = sum(sizes[j] != sizes[j + 1] for j in range(plan.n - 1))
+    assert len(oracle) == 95 and unequal > 80
+    # at most one capped batch of cost entries above the pair-by-pair peak
+    assert peak < pair_peak + 8 * _BATCH_ENTRIES
+    stored = {key: perm for key, (_, perm) in filled.items()}
+    fast = base.with_mobility_power(50.0).energy
+    assert _filled_chain(plan, fast) == _chain_oracle(plan, fast, stored)
+
+
+@pytest.mark.parametrize("bands, days", [(None, 28), (((0.1, 1.0),) * 2, 1)])
+def test_plan_fleet_sizes_are_the_deployments(bands, days):
+    sc = dataclasses.replace(reference_scenario(), horizon_s=days * 86400.0)
+    if bands:
+        sc = dataclasses.replace(sc, density_bands=bands)
+    plan = SchedulePlan(sc)
+    areas = [s.area for s in sc.subregions]
+    scalar = [sum(map(num_uavs, areas, plan.radii[:, k].tolist())) for k in range(plan.n)]
+    assert plan.fleet_sizes.tolist() == scalar
+    assert scalar == [plan.deployment(k).total_count for k in range(plan.n)]
