@@ -57,10 +57,16 @@ floating point.  Each step then visits the updates by repeated argmin
 of the bound (the first of equal bounds, so equal bounds go in slot
 order), marking each one visited, and stops at the first bound above
 the incumbent: no other update can win, the ordering trick of
-PELT-style pruning (Killick, Fearnhead & Eckley 2012).  Ties resolve as
-in a scan in slot order: holding beats an update of equal value, the
+PELT-style pruning (Killick, Fearnhead & Eckley 2012).  SMGD also stops
+at the first bound above the diligent plan's cost, which is known
+before the scan: once the scan passes it, every update left costs more
+than the diligent plan, which then wins the step whatever the scan
+would find.  On the reference scenario the diligent plan wins most
+steps, so this cutoff, not the incumbent, ends most scans.  Ties resolve
+as in a scan in slot order: holding beats an update of equal value, the
 earliest of equal updates wins, and the diligent plan wins only when
-strictly cheaper, so pruning never changes the plan taken.
+strictly cheaper (an update that costs exactly the diligent plan is
+still visited), so pruning never changes the plan taken.
 ``Schedule.candidate_evaluations`` counts the hold plan and every update
 at each step, pruned or not.  Move energies are solved once per ordered
 pair of distinct deployments (slots with equal radii share one).
@@ -353,7 +359,8 @@ class SchedulePlan:
     the per-slot optimum OPT (n,) and TAIL (n,), all but LAMS and TAIL
     from placement's closed forms on LAMS.  :meth:`static` is the
     area-wide static recall frequency over a range of slots with every
-    subregion holding its slot-k optimal placement, and
+    subregion holding its slot-k optimal placement, SLOT_STATIC (n,) holds
+    its one-slot values ``static(k, k, k + 1)`` with their bits, and
     :meth:`excess_suffix` sums its excess max(static - OPT, 0) times the
     slot length from each slot to the horizon; both are computed on
     demand.  TAIL[k] is the excess of holding slot k's placement from k
@@ -397,6 +404,10 @@ class SchedulePlan:
         self.radii, self.opt = placement.radius, phi.sum(axis=0)
         circuit, self.c2 = static_rf_terms(self.radii, energy, areas, env, radio)
         self.c1 = circuit.sum(axis=0)
+        # static(k, k, k + 1) for every k at once: the same dot product per
+        # slot, so the same bits (a sum over axis 0 or einsum rounds otherwise)
+        dots = np.matmul(self.c2.T[:, None, :], self.lams.T[:, :, None])
+        self.slot_static = self.c1 + dots[:, 0, 0]
         self.tail = np.array([self.excess_suffix(k)[0] for k in range(self.n)])
         # deployment(k)'s fleet sizes by construction, so neither the climb
         # bound nor the batch sizes build a deployment
@@ -583,7 +594,10 @@ def _assemble(
     mobility_total = 0.0
     for i, k in enumerate(epoch_slots):
         end = epoch_slots[i + 1] if i + 1 < len(epoch_slots) else pre.n
-        static_total += float(pre.static(k, k, end).sum()) * mu
+        if end == k + 1:
+            static_total += float(pre.slot_static[k]) * mu
+        else:
+            static_total += float(pre.static(k, k, end).sum()) * mu
         if i == 0:
             mob = moves.launch_energy(k) if scenario.include_initial_launch else 0.0
             changed = False
@@ -611,11 +625,13 @@ def _assemble(
 
 
 def _best_update(
-    moves: _Moves, cur: int, continuation: np.ndarray
+    moves: _Moves, cur: int, continuation: np.ndarray, cutoff: float = math.inf
 ) -> Tuple[float, int | None]:
     """The cheapest plan from slot ``cur`` (see module docstring): hold, or
     update at k > cur and then pay ``continuation[k - cur - 1] >= 0``.
-    Returns its excess cost and the update slot, None to hold."""
+    Returns its excess cost and the update slot, None to hold.  Updates
+    whose bound exceeds ``cutoff`` go unvisited, so the result is exact
+    when it is at most ``cutoff``; when it is above, so is the exact one."""
     plan = moves.plan
     suffix = plan.excess_suffix(cur)
     eb = moves.energy.battery_j
@@ -629,7 +645,7 @@ def _best_update(
     bound += continuation
     for _ in range(len(bound)):
         i = int(bound.argmin())  # the first of equal bounds: slot order
-        if bound[i] > best_value:
+        if bound[i] > best_value or bound[i] > cutoff:
             break  # every other candidate has a larger bound
         bound[i] = math.inf
         k = cur + 1 + i
@@ -661,8 +677,10 @@ def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Sc
     cur = 0
     while True:
         evaluations += n - cur
-        best_value, nxt = _best_update(moves, cur, pre.tail[cur + 1 :])
-        if cur + 1 < n and float(dil_suffix[cur]) < best_value:
+        # an update dearer than the diligent plan cannot be taken
+        diligent = float(dil_suffix[cur]) if cur + 1 < n else math.inf
+        best_value, nxt = _best_update(moves, cur, pre.tail[cur + 1 :], diligent)
+        if diligent < best_value:
             nxt = cur + 1
         if nxt is None:
             break

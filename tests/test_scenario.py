@@ -50,14 +50,24 @@ def test_roundtrip_default_scenario():
     assert parse_scenario(dump_scenario(sc)) == sc
 
 
+def paper_day():
+    """The reference day at the paper's densities, 0.1-1 users/m^2 per zone."""
+    return dataclasses.replace(reference_scenario(), density_bands=((0.1, 1.0),) * 2)
+
+
 @pytest.mark.parametrize(
     "make, name",
-    [(default_scenario, "default_scenario.cfg"), (reference_scenario, "reference_scenario.cfg")],
+    [
+        (default_scenario, "default_scenario.cfg"),
+        (reference_scenario, "reference_scenario.cfg"),
+        (paper_day, "paper_day.cfg"),
+    ],
 )
 def test_dump_bytes_pinned(make, name):
     path = os.path.join(os.path.dirname(__file__), "data", name)
     with open(path) as fh:
         assert dump_scenario(make()) == fh.read()
+    assert load_scenario(path) == make()
 
 
 def test_roundtrip_from_file(tmp_path):

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -21,7 +22,7 @@ from uavrf.placement import (
     optimal_radius,
     static_rf_terms,
 )
-from uavrf.scenario import Scenario, reference_scenario, slot_densities
+from uavrf.scenario import Scenario, load_scenario, reference_scenario, slot_densities
 from uavrf.scheduling import (
     _BATCH_ENTRIES,
     Assignment,
@@ -838,6 +839,11 @@ _bands = st.tuples(
     pm=st.one_of(st.sampled_from([0.0, 0.05, 1.5, 50.0]), st.floats(0.0, 100.0)),
     bands=_bands,
 )
+# the morning ramp from 09:00 at the paper's densities: fleets of 370-484
+# UAVs on lattices with many tied optimal assignments
+@example(start_slot=54, n_slots=6, pm=0.0, bands=((0.1, 1.0),) * 2)
+@example(start_slot=54, n_slots=6, pm=0.05, bands=((0.1, 1.0),) * 2)
+@example(start_slot=54, n_slots=6, pm=50.0, bands=((0.1, 1.0),) * 2)
 def test_smgd_matches_ascending_scan(start_slot, n_slots, pm, bands):
     # pm = 0 and flat bands make many plans tie: hold must beat an equal
     # update, the earliest of equal updates must win, and diligent wins
@@ -939,6 +945,41 @@ def test_plan_excess_clip_only_rounds(start_slot, n_slots, bands, data):
         assert pre.tail[j] == pre.excess_suffix(j)[0]
 
 
+@pytest.mark.parametrize("start_day", [0, 3])
+def test_diligent_cutoff_keeps_schedules_and_saves_solves(start_day, monkeypatch):
+    # the scan stops at the diligent plan's cost; without that cutoff it
+    # visits a superset of the same updates in the same order
+    solves = []
+    solve = scheduling.solve_assignment
+    monkeypatch.setattr(
+        scheduling, "solve_assignment", lambda cost: solves.append(len(cost)) or solve(cost)
+    )
+    best_update = scheduling._best_update
+
+    def uncut(moves, cur, continuation, cutoff=math.inf):
+        return best_update(moves, cur, continuation)
+
+    base = dataclasses.replace(
+        reference_scenario(), horizon_s=7 * 86400.0, start_s=start_day * 86400.0
+    )
+    runs = {}
+    for name, scan in (("cut", best_update), ("uncut", uncut)):
+        monkeypatch.setattr(scheduling, "_best_update", scan)
+        plan = SchedulePlan(base)
+        del solves[:]
+        for pm in (0.05, 1.5, 50.0):
+            sched = smgd_schedule(base.with_mobility_power(pm), plan=plan)
+            bits = (sched.update_slots, sched.avg_dynamic_rf.hex(), sched.candidate_evaluations)
+            runs[name, pm] = bits, len(solves), set().union(*plan._permutations.values())
+    for pm in (0.05, 1.5, 50.0):
+        cut_bits, cut_solves, cut_pairs = runs["cut", pm]
+        uncut_bits, uncut_solves, uncut_pairs = runs["uncut", pm]
+        assert cut_bits == uncut_bits
+        # solves so far, over the sweep on one shared plan
+        assert cut_solves <= uncut_solves and cut_pairs <= uncut_pairs
+    assert runs["cut", 0.05][1] < runs["uncut", 0.05][1]
+
+
 def test_smgd_equal_updates_earliest_wins(monkeypatch):
     # slot 2's update has the smaller static bound, so the best-first scan
     # visits it first; its pair energy is set so that both updates cost
@@ -967,6 +1008,29 @@ def test_smgd_equal_updates_earliest_wins(monkeypatch):
         assert slots[:2] == [0, 1]
 
 
+def test_smgd_update_at_the_diligent_cost_wins(monkeypatch):
+    # the update to slot 2 costs exactly the diligent plan, and its bound
+    # is its value (no flight cost bounds it, e02 = 0): the scan must still
+    # visit it at the diligent cutoff, and it wins, as diligent wins only
+    # when strictly cheaper
+    sc = toy_scenario([[1.0e-6, 1.1e-6, 3.0e-6]], pm=0.0)
+    pre = SchedulePlan(sc)
+    eb = sc.energy.battery_j
+    hold = float(pre.excess_suffix(0)[0])
+    target = (hold - float(pre.excess_suffix(0)[2])) + float(pre.tail[2])
+    energy_01 = target * eb
+    for _ in range(64):
+        if energy_01 / eb == target:
+            break
+        energy_01 = math.nextafter(energy_01, math.inf if energy_01 / eb < target else -math.inf)
+    assert energy_01 / eb == target < hold
+    energies = {(0, 1): energy_01, (0, 2): 0.0, (1, 2): 0.0}
+    monkeypatch.setattr(_Moves, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0))
+    assert smgd_schedule(sc).update_slots == [0, 2]
+    for prune in (True, False):
+        assert _ascending_scan_smgd(sc, prune, lambda i, j: energies.get((i, j), 0.0))[0] == [0, 2]
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -981,6 +1045,22 @@ def _warm_caches(sc):
     # fill the per-environment caches untraced
     optimal_altitude_ratio(sc.env)
     optimal_normalized_power(sc.env, sc.radio)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dataclasses.replace(reference_scenario(), horizon_s=28 * 86400.0),
+        lambda: load_scenario(os.path.join(os.path.dirname(__file__), "data", "paper_day.cfg")),
+    ],
+    ids=["reference-4-weeks", "paper-day"],
+)
+def test_plan_slot_statics_have_the_bits_of_one_slot_rows(make):
+    # _assemble reads one-slot epochs from the plan's per-slot array
+    plan = SchedulePlan(make())
+    assert plan.slot_static.shape == (plan.n,)
+    expected = [float(plan.static(k, k, k + 1).sum()).hex() for k in range(plan.n)]
+    assert [value.hex() for value in plan.slot_static.tolist()] == expected
 
 
 def test_plan_memory_linear_at_four_weeks():
