@@ -53,29 +53,50 @@ Z[k] - Z[j] - (N[k] - N[j]) z_depot for fleet sizes N and altitude
 sums Z, which the plan keeps per slot, so one vector pass bounds every
 update of a step.  The bound is shaved to stay below the float energy
 and summed in the order of the value, so it never exceeds the value in
-floating point.  Each step then visits the updates by repeated argmin
-of the bound (the first of equal bounds, so equal bounds go in slot
-order), marking each one visited, and stops at the first bound above
-the incumbent: no other update can win, the ordering trick of
-PELT-style pruning (Killick, Fearnhead & Eckley 2012).  SMGD also stops
-at the first bound above the diligent plan's cost, which is known
-before the scan: once the scan passes it, every update left costs more
-than the diligent plan, which then wins the step whatever the scan
-would find.  On the reference scenario the diligent plan wins most
-steps, so this cutoff, not the incumbent, ends most scans.  Ties resolve
-as in a scan in slot order: holding beats an update of equal value, the
-earliest of equal updates wins, and the diligent plan wins only when
-strictly cheaper (an update that costs exactly the diligent plan is
-still visited), so pruning never changes the plan taken.
-``Schedule.candidate_evaluations`` counts the hold plan and every update
-at each step, pruned or not.  Move energies are solved once per ordered
-pair of distinct deployments (slots with equal radii share one).
+floating point.  A step visits the updates by repeated argmin of the
+bound (the first of equal bounds, so equal bounds go in slot order),
+marking each one visited, and stops at the first bound above the
+incumbent: no other update can win, the ordering trick of PELT-style
+pruning (Killick, Fearnhead & Eckley 2012).  SMGD also stops at the
+first bound above the diligent plan's cost, which is known before the
+scan: once the scan passes it, every update left costs more than the
+diligent plan, which then wins the step whatever the scan would find.
+Ties resolve as in a scan in slot order: holding beats an update of
+equal value, the earliest of equal updates wins, and the diligent plan
+wins only when strictly cheaper (an update that costs exactly the
+diligent plan is still visited), so pruning never changes the plan
+taken.  ``Schedule.candidate_evaluations`` counts the hold plan and
+every update at each step, pruned or not.  Move energies are solved
+once per ordered pair of distinct deployments (slots with equal radii
+share one).
 
-The same scan, run from the last slot back to the first with the least
-cost from each later slot as the continuation, gives the exact optimum
-over SMGD's candidates (:func:`optimal_schedule`): a shortest path over
-update epochs, or optimal partitioning (Jackson et al. 2005).  It solves
-O(n^2) pair energies in the worst case.
+So a step visits an update only if its bound is at most the smaller of
+the hold and the diligent cost, the step's reach, and most steps have
+none: on the reference scenario over two weeks, 9 of SMGD's 3,949 steps
+at pm 0.05 / 1.5 / 50 W.  SMGD therefore screens the steps of a block
+of consecutive slots in one 2-D pass.  The plan returns the block's
+excess-suffix rows at once (:meth:`SchedulePlan.excess_suffixes`), at
+most 2^15 entries and at least one row, and the holds are their
+diagonal.  Staleness never falls as the update slot grows and bounds
+the update's bound from below, so the staleness, climb bound and
+continuation are computed only over the columns where some row's
+staleness is within its reach, elementwise with the operations of one
+step.  A row whose least bound is above its reach takes the hold or the
+diligent plan without a visit; any other row runs the argmin visits on
+its own row of bounds.  A row depends only on its slot, so when SMGD
+jumps within the block, the row it lands on stays valid.  Every value
+and bound a step compares has the bits of a step on its own, and the
+visits run in the same order, so every pair energy is requested in the
+same order as by a scan one step at a time: the same solves, the same
+cache entries and the same bits.
+
+The same visits, one step at a time from the last slot back to the first
+with the least cost from each later slot as the continuation, give the
+exact optimum over SMGD's candidates (:func:`optimal_schedule`): a
+shortest path over update epochs, or optimal partitioning (Jackson et
+al. 2005).  Its continuation is known only once the later slots are
+done, so it bounds one row at a time.  It solves O(n^2) pair energies in
+the worst case.
 
 Only the move energies depend on the mobility powers and speeds.  The
 rest (densities, radii, the static-cost coefficients, deployments) lives
@@ -199,7 +220,11 @@ def cost_matrix(
 
 
 def solve_assignment(cost: np.ndarray) -> Assignment:
-    """Exact minimum-cost assignment for a square nonnegative matrix."""
+    """Exact minimum-cost assignment for a square matrix of finite costs.
+
+    A non-square or non-finite matrix raises ``ValueError``; the signs of
+    the entries are not checked (move energies are never negative).
+    """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost matrix must be square")
@@ -258,6 +283,9 @@ def _matched_energy(
 # cost entries in one stacked build of consecutive moves (2 MiB of floats)
 _BATCH_ENTRIES = 2**18
 
+# suffix entries in one block of SMGD's scan (256 KiB of floats)
+_SCAN_ENTRIES = 2**15
+
 # relative shave of the climb bound: above (n + 10) * eps for fleets of up
 # to 10^6 UAVs, the rounding of a float move energy of n entries
 _CLIMB_SHAVE = 1e-9
@@ -294,6 +322,12 @@ def _climb_bound(net: np.ndarray, slack: float, energy: EnergyParams) -> np.ndar
     down = energy.p_descend / energy.v_descend * (1.0 - _CLIMB_SHAVE)
     magnitude = np.maximum(np.abs(net) - slack, 0.0)
     return magnitude * np.where(net >= 0, up, down)
+
+
+def _block_end(n: int, k0: int) -> int:
+    """The end of a block of suffix rows from slot k0 of n: at most
+    ``_SCAN_ENTRIES`` entries of n - k0 columns, and at least one row."""
+    return min(n, k0 + max(1, _SCAN_ENTRIES // (n - k0)))
 
 
 def _cost_shape(energy: EnergyParams) -> Tuple[Fraction, ...] | None:
@@ -361,11 +395,12 @@ class SchedulePlan:
     area-wide static recall frequency over a range of slots with every
     subregion holding its slot-k optimal placement, SLOT_STATIC (n,) holds
     its one-slot values ``static(k, k, k + 1)`` with their bits, and
-    :meth:`excess_suffix` sums its excess max(static - OPT, 0) times the
-    slot length from each slot to the horizon; both are computed on
-    demand.  TAIL[k] is the excess of holding slot k's placement from k
-    to the horizon.  Slots with equal radii columns share one deployment
-    id, and deployments are cached per id.  The fleet sizes (n,) and the
+    :meth:`excess_suffixes` sums its excess max(static - OPT, 0) times the
+    slot length from each slot to the horizon, for a block of slots k;
+    both are computed on demand.  TAIL[k] is the excess of holding slot
+    k's placement from k to the horizon, the diagonal of those blocks.
+    Slots with equal radii columns share one deployment id, and
+    deployments are cached per id.  The fleet sizes (n,) and the
     net altitudes (n,) of the climb bound (see the module docstring) come
     from ``num_uavs`` on the radii, so no deployment is built for them.
 
@@ -408,7 +443,12 @@ class SchedulePlan:
         # slot, so the same bits (a sum over axis 0 or einsum rounds otherwise)
         dots = np.matmul(self.c2.T[:, None, :], self.lams.T[:, :, None])
         self.slot_static = self.c1 + dots[:, 0, 0]
-        self.tail = np.array([self.excess_suffix(k)[0] for k in range(self.n)])
+        self.tail = np.empty(self.n)
+        k0 = 0
+        while k0 < self.n:
+            k1 = _block_end(self.n, k0)
+            self.tail[k0:k1] = np.diagonal(self.excess_suffixes(k0, k1))
+            k0 = k1
         # deployment(k)'s fleet sizes by construction, so neither the climb
         # bound nor the batch sizes build a deployment
         counts = num_uavs(areas, self.radii)
@@ -432,14 +472,22 @@ class SchedulePlan:
         """Static recall frequency in slots t0..t1-1 of the slot-k placement."""
         return self.c1[k] + self.c2[:, k] @ self.lams[:, t0:t1]
 
-    def excess_suffix(self, k: int) -> np.ndarray:
-        """Excess of the slot-k placement over OPT, summed from each slot t >= k on."""
-        excess = self.static(k, k, self.n)
-        excess -= self.opt[k:]
+    def excess_suffixes(self, k0: int, k1: int) -> np.ndarray:
+        """Excess of the slot-k placement over OPT, summed from each slot t
+        on to the horizon, for k0 <= k < k1: row k - k0, column t - k0.
+
+        Each row takes its static row from its own ``static(k, k, n)``
+        (another slice of the product can round otherwise) and OPT left
+        of its slot, where the excess is then exactly 0, so those columns
+        repeat the row's sum from slot k, its TAIL."""
+        excess = np.tile(self.opt[k0:], (k1 - k0, 1))
+        for r, k in enumerate(range(k0, k1)):
+            excess[r, r:] = self.static(k, k, self.n)
+        excess -= self.opt[k0:]
         np.maximum(excess, 0.0, out=excess)
         excess *= self.mu
-        reversed_excess = excess[::-1]
-        np.cumsum(reversed_excess, out=reversed_excess)
+        reversed_excess = excess[:, ::-1]
+        np.cumsum(reversed_excess, axis=1, out=reversed_excess)
         return excess
 
     def check(self, scenario: Scenario) -> None:
@@ -624,35 +672,87 @@ def _assemble(
     )
 
 
-def _best_update(
-    moves: _Moves, cur: int, continuation: np.ndarray, cutoff: float = math.inf
-) -> Tuple[float, int | None]:
-    """The cheapest plan from slot ``cur`` (see module docstring): hold, or
-    update at k > cur and then pay ``continuation[k - cur - 1] >= 0``.
-    Returns its excess cost and the update slot, None to hold.  Updates
-    whose bound exceeds ``cutoff`` go unvisited, so the result is exact
-    when it is at most ``cutoff``; when it is above, so is the exact one."""
+def _update_bound(
+    moves: _Moves, net: np.ndarray, stale: np.ndarray, continuation: np.ndarray
+) -> np.ndarray:
+    """A lower bound on the excess cost of updates whose padded fleets
+    climb by ``net`` [m] (see module docstring): their staleness, plus the
+    climb bound over the battery, plus their continuation, all broadcast.
+    It sums in the order of the value, so bound <= value in floats."""
     plan = moves.plan
-    suffix = plan.excess_suffix(cur)
-    eb = moves.energy.battery_j
-    hold_value = float(suffix[0])
-    best_value, nxt = hold_value, None
-    stale = hold_value - suffix[1:]
-    # a move costs at least its net climb, and the bound sums in the
-    # order of the value, so bound <= value in floats
-    net = plan.net_altitude[cur + 1 :] - plan.net_altitude[cur]
-    bound = stale + _climb_bound(net, plan.climb_slack, moves.energy) / eb
+    bound = stale + _climb_bound(net, plan.climb_slack, moves.energy) / moves.energy.battery_j
     bound += continuation
+    return bound
+
+
+def _visit(
+    moves: _Moves,
+    cur: int,
+    stale: np.ndarray,
+    bound: np.ndarray,
+    continuation: np.ndarray,
+    hold: float,
+    cutoff: float = math.inf,
+) -> Tuple[float, int | None]:
+    """The cheapest plan from slot ``cur`` (see module docstring): hold at
+    excess ``hold``, or update at k = cur + 1 + i at ``stale[i]`` plus the
+    move plus ``continuation[k] >= 0``, visited by repeated argmin of
+    ``bound``, which the visits overwrite.  Returns its excess cost and
+    the update slot, None to hold.  Updates whose bound exceeds ``cutoff``
+    go unvisited, so the result is exact when it is at most ``cutoff``;
+    when it is above, so is the exact one."""
+    eb = moves.energy.battery_j
+    best_value, nxt = hold, None
     for _ in range(len(bound)):
         i = int(bound.argmin())  # the first of equal bounds: slot order
         if bound[i] > best_value or bound[i] > cutoff:
             break  # every other candidate has a larger bound
         bound[i] = math.inf
         k = cur + 1 + i
-        value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(continuation[i])
+        value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(continuation[k])
         if value < best_value or (value == best_value and nxt is not None and k < nxt):
             best_value, nxt = value, k
     return best_value, nxt
+
+
+def _diligent_costs(moves: _Moves) -> List[float]:
+    """The diligent plan's excess from each slot: every consecutive move
+    left, over the battery; inf at the last slot, which has no such plan.
+
+    The moves are requested from the last back and summed by one
+    cumulative sum, which adds them in that order."""
+    n = moves.plan.n
+    moves.fill_consecutive()
+    energies = [moves.pair_energy(j, j + 1) for j in range(n - 2, -1, -1)]
+    costs = np.cumsum(np.array(energies) / moves.energy.battery_j)[::-1]
+    return [*costs.tolist(), math.inf]
+
+
+def _screen(
+    moves: _Moves, k0: int, diligent: List[float]
+) -> Tuple[int, List[float], np.ndarray, np.ndarray, List[bool]]:
+    """SMGD's steps from the slots k0..k1-1 of one block, screened at once.
+
+    Returns k1, the holds, the staleness and the update bounds (rows by
+    slot, column c for slot k0 + c, infinite where c <= row) and whether
+    each row has an update in reach: one whose bound is at most the
+    smaller of its hold and its diligent cost.  Staleness grows along a
+    row and bounds it, so columns beyond the last stale entry in reach
+    are left out."""
+    plan = moves.plan
+    n = plan.n
+    k1 = _block_end(n, k0)
+    suffix = plan.excess_suffixes(k0, k1)
+    hold = np.diagonal(suffix).copy()
+    reach = np.minimum(hold, diligent[k0:k1])[:, None]
+    stale = np.subtract(hold[:, None], suffix, out=suffix)
+    width = int(np.count_nonzero(stale <= reach, axis=1).max())
+    stale = stale[:, :width]
+    net = plan.net_altitude[k0 : k0 + width] - plan.net_altitude[k0:k1, None]
+    bound = _update_bound(moves, net, stale, plan.tail[k0 : k0 + width])
+    bound[np.tril_indices(k1 - k0, 0, width)] = math.inf
+    visit = bound.min(axis=1) <= reach[:, 0]
+    return k1, hold.tolist(), stale, bound, visit.tolist()
 
 
 def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Schedule:
@@ -665,22 +765,25 @@ def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Sc
     moves = _moves_for(scenario, plan)
     pre = moves.plan
     n = pre.n
-    eb = scenario.energy.battery_j
-    # diligent continuation cost from each slot: all remaining consecutive moves
-    moves.fill_consecutive()
-    dil_suffix = np.zeros(n + 1)
-    for j in range(n - 2, -1, -1):
-        dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
-
+    diligent = _diligent_costs(moves)
     epoch_slots = [0]
     evaluations = 0
-    cur = 0
+    cur = k0 = k1 = 0
     while True:
+        if cur >= k1:
+            # a row depends on its slot alone: a jump within the block keeps it
+            k0 = cur
+            k1, hold, stale, bound, visit = _screen(moves, k0, diligent)
+        r = cur - k0
         evaluations += n - cur
-        # an update dearer than the diligent plan cannot be taken
-        diligent = float(dil_suffix[cur]) if cur + 1 < n else math.inf
-        best_value, nxt = _best_update(moves, cur, pre.tail[cur + 1 :], diligent)
-        if diligent < best_value:
+        best_value, nxt = hold[r], None
+        if visit[r]:
+            # an update dearer than the diligent plan cannot be taken; SMGD
+            # leaves each slot once, so the visits may overwrite its row
+            best_value, nxt = _visit(
+                moves, cur, stale[r, r + 1 :], bound[r, r + 1 :], pre.tail, best_value, diligent[cur]
+            )
+        if diligent[cur] < best_value:
             nxt = cur + 1
         if nxt is None:
             break
@@ -692,11 +795,16 @@ def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Sc
 def optimal_schedule(scenario: Scenario) -> Schedule:
     """The cheapest schedule over SMGD's candidates (see module docstring)."""
     moves = _moves_for(scenario, None)
-    n = moves.plan.n
+    plan = moves.plan
+    n = plan.n
     value = np.empty(n)
     nxt: List[int | None] = [None] * n
     for k in range(n - 1, -1, -1):
-        value[k], nxt[k] = _best_update(moves, k, value[k + 1 :])
+        suffix = plan.excess_suffixes(k, k + 1)[0]
+        stale = suffix[0] - suffix[1:]
+        net = plan.net_altitude[k + 1 :] - plan.net_altitude[k]
+        bound = _update_bound(moves, net, stale, value[k + 1 :])
+        value[k], nxt[k] = _visit(moves, k, stale, bound, value, float(suffix[0]))
     epoch_slots = [0]
     while nxt[epoch_slots[-1]] is not None:
         epoch_slots.append(nxt[epoch_slots[-1]])

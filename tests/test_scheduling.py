@@ -25,9 +25,11 @@ from uavrf.placement import (
 from uavrf.scenario import Scenario, load_scenario, reference_scenario, slot_densities
 from uavrf.scheduling import (
     _BATCH_ENTRIES,
+    _SCAN_ENTRIES,
     Assignment,
     SchedulePlan,
     _assemble,
+    _block_end,
     _climb_bound,
     _matched_energy,
     _Moves,
@@ -756,6 +758,15 @@ def test_zero_circuit_power_names_it():
         smgd_schedule(sc)
 
 
+def _suffix_row(pre, k):
+    """The excess of the slot-k placement over OPT, summed from each slot
+    t >= k to the horizon, one row on its own."""
+    excess = pre.static(k, k, pre.n) - pre.opt[k:]
+    np.maximum(excess, 0.0, out=excess)
+    excess *= pre.mu
+    return np.cumsum(excess[::-1])[::-1]
+
+
 def _ascending_scan_smgd(sc, prune=True, pair_energy=None):
     """Reference SMGD: candidates in ascending slot order, each pruned only
     when its static bound exceeds the running incumbent (never, with
@@ -766,7 +777,7 @@ def _ascending_scan_smgd(sc, prune=True, pair_energy=None):
     frequency."""
     pre = SchedulePlan(sc)
     n, eb, mu = pre.n, sc.energy.battery_j, pre.mu
-    own_tail = [float(pre.excess_suffix(k)[0]) for k in range(n)]
+    own_tail = [float(_suffix_row(pre, k)[0]) for k in range(n)]
     deployments = {}
     energies = {}
 
@@ -793,7 +804,7 @@ def _ascending_scan_smgd(sc, prune=True, pair_energy=None):
         dil_suffix[j] = dil_suffix[j + 1] + pair_energy(j, j + 1) / eb
     slots, evaluations, cur = [0], 0, 0
     while True:
-        suffix = pre.excess_suffix(cur)
+        suffix = _suffix_row(pre, cur)
         base = float(suffix[0])
         evaluations += 1
         best_value, best = base, None
@@ -937,38 +948,76 @@ def test_plan_excess_clip_only_rounds(start_slot, n_slots, bands, data):
     assert pre.static(k, k, k + 1)[0] == pytest.approx(pre.opt[k], rel=1e-12)
     assert pre.static(k, t, t + 1)[0] >= pre.opt[t] * (1 - 1e-12)
     assert np.all(pre.static(k, 0, n) >= pre.opt * (1 - 1e-12))
-    suffix = pre.excess_suffix(k)
+    suffix = pre.excess_suffixes(k, k + 1)[0]
     assert len(suffix) == n - k
     assert np.all(suffix >= 0.0)
     assert np.all(np.diff(suffix) <= 0.0)
     for j in range(n):
-        assert pre.tail[j] == pre.excess_suffix(j)[0]
+        assert pre.tail[j] == _suffix_row(pre, j)[0]
+
+
+def _per_step_smgd(sc, plan, cutoff=True):
+    """SMGD one step at a time, each step bounding its updates on its own
+    suffix row and visiting them by repeated argmin, on ``plan`` through
+    the scheduler's move energies; with ``cutoff=False`` the scan does not
+    stop at the diligent plan's cost.  Returns the assembled schedule."""
+    moves = _Moves(plan, sc.energy)
+    n, eb = plan.n, sc.energy.battery_j
+    own_tail = np.array([_suffix_row(plan, k)[0] for k in range(n)])
+    moves.fill_consecutive()
+    dil_suffix = np.zeros(n + 1)
+    for j in range(n - 2, -1, -1):
+        dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
+    slots, evaluations, cur = [0], 0, 0
+    while True:
+        evaluations += n - cur
+        diligent = float(dil_suffix[cur]) if cur + 1 < n else math.inf
+        limit = diligent if cutoff else math.inf
+        suffix = _suffix_row(plan, cur)
+        best_value, best = float(suffix[0]), None
+        stale = best_value - suffix[1:]
+        net = plan.net_altitude[cur + 1 :] - plan.net_altitude[cur]
+        bound = stale + _climb_bound(net, plan.climb_slack, sc.energy) / eb
+        bound += own_tail[cur + 1 :]
+        for _ in range(len(bound)):
+            i = int(bound.argmin())
+            if bound[i] > best_value or bound[i] > limit:
+                break
+            bound[i] = math.inf
+            k = cur + 1 + i
+            value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(own_tail[k])
+            if value < best_value or (value == best_value and best is not None and k < best):
+                best_value, best = value, k
+        if diligent < best_value:
+            best = cur + 1
+        if best is None:
+            break
+        cur = best
+        slots.append(cur)
+    return _assemble("smgd", moves, slots, sc, evaluations)
 
 
 @pytest.mark.parametrize("start_day", [0, 3])
 def test_diligent_cutoff_keeps_schedules_and_saves_solves(start_day, monkeypatch):
-    # the scan stops at the diligent plan's cost; without that cutoff it
-    # visits a superset of the same updates in the same order
+    # the scan stops at the diligent plan's cost; the per-step scan without
+    # that cutoff visits a superset of the same updates in the same order
     solves = []
     solve = scheduling.solve_assignment
     monkeypatch.setattr(
         scheduling, "solve_assignment", lambda cost: solves.append(len(cost)) or solve(cost)
     )
-    best_update = scheduling._best_update
-
-    def uncut(moves, cur, continuation, cutoff=math.inf):
-        return best_update(moves, cur, continuation)
-
     base = dataclasses.replace(
         reference_scenario(), horizon_s=7 * 86400.0, start_s=start_day * 86400.0
     )
     runs = {}
-    for name, scan in (("cut", best_update), ("uncut", uncut)):
-        monkeypatch.setattr(scheduling, "_best_update", scan)
+    for name, scan in (
+        ("cut", lambda sc, plan: smgd_schedule(sc, plan=plan)),
+        ("uncut", lambda sc, plan: _per_step_smgd(sc, plan, cutoff=False)),
+    ):
         plan = SchedulePlan(base)
         del solves[:]
         for pm in (0.05, 1.5, 50.0):
-            sched = smgd_schedule(base.with_mobility_power(pm), plan=plan)
+            sched = scan(base.with_mobility_power(pm), plan)
             bits = (sched.update_slots, sched.avg_dynamic_rf.hex(), sched.candidate_evaluations)
             runs[name, pm] = bits, len(solves), set().union(*plan._permutations.values())
     for pm in (0.05, 1.5, 50.0):
@@ -980,6 +1029,115 @@ def test_diligent_cutoff_keeps_schedules_and_saves_solves(start_day, monkeypatch
     assert runs["cut", 0.05][1] < runs["uncut", 0.05][1]
 
 
+@pytest.mark.parametrize(
+    "start_day, bands", [(0, None), (3, None), (0, ((1e-7, 1e-7),) * 2)], ids=["day-0", "day-3", "flat"]
+)
+def test_block_screen_requests_the_pair_energies_of_the_per_step_scan(start_day, bands, monkeypatch):
+    # SMGD screens a block of steps at once and visits only the steps with
+    # an update in reach: every pair energy, the scan's (cur, k) visits
+    # among them, must be requested in the order of one step at a time;
+    # flat bands tie every bound, and the first of equal bounds goes first
+    requests = []
+    pair_energy = _Moves.pair_energy
+
+    def logged(self, i, j):
+        requests.append((i, j))
+        return pair_energy(self, i, j)
+
+    monkeypatch.setattr(_Moves, "pair_energy", logged)
+    base = dataclasses.replace(
+        reference_scenario(), horizon_s=7 * 86400.0, start_s=start_day * 86400.0
+    )
+    if bands:
+        base = dataclasses.replace(base, density_bands=bands)
+    plans = SchedulePlan(base), SchedulePlan(base)
+    visits = 0
+    for pm in (0.0, 0.05, 1.5, 50.0):
+        sc = base.with_mobility_power(pm)
+        logs = []
+        for run in (lambda: smgd_schedule(sc, plan=plans[0]), lambda: _per_step_smgd(sc, plans[1])):
+            del requests[:]
+            sched = run()
+            logs.append((_schedule_bits(sched), list(requests)))
+        assert logs[0] == logs[1]
+        # past the diligent requests, less the epochs' moves, are the visits
+        visits += len(logs[0][1]) - (base.n_slots - 1) - (len(sched.epochs) - 1)
+    assert visits > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start_slot=st.integers(min_value=0, max_value=4031),
+    n_slots=st.integers(min_value=1, max_value=432),
+    pm=st.one_of(st.sampled_from([0.0, 0.05, 1.5, 50.0]), st.floats(0.0, 100.0)),
+    bands=_bands,
+    data=st.data(),
+)
+def test_screen_keeps_every_update_in_reach(start_slot, n_slots, pm, bands, data):
+    # a block's screen must keep, with the bits of the per-step bound,
+    # every update whose bound is at most the smaller of the hold and the
+    # diligent cost, and send a row to the visits iff it has one
+    sc = dataclasses.replace(
+        reference_scenario(),
+        start_s=start_slot * 600.0,
+        horizon_s=n_slots * 600.0,
+        density_bands=bands,
+    ).with_mobility_power(pm)
+    plan = SchedulePlan(sc)
+    moves = _Moves(plan, sc.energy)
+    diligent = scheduling._diligent_costs(moves)
+    n, eb = plan.n, sc.energy.battery_j
+    k0 = data.draw(st.integers(min_value=0, max_value=n - 1), label="k0")
+    k1, hold, stale, bound, visit = scheduling._screen(moves, k0, diligent)
+    assert k1 == _block_end(n, k0) and stale.shape == bound.shape
+    width = bound.shape[1]
+    for r, cur in enumerate(range(k0, k1)):
+        suffix = _suffix_row(plan, cur)
+        assert hold[r] == suffix[0] == plan.tail[cur]
+        row = suffix[0] - suffix[1:]
+        net = plan.net_altitude[cur + 1 :] - plan.net_altitude[cur]
+        full = row + _climb_bound(net, plan.climb_slack, sc.energy) / eb
+        full += plan.tail[cur + 1 :]
+        reach = min(hold[r], diligent[cur])
+        kept = max(0, width - r - 1)
+        assert stale[r, r + 1 :].tobytes() == row[:kept].tobytes()
+        assert bound[r, r + 1 :].tobytes() == full[:kept].tobytes()
+        assert np.all(bound[r, : r + 1] == math.inf)
+        assert np.all(full[kept:] > reach)
+        assert visit[r] == bool(np.any(full <= reach))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dataclasses.replace(reference_scenario(), horizon_s=28 * 86400.0),
+        lambda: load_scenario(os.path.join(os.path.dirname(__file__), "data", "paper_day.cfg")),
+    ],
+    ids=["reference-4-weeks", "paper-day"],
+)
+def test_block_suffix_rows_have_the_bits_of_one_row_blocks(make):
+    # a block's rows come from one 2-D pass: at every block edge of the
+    # scan's blocks from slot 0 and from slot 1 they must have the bits
+    # of one-row blocks, which must have the bits of a row on its own;
+    # the columns left of a row's slot hold its TAIL
+    plan = SchedulePlan(make())
+    n = plan.n
+    for k in range(n):
+        assert plan.excess_suffixes(k, k + 1)[0].tobytes() == _suffix_row(plan, k).tobytes()
+    for start in (0, 1):
+        k0 = start
+        while k0 < n:
+            k1 = _block_end(n, k0)
+            block = plan.excess_suffixes(k0, k1)
+            assert block.shape == (k1 - k0, n - k0)
+            assert k1 - k0 == 1 or block.size <= _SCAN_ENTRIES
+            for k in {k0, k1 - 1}:
+                row = block[k - k0]
+                assert row[k - k0 :].tobytes() == plan.excess_suffixes(k, k + 1)[0].tobytes()
+                assert [x.hex() for x in row[: k - k0 + 1]] == [plan.tail[k].hex()] * (k - k0 + 1)
+            k0 = k1
+
+
 def test_smgd_equal_updates_earliest_wins(monkeypatch):
     # slot 2's update has the smaller static bound, so the best-first scan
     # visits it first; its pair energy is set so that both updates cost
@@ -987,7 +1145,7 @@ def test_smgd_equal_updates_earliest_wins(monkeypatch):
     sc = toy_scenario([[1.0e-6, 1.1e-6, 3.0e-6]], pm=1.0)
     pre = SchedulePlan(sc)
     eb = sc.energy.battery_j
-    row = [pre.excess_suffix(k) for k in range(3)]
+    row = [_suffix_row(pre, k) for k in range(3)]
     stale = [float(row[0][0]) - float(row[0][k]) for k in (1, 2)]
     bound = [s + float(row[k][0]) for s, k in zip(stale, (1, 2))]
     assert bound[1] < bound[0] < float(row[0][0])
@@ -1016,8 +1174,8 @@ def test_smgd_update_at_the_diligent_cost_wins(monkeypatch):
     sc = toy_scenario([[1.0e-6, 1.1e-6, 3.0e-6]], pm=0.0)
     pre = SchedulePlan(sc)
     eb = sc.energy.battery_j
-    hold = float(pre.excess_suffix(0)[0])
-    target = (hold - float(pre.excess_suffix(0)[2])) + float(pre.tail[2])
+    hold = float(_suffix_row(pre, 0)[0])
+    target = (hold - float(_suffix_row(pre, 0)[2])) + float(pre.tail[2])
     energy_01 = target * eb
     for _ in range(64):
         if energy_01 / eb == target:
@@ -1310,7 +1468,8 @@ def _filled_chain(plan, energy):
     return {key: (energies[key].hex(), moves._permutations[key]) for key in energies}
 
 
-@pytest.mark.parametrize("start_day", [0, 7])
+# the reference pattern repeats weekly: day 7 would repeat day 0's week
+@pytest.mark.parametrize("start_day", [0, 3])
 def test_consecutive_moves_have_the_pair_bits_on_reference_weeks(start_day):
     base = dataclasses.replace(
         reference_scenario(), horizon_s=7 * 86400.0, start_s=start_day * 86400.0
