@@ -370,6 +370,9 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
         if "densities" in s:
             explicit.append(_floats(s, "densities", None))
         subregions.append(Subregion(label=label, rect=rect, pattern=pattern))
+    if explicit and len(explicit) < len(sections):
+        missing = next(section for section in sections if "densities" not in parser[section])
+        raise ScenarioError(f"[{missing}] needs densities: every subregion or none sets them")
     if not subregions:
         subregions = list(base.subregions)
         bands = list(base.density_bands)

@@ -8,22 +8,25 @@ of the depot (RSC) so recalled units fly home and supplements launch
 from it; the minimum-energy pairing of old to new positions is then a
 square assignment problem solved exactly in polynomial time.
 
-One pair solve (:func:`mobility_energy_at`) reads the positions that
-each deployment stacked once, pads only when the fleet sizes differ,
-builds the cost matrix from one (n, n) temporary per axis and hands it
-to scipy's ``linear_sum_assignment`` (Crouse 2016).  It keeps every
-check: the two deployments share the depot and the subregion labels,
-the matrix is square and finite, and the result is a permutation.  On
-the two-zone reference scenario (2 x 2 matrices) a solve costs about
-18 us on a 2-vCPU VM, of which the assignment itself is about 1 us; at
-paper density (a few hundred UAVs per zone) the assignment dominates.
+The scheduler's move energies come from one batched path
+(``_Moves.fill``), which takes any slot moves i -> j and keeps each
+energy per pair.  It reads the positions that each deployment stacked
+once, pads only when the fleet sizes differ, and groups the pairs it
+lacks by padded size.  A batch of new pairs builds its cost matrices in
+one stacked pass, one temporary per axis, and hands each matrix to
+scipy's ``linear_sum_assignment`` (Crouse 2016) through
+:func:`solve_assignment`; a batch of pairs already solved under the same
+cost shape (below) is one gather and one row sum.  Every check stays:
+the two deployments share the depot and the subregion labels, each
+matrix is square and finite, and each result is a permutation.  A batch
+holds at most 2^18 cost entries, so paper-density fleets (a few hundred
+UAVs per zone, where the assignment dominates) go one pair at a time.
 The consecutive moves j -> j + 1, which the diligent plan needs before
-any scan, are known up front, so they are filled in batches of one
-padded size: one stacked cost build, then ``solve_assignment`` per
-matrix (about 12 us a pair at reference size), or, for pairs already
-solved under the same cost shape, one gather and one row sum (about
-4 us a pair, against 10 us one at a time).  A batch holds at most 2^18
-cost entries, so paper-density fleets are solved one pair at a time.
+any scan, and the moves of an assembled schedule are known up front and
+filled together; a scan's visit is a batch of one.  On the two-zone
+reference scenario (2 x 2 matrices) a batched solve costs about 12 us a
+pair on a 2-vCPU VM, and a re-sum about 4 us.  :func:`mobility_energy_at`
+solves one pair on its own, with the same bits.
 
 Epoch selection works on the excess-cost scale: per-slot static recall
 frequency above the instantaneous optimum (a policy-independent
@@ -131,7 +134,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -267,20 +270,7 @@ def mobility_energy_at(
     return assignment.total_energy, assignment
 
 
-def _matched_energy(
-    prev: Deployment, nxt: Deployment, permutation: np.ndarray, energy: EnergyParams
-) -> float:
-    """Energy [J] of moving padded origin k of ``prev`` to destination
-    ``permutation[k]`` of ``nxt``, summed in O(n).
-
-    For the permutation that :func:`mobility_energy_at` solves, this has
-    the bits of its energy: the same entries, summed in the same order.
-    """
-    origins, destinations = _padded_positions(prev, nxt)
-    return float(_flight_energies(origins, destinations[permutation], energy).sum())
-
-
-# cost entries in one stacked build of consecutive moves (2 MiB of floats)
+# cost entries in one stacked build of moves (2 MiB of floats)
 _BATCH_ENTRIES = 2**18
 
 # suffix entries in one block of SMGD's scan (256 KiB of floats)
@@ -526,6 +516,8 @@ class SchedulePlan:
 class _Moves:
     """Move energies of one energy model between the deployments of a plan.
 
+    :meth:`fill` computes the energies of a batch of moves, and
+    :meth:`pair_energy` reads one, filling it as a batch of one on a miss.
     Pair energies go to a dict that the plan keeps per energy model, so
     every scheduler call at the same mobility solves each pair once.
     Solved permutations go to a dict that the plan keeps per cost shape,
@@ -550,26 +542,13 @@ class _Moves:
         key = a * self.plan._pair_stride + b
         value = self._pair_energy.get(key)
         if value is None:
-            prev, nxt = self.plan.deployment(i), self.plan.deployment(j)
-            stored = self._permutations.get(key)
-            if stored is not None:
-                perm = np.frombuffer(stored, dtype=np.int32)
-                value = _matched_energy(prev, nxt, perm, self.energy)
-                self._pair_energy[key] = value
-            else:
-                value = self._keep(key, mobility_energy_at(prev, nxt, self.energy)[1])
+            self._fill([(key, i, j)], key in self._permutations)
+            value = self._pair_energy[key]
         return value
 
-    def _keep(self, key: int, assignment: Assignment) -> float:
-        """Cache a solved pair's energy and its permutation; return the energy."""
-        buf = np.array(assignment.permutation, dtype=np.int32).tobytes()
-        self._permutations[key] = self.plan._permutation_pool.setdefault(buf, buf)
-        self._pair_energy[key] = assignment.total_energy
-        return assignment.total_energy
-
-    def fill_consecutive(self) -> None:
-        """Cache the energy of every move j -> j + 1, with the bits of
-        :meth:`pair_energy`, in batches of pairs of one padded size.
+    def fill(self, moves: Iterable[Tuple[int, int]]) -> None:
+        """Cache the energy of every slot move i -> j of ``moves``, with the
+        bits of :meth:`pair_energy`, in batches of pairs of one padded size.
 
         A batch of new pairs builds its cost matrices in one stacked
         ``_flight_energies`` call and hands each to ``solve_assignment``;
@@ -582,25 +561,26 @@ class _Moves:
         plan = self.plan
         ids, stride = plan.deployment_ids, plan._pair_stride
         sizes = plan.fleet_sizes.tolist()
-        batches: Dict[Tuple[bool, int], Dict[int, int]] = {}  # key -> j
-        for j in range(plan.n - 1):
-            key = ids[j] * stride + ids[j + 1]
-            if ids[j] != ids[j + 1] and key not in self._pair_energy:
-                size = max(sizes[j], sizes[j + 1])
-                batches.setdefault((key in self._permutations, size), {}).setdefault(key, j)
+        batches: Dict[Tuple[bool, int], Dict[int, Tuple[int, int, int]]] = {}
+        for i, j in moves:
+            key = ids[i] * stride + ids[j]
+            if ids[i] != ids[j] and key not in self._pair_energy:
+                size = max(sizes[i], sizes[j])
+                batch = batches.setdefault((key in self._permutations, size), {})
+                batch.setdefault(key, (key, i, j))
         for (stored, size), pairs in batches.items():
-            pairs = list(pairs.items())
+            pairs = list(pairs.values())
             step = max(1, _BATCH_ENTRIES // (size if stored else size * size))
             for start in range(0, len(pairs), step):
                 self._fill(pairs[start : start + step], stored)
 
-    def _fill(self, pairs: List[Tuple[int, int]], stored: bool) -> None:
-        """Energies of the (key, j) moves j -> j + 1, of one padded size."""
+    def _fill(self, moves: List[Tuple[int, int, int]], stored: bool) -> None:
+        """Energies of the (key, i, j) moves i -> j, of one padded size."""
         plan = self.plan
-        padded = [_padded_positions(plan.deployment(j), plan.deployment(j + 1)) for _, j in pairs]
+        padded = [_padded_positions(plan.deployment(i), plan.deployment(j)) for _, i, j in moves]
         origins = np.stack([before for before, _ in padded])
         destinations = np.stack([after for _, after in padded])
-        keys = [key for key, _ in pairs]
+        keys = [key for key, _, _ in moves]
         if stored:
             perms = np.stack([np.frombuffer(self._permutations[k], dtype=np.int32) for k in keys])
             moved = destinations[np.arange(len(keys))[:, None], perms]
@@ -609,7 +589,10 @@ class _Moves:
         else:
             costs = _flight_energies(origins[:, :, None], destinations[:, None], self.energy)
             for key, cost in zip(keys, costs):
-                self._keep(key, solve_assignment(cost))
+                assignment = solve_assignment(cost)
+                buf = np.array(assignment.permutation, dtype=np.int32).tobytes()
+                self._permutations[key] = plan._permutation_pool.setdefault(buf, buf)
+                self._pair_energy[key] = assignment.total_energy
 
     def launch_energy(self, k: int) -> float:
         """Energy to launch the slot-k fleet from the depot."""
@@ -640,6 +623,7 @@ def _assemble(
     epochs: List[ScheduleEpoch] = []
     static_total = 0.0
     mobility_total = 0.0
+    moves.fill(zip(epoch_slots, epoch_slots[1:]))
     for i, k in enumerate(epoch_slots):
         end = epoch_slots[i + 1] if i + 1 < len(epoch_slots) else pre.n
         if end == k + 1:
@@ -722,7 +706,7 @@ def _diligent_costs(moves: _Moves) -> List[float]:
     The moves are requested from the last back and summed by one
     cumulative sum, which adds them in that order."""
     n = moves.plan.n
-    moves.fill_consecutive()
+    moves.fill((j, j + 1) for j in range(n - 1))
     energies = [moves.pair_energy(j, j + 1) for j in range(n - 2, -1, -1)]
     costs = np.cumsum(np.array(energies) / moves.energy.battery_j)[::-1]
     return [*costs.tolist(), math.inf]
@@ -743,7 +727,7 @@ def _screen(
     n = plan.n
     k1 = _block_end(n, k0)
     suffix = plan.excess_suffixes(k0, k1)
-    hold = np.diagonal(suffix).copy()
+    hold = plan.tail[k0:k1]  # the diagonal: a row depends only on its slot
     reach = np.minimum(hold, diligent[k0:k1])[:, None]
     stale = np.subtract(hold[:, None], suffix, out=suffix)
     width = int(np.count_nonzero(stale <= reach, axis=1).max())
@@ -822,8 +806,6 @@ def baseline_schedule(
     if kind not in ("lazy", "diligent"):
         raise ValueError(f"kind must be 'lazy' or 'diligent', got {kind!r}")
     moves = _moves_for(scenario, plan)
-    if kind == "diligent":
-        moves.fill_consecutive()
     slots = [0] if kind == "lazy" else list(range(moves.plan.n))
     return _assemble(kind, moves, slots, scenario)
 

@@ -367,6 +367,20 @@ def test_missing_or_malformed_values_name_section_and_key(text, named):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("with_densities, missing", [("A", "B"), ("B", "A")])
+def test_densities_on_some_subregions_name_one_without(with_densities, missing):
+    # explicit densities cover every subregion or none: the error names a
+    # section that lacks them, not the aligned tuple they would build
+    text = "".join(
+        f"[subregion {label}]\nrect = {x} 0 500 1000\n"
+        + ("densities = 1e-6 2e-6\n" if label == with_densities else "")
+        for label, x in (("A", 0), ("B", 500))
+    )
+    named = rf"^\[subregion {missing}\] needs densities: every subregion or none sets them$"
+    with pytest.raises(ScenarioError, match=named):
+        parse_scenario(text)
+
+
 def test_missing_energy_section_normalizes_like_empty_one():
     text = """
 [scenario]

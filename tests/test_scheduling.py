@@ -31,7 +31,6 @@ from uavrf.scheduling import (
     _assemble,
     _block_end,
     _climb_bound,
-    _matched_energy,
     _Moves,
     _net_altitudes,
     _padded_positions,
@@ -337,6 +336,14 @@ def _reference_pair_energy(prev, nxt, energy):
     return float(cost[rows, cols].sum()), tuple(perm)
 
 
+def _resum(prev, nxt, permutation, energy):
+    """Energy of moving padded origin k of ``prev`` to destination
+    ``permutation[k]`` of ``nxt``, summed in O(n) as a plan re-sums a
+    stored permutation."""
+    origins, destinations = _padded_positions(prev, nxt)
+    return float(scheduling._flight_energies(origins, destinations[permutation], energy).sum())
+
+
 def _zone_deployment(rects, counts, altitudes, rng, snap, rsc):
     """UAVs drawn inside each rectangle at its zone's altitude; ``snap``
     puts them on a 5 x 5 grid of the rectangle, so distances tie often."""
@@ -402,7 +409,7 @@ def test_pair_energy_matches_reference_composition(rects, data, depot, snap, pm,
     assert assignment.total_energy == value
     # the O(n) re-sum along the solved permutation, as a plan stores it
     perm = np.array(assignment.permutation, dtype=np.int32)
-    assert _matched_energy(prev, nxt, perm, energy).hex() == value.hex()
+    assert _resum(prev, nxt, perm, energy).hex() == value.hex()
 
 
 def _paper_size_pair(before, after):
@@ -431,7 +438,7 @@ def test_paper_size_pairs_match_reference_composition(before, after):
     # the 1.5 W permutation stays optimal at 50 W; lattices tie often, so a
     # fresh solve may pick another optimum and differ in the last bits
     fast = dataclasses.replace(energy, p_horizontal=50.0, p_ascend=50.0, p_descend=50.0)
-    reused = _matched_energy(prev, nxt, np.array(assignment.permutation, dtype=np.int32), fast)
+    reused = _resum(prev, nxt, np.array(assignment.permutation, dtype=np.int32), fast)
     fresh, _ = mobility_energy_at(prev, nxt, fast)
     assert abs(reused - fresh) <= 1e-12 * fresh
 
@@ -964,7 +971,7 @@ def _per_step_smgd(sc, plan, cutoff=True):
     moves = _Moves(plan, sc.energy)
     n, eb = plan.n, sc.energy.battery_j
     own_tail = np.array([_suffix_row(plan, k)[0] for k in range(n)])
-    moves.fill_consecutive()
+    moves.fill((j, j + 1) for j in range(n - 1))
     dil_suffix = np.zeros(n + 1)
     for j in range(n - 2, -1, -1):
         dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
@@ -1319,6 +1326,9 @@ def test_shared_plan_matches_fresh_plans(monkeypatch):
     before = len(solves)
     assert _schedule_bits(smgd_schedule(slow, plan=plan)) == _schedule_bits(smgd_schedule(slow))
     assert len(solves) - before == 2 * pairs_solved(slow)
+    # every solve on the shared plan stored a permutation: none was solved twice
+    stored = sum(len(perms) for perms in plan._permutations.values())
+    assert sum(shared_solves.values()) + pairs_solved(slow) == stored
 
 
 @pytest.mark.parametrize(
@@ -1453,7 +1463,7 @@ def _chain_oracle(plan, energy, stored=None):
         prev, nxt = plan.deployment(j), plan.deployment(j + 1)
         if key in (stored or {}):
             perm = np.frombuffer(stored[key], dtype=np.int32)
-            out[key] = (_matched_energy(prev, nxt, perm, energy).hex(), stored[key])
+            out[key] = (_resum(prev, nxt, perm, energy).hex(), stored[key])
         else:
             value, assignment = mobility_energy_at(prev, nxt, energy)
             perm = np.array(assignment.permutation, dtype=np.int32).tobytes()
@@ -1463,7 +1473,7 @@ def _chain_oracle(plan, energy, stored=None):
 
 def _filled_chain(plan, energy):
     moves = _Moves(plan, energy)
-    moves.fill_consecutive()
+    moves.fill((j, j + 1) for j in range(plan.n - 1))
     energies = moves._pair_energy
     return {key: (energies[key].hex(), moves._permutations[key]) for key in energies}
 
@@ -1494,7 +1504,7 @@ def test_consecutive_moves_have_the_pair_bits_on_reference_weeks(start_day):
     kept = dict(moves._permutations)
     assert 0 < len(kept) < len(solved)
     moves._pair_energy.clear()  # the energies go, the permutations stay
-    moves.fill_consecutive()
+    moves.fill((j, j + 1) for j in range(plan.n - 1))
     filled = {key: (e.hex(), moves._permutations[key]) for key, e in moves._pair_energy.items()}
     assert filled == _chain_oracle(plan, slower, kept)
 
@@ -1549,6 +1559,60 @@ def test_consecutive_moves_at_paper_density_keep_bits_and_memory():
     stored = {key: perm for key, (_, perm) in filled.items()}
     fast = base.with_mobility_power(50.0).energy
     assert _filled_chain(plan, fast) == _chain_oracle(plan, fast, stored)
+
+
+@pytest.mark.parametrize(
+    "bands, count", [(None, 12), (((0.1, 1.0),) * 2, 4)], ids=["reference", "paper"]
+)
+def test_fill_of_any_moves_has_the_pair_bits(bands, count, monkeypatch):
+    # fill takes any slot moves: non-consecutive, reversed, repeated and
+    # between slots of one deployment; under a solving cost shape each
+    # energy is the one-pair solve's, and under a re-summing one (another
+    # power, the same shape) the re-sum along that solve's permutation,
+    # with no solve, whether filled at once or one pair_energy at a time
+    sc = reference_scenario()
+    if bands:
+        sc = dataclasses.replace(sc, density_bands=bands)
+    plan = SchedulePlan(sc)
+    ids, sizes = plan.deployment_ids, plan.fleet_sizes
+    slots = np.random.default_rng(1).choice(plan.n, size=count, replace=False).tolist()
+    twins = [k for k in range(plan.n) if ids[k] == ids[slots[0]] and k != slots[0]]
+    moves = [(i, j) for i in slots for j in slots] + [(slots[0], k) for k in twins[:1]]
+    moves += moves[::3]
+    # the reference day repeats deployments; the paper day's fleets differ
+    if bands:
+        assert any(sizes[i] != sizes[j] for i, j in moves)
+    else:
+        assert twins
+    solving, resumming = (sc.with_mobility_power(pm).energy for pm in (1.5, 50.0))
+    oracle = {}
+    for i, j in moves:
+        prev, nxt = plan.deployment(i), plan.deployment(j)
+        value, assignment = mobility_energy_at(prev, nxt, solving)
+        perm = np.array(assignment.permutation, dtype=np.int32)
+        oracle[i, j] = value.hex(), _resum(prev, nxt, perm, resumming).hex()
+    solves = []
+    solve = scheduling.solve_assignment
+    monkeypatch.setattr(
+        scheduling, "solve_assignment", lambda cost: solves.append(len(cost)) or solve(cost)
+    )
+    pairs = {ids[i] * plan._pair_stride + ids[j] for i, j in moves if ids[i] != ids[j]}
+    # in one fill, or a batch of one per pair_energy miss
+    for one_at_a_time in (False, True):
+        for cache in (plan._pair_energies, plan._permutations, plan._permutation_pool):
+            cache.clear()
+        for column, energy, expected_solves in ((0, solving, len(pairs)), (1, resumming, 0)):
+            filled = _Moves(plan, energy)
+            if one_at_a_time:
+                for i, j in moves:
+                    filled.pair_energy(i, j)
+            else:
+                filled.fill(iter(moves))
+            assert len(solves) == expected_solves and set(filled._pair_energy) == pairs
+            got = {(i, j): filled.pair_energy(i, j).hex() for i, j in moves}
+            assert got == {move: hexes[column] for move, hexes in oracle.items()}
+            assert len(solves) == expected_solves
+            del solves[:]
 
 
 @pytest.mark.parametrize("bands, days", [(None, 28), (((0.1, 1.0),) * 2, 1)])
