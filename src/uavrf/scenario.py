@@ -381,6 +381,13 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
         seed = int(sc.get("seed", "0"))
     except ValueError:
         raise ScenarioError(f"[scenario] seed is not an integer: {sc['seed']!r}") from None
+    try:
+        launch = sc.getboolean("include_initial_launch", fallback=False)
+    except ValueError:
+        value = sc["include_initial_launch"]
+        raise ScenarioError(
+            f"[scenario] include_initial_launch is not a boolean: {value!r}"
+        ) from None
     return Scenario(
         name=sc.get("name", base.name),
         env=env,
@@ -398,8 +405,7 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
         slot_s=_number(sc, "slot_seconds") if "slot_seconds" in sc else 600.0,
         start_s=(_number(sc, "start_hours") if "start_hours" in sc else 0.0) * 3600.0,
         seed=seed,
-        include_initial_launch=sc.get("include_initial_launch", "false").lower()
-        in ("1", "true", "yes"),
+        include_initial_launch=launch,
         explicit_densities=tuple(explicit) if explicit else None,
     )
 

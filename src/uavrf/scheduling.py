@@ -76,30 +76,22 @@ share one).
 So a step visits an update only if its bound is at most the smaller of
 the hold and the diligent cost, the step's reach, and most steps have
 none: on the reference scenario over two weeks, 9 of SMGD's 3,949 steps
-at pm 0.05 / 1.5 / 50 W.  SMGD therefore screens the steps of a block
-of consecutive slots in one 2-D pass.  The plan returns the block's
-excess-suffix rows at once (:meth:`SchedulePlan.excess_suffixes`), at
-most 2^15 entries and at least one row, and the holds are their
-diagonal.  Staleness never falls as the update slot grows and bounds
-the update's bound from below, so the staleness, climb bound and
-continuation are computed only over the columns where some row's
-staleness is within its reach, elementwise with the operations of one
-step.  A row whose least bound is above its reach takes the hold or the
-diligent plan without a visit; any other row runs the argmin visits on
-its own row of bounds.  A row depends only on its slot, so when SMGD
-jumps within the block, the row it lands on stays valid.  Every value
-and bound a step compares has the bits of a step on its own, and the
-visits run in the same order, so every pair energy is requested in the
-same order as by a scan one step at a time: the same solves, the same
-cache entries and the same bits.
+at pm 0.05 / 1.5 / 50 W.  The plan keeps, per slot k, the least bound of
+any update from k with its move cost left out, FLOOR[k] (inf at the
+last slot).  The climb bound is at least 0 and float rounding is
+monotone, so every bound of the step is at least FLOOR[k] in floats,
+and a step whose FLOOR is above its reach takes the hold or the
+diligent plan without building its row: on those two weeks, 74 steps
+build one.  FLOOR depends on no mobility field, so one plan serves a
+whole mobility-power sweep.
 
 The same visits, one step at a time from the last slot back to the first
 with the least cost from each later slot as the continuation, give the
 exact optimum over SMGD's candidates (:func:`optimal_schedule`): a
 shortest path over update epochs, or optimal partitioning (Jackson et
 al. 2005).  Its continuation is known only once the later slots are
-done, so it bounds one row at a time.  It solves O(n^2) pair energies in
-the worst case.
+done, so it skips no row; each step of either scheduler runs the same
+one-row visits.  It solves O(n^2) pair energies in the worst case.
 
 Only the move energies depend on the mobility powers and speeds.  The
 rest (densities, radii, the static-cost coefficients, deployments) lives
@@ -273,7 +265,7 @@ def mobility_energy_at(
 # cost entries in one stacked build of moves (2 MiB of floats)
 _BATCH_ENTRIES = 2**18
 
-# suffix entries in one block of SMGD's scan (256 KiB of floats)
+# suffix entries in one block of the plan's TAIL and FLOOR pass (256 KiB of floats)
 _SCAN_ENTRIES = 2**15
 
 # relative shave of the climb bound: above (n + 10) * eps for fleets of up
@@ -389,6 +381,10 @@ class SchedulePlan:
     slot length from each slot to the horizon, for a block of slots k;
     both are computed on demand.  TAIL[k] is the excess of holding slot
     k's placement from k to the horizon, the diagonal of those blocks.
+    FLOOR (n,) is the least bound of an update from slot k with its move
+    left out, min over j > k of (TAIL[k] - row k's suffix from j) +
+    TAIL[j], inf at the last slot (see the module docstring); one pass
+    over the blocks from the last back to the first fills both.
     Slots with equal radii columns share one deployment id, and
     deployments are cached per id.  The fleet sizes (n,) and the
     net altitudes (n,) of the climb bound (see the module docstring) come
@@ -433,12 +429,18 @@ class SchedulePlan:
         # slot, so the same bits (a sum over axis 0 or einsum rounds otherwise)
         dots = np.matmul(self.c2.T[:, None, :], self.lams.T[:, :, None])
         self.slot_static = self.c1 + dots[:, 0, 0]
-        self.tail = np.empty(self.n)
-        k0 = 0
-        while k0 < self.n:
-            k1 = _block_end(self.n, k0)
-            self.tail[k0:k1] = np.diagonal(self.excess_suffixes(k0, k1))
-            k0 = k1
+        starts = [0]
+        while starts[-1] < self.n:
+            starts.append(_block_end(self.n, starts[-1]))
+        self.tail, self.floor = np.empty(self.n), np.empty(self.n)
+        # from the last block back, so each row finds the TAIL of later slots
+        for k0, k1 in reversed(list(zip(starts, starts[1:]))):
+            suffix = self.excess_suffixes(k0, k1)
+            self.tail[k0:k1] = np.diagonal(suffix)
+            floors = np.subtract(self.tail[k0:k1, None], suffix, out=suffix)
+            floors += self.tail[k0:]
+            floors[np.tril_indices(k1 - k0, 0, self.n - k0)] = math.inf
+            self.floor[k0:k1] = floors.min(axis=1)
         # deployment(k)'s fleet sizes by construction, so neither the climb
         # bound nor the batch sizes build a deployment
         counts = num_uavs(areas, self.radii)
@@ -656,46 +658,34 @@ def _assemble(
     )
 
 
-def _update_bound(
-    moves: _Moves, net: np.ndarray, stale: np.ndarray, continuation: np.ndarray
-) -> np.ndarray:
-    """A lower bound on the excess cost of updates whose padded fleets
-    climb by ``net`` [m] (see module docstring): their staleness, plus the
-    climb bound over the battery, plus their continuation, all broadcast.
-    It sums in the order of the value, so bound <= value in floats."""
-    plan = moves.plan
-    bound = stale + _climb_bound(net, plan.climb_slack, moves.energy) / moves.energy.battery_j
-    bound += continuation
-    return bound
-
-
-def _visit(
-    moves: _Moves,
-    cur: int,
-    stale: np.ndarray,
-    bound: np.ndarray,
-    continuation: np.ndarray,
-    hold: float,
-    cutoff: float = math.inf,
+def _best_update(
+    moves: _Moves, k: int, continuation: np.ndarray, hold: float, cutoff: float = math.inf
 ) -> Tuple[float, int | None]:
-    """The cheapest plan from slot ``cur`` (see module docstring): hold at
-    excess ``hold``, or update at k = cur + 1 + i at ``stale[i]`` plus the
-    move plus ``continuation[k] >= 0``, visited by repeated argmin of
-    ``bound``, which the visits overwrite.  Returns its excess cost and
-    the update slot, None to hold.  Updates whose bound exceeds ``cutoff``
-    go unvisited, so the result is exact when it is at most ``cutoff``;
-    when it is above, so is the exact one."""
-    eb = moves.energy.battery_j
+    """The cheapest plan from slot ``k`` (see module docstring): hold at
+    excess ``hold``, or update at j > k at its staleness plus the move
+    plus ``continuation[j] >= 0``.  The updates are visited by repeated
+    argmin of their bound, the staleness plus the climb bound over the
+    battery plus the continuation, summed in the order of the value so
+    that bound <= value in floats.  Returns the plan's excess cost and its
+    update slot, None to hold.  Updates whose bound exceeds ``cutoff`` go
+    unvisited, so the result is exact when it is at most ``cutoff``; when
+    it is above, so is the exact one."""
+    plan, eb = moves.plan, moves.energy.battery_j
+    suffix = plan.excess_suffixes(k, k + 1)[0]
+    stale = suffix[0] - suffix[1:]
+    net = plan.net_altitude[k + 1 :] - plan.net_altitude[k]
+    bound = stale + _climb_bound(net, plan.climb_slack, moves.energy) / eb
+    bound += continuation[k + 1 :]
     best_value, nxt = hold, None
     for _ in range(len(bound)):
         i = int(bound.argmin())  # the first of equal bounds: slot order
         if bound[i] > best_value or bound[i] > cutoff:
             break  # every other candidate has a larger bound
         bound[i] = math.inf
-        k = cur + 1 + i
-        value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(continuation[k])
-        if value < best_value or (value == best_value and nxt is not None and k < nxt):
-            best_value, nxt = value, k
+        j = k + 1 + i
+        value = float(stale[i]) + moves.pair_energy(k, j) / eb + float(continuation[j])
+        if value < best_value or (value == best_value and nxt is not None and j < nxt):
+            best_value, nxt = value, j
     return best_value, nxt
 
 
@@ -712,33 +702,6 @@ def _diligent_costs(moves: _Moves) -> List[float]:
     return [*costs.tolist(), math.inf]
 
 
-def _screen(
-    moves: _Moves, k0: int, diligent: List[float]
-) -> Tuple[int, List[float], np.ndarray, np.ndarray, List[bool]]:
-    """SMGD's steps from the slots k0..k1-1 of one block, screened at once.
-
-    Returns k1, the holds, the staleness and the update bounds (rows by
-    slot, column c for slot k0 + c, infinite where c <= row) and whether
-    each row has an update in reach: one whose bound is at most the
-    smaller of its hold and its diligent cost.  Staleness grows along a
-    row and bounds it, so columns beyond the last stale entry in reach
-    are left out."""
-    plan = moves.plan
-    n = plan.n
-    k1 = _block_end(n, k0)
-    suffix = plan.excess_suffixes(k0, k1)
-    hold = plan.tail[k0:k1]  # the diagonal: a row depends only on its slot
-    reach = np.minimum(hold, diligent[k0:k1])[:, None]
-    stale = np.subtract(hold[:, None], suffix, out=suffix)
-    width = int(np.count_nonzero(stale <= reach, axis=1).max())
-    stale = stale[:, :width]
-    net = plan.net_altitude[k0 : k0 + width] - plan.net_altitude[k0:k1, None]
-    bound = _update_bound(moves, net, stale, plan.tail[k0 : k0 + width])
-    bound[np.tril_indices(k1 - k0, 0, width)] = math.inf
-    visit = bound.min(axis=1) <= reach[:, 0]
-    return k1, hold.tolist(), stale, bound, visit.tolist()
-
-
 def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Schedule:
     """Greedy sequential epoch selection (see module docstring).
 
@@ -748,25 +711,18 @@ def smgd_schedule(scenario: Scenario, *, plan: SchedulePlan | None = None) -> Sc
     """
     moves = _moves_for(scenario, plan)
     pre = moves.plan
-    n = pre.n
     diligent = _diligent_costs(moves)
+    tail, floor = pre.tail.tolist(), pre.floor.tolist()
     epoch_slots = [0]
     evaluations = 0
-    cur = k0 = k1 = 0
+    cur = 0
     while True:
-        if cur >= k1:
-            # a row depends on its slot alone: a jump within the block keeps it
-            k0 = cur
-            k1, hold, stale, bound, visit = _screen(moves, k0, diligent)
-        r = cur - k0
-        evaluations += n - cur
-        best_value, nxt = hold[r], None
-        if visit[r]:
-            # an update dearer than the diligent plan cannot be taken; SMGD
-            # leaves each slot once, so the visits may overwrite its row
-            best_value, nxt = _visit(
-                moves, cur, stale[r, r + 1 :], bound[r, r + 1 :], pre.tail, best_value, diligent[cur]
-            )
+        evaluations += pre.n - cur
+        best_value, nxt = tail[cur], None
+        # an update dearer than the diligent plan cannot be taken, and every
+        # update's bound is at least the floor
+        if floor[cur] <= min(best_value, diligent[cur]):
+            best_value, nxt = _best_update(moves, cur, pre.tail, best_value, diligent[cur])
         if diligent[cur] < best_value:
             nxt = cur + 1
         if nxt is None:
@@ -784,11 +740,7 @@ def optimal_schedule(scenario: Scenario) -> Schedule:
     value = np.empty(n)
     nxt: List[int | None] = [None] * n
     for k in range(n - 1, -1, -1):
-        suffix = plan.excess_suffixes(k, k + 1)[0]
-        stale = suffix[0] - suffix[1:]
-        net = plan.net_altitude[k + 1 :] - plan.net_altitude[k]
-        bound = _update_bound(moves, net, stale, value[k + 1 :])
-        value[k], nxt[k] = _visit(moves, k, stale, bound, value, float(suffix[0]))
+        value[k], nxt[k] = _best_update(moves, k, value, float(plan.tail[k]))
     epoch_slots = [0]
     while nxt[epoch_slots[-1]] is not None:
         epoch_slots.append(nxt[epoch_slots[-1]])

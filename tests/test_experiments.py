@@ -493,6 +493,20 @@ def test_cli_csv_bytes(tmp_path, command, digests):
     assert written == digests
 
 
+# SMGD on one shared plan per pm sweep (fig7) and on a fresh plan per start
+# (fig9); kept apart from CLI_CSV_DIGESTS, whose ids are the command words,
+# so that the fig10 entry keeps its id
+SMGD_FIGURE_DIGESTS = {
+    "fig7": {"fig7_update_epochs.csv": "f5411abb4797dc7295df10f49e8782b984b7b50f720078a6a3b0c0c7a149f335"},
+    "fig9": {"fig9_start_time_sweep.csv": "6b13d39ae0bc8d319d881a97e75793387819d89ffc81bee2d0ab338f606e870d"},
+}
+
+
+@pytest.mark.parametrize("figure", sorted(SMGD_FIGURE_DIGESTS))
+def test_cli_smgd_figure_csv_bytes(tmp_path, figure):
+    test_cli_csv_bytes(tmp_path, ["figure", figure], SMGD_FIGURE_DIGESTS[figure])
+
+
 def test_cli_pattern_file_error_names_the_line(tmp_path, capsys):
     pattern = tmp_path / "zero.pat"
     pattern.write_text("gamma_r 1.0\nN 0\n4 0.5 0.3\n")

@@ -357,6 +357,10 @@ def test_unknown_sections_and_keys_rejected(text, named):
         ("[radio]\ncarrier_hz = fast\n", r"\[radio\] carrier_hz is not numeric: 'fast'"),
         ("[energy]\np_circuit =\n", r"\[energy\] p_circuit needs a number, got ''"),
         ("[scenario]\nseed = 1.5\n", r"\[scenario\] seed is not an integer: '1.5'"),
+        ("[scenario]\ninclude_initial_launch = ture\n",
+         r"\[scenario\] include_initial_launch is not a boolean: 'ture'"),
+        ("[scenario]\ninclude_initial_launch = 2\n",
+         r"\[scenario\] include_initial_launch is not a boolean: '2'"),
         ("[scenario]\nrsc = 0 0\n", r"\[scenario\] rsc needs 3 numbers"),
         ("[subregion A]\nrect = 0 0 10 10\ndensities = 1e-6 x\n",
          r"\[subregion A\] densities is not numeric"),
@@ -365,6 +369,12 @@ def test_unknown_sections_and_keys_rejected(text, named):
 def test_missing_or_malformed_values_name_section_and_key(text, named):
     with pytest.raises(ScenarioError, match=named):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("value, launch", [("on", True), ("Yes", True), ("off", False)])
+def test_include_initial_launch_reads_configparser_booleans(value, launch):
+    sc = parse_scenario(f"[scenario]\ninclude_initial_launch = {value}\n")
+    assert sc.include_initial_launch is launch
 
 
 @pytest.mark.parametrize("with_densities, missing", [("A", "B"), ("B", "A")])

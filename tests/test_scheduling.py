@@ -1036,13 +1036,47 @@ def test_diligent_cutoff_keeps_schedules_and_saves_solves(start_day, monkeypatch
     assert runs["cut", 0.05][1] < runs["uncut", 0.05][1]
 
 
+def test_reference_two_weeks_keep_their_solves_evaluations_and_updates(tmp_path, monkeypatch):
+    # the counts that the docs quote for the two-week reference comparison
+    # (three policies at pm 0.05 / 1.5 / 50 W on one plan)
+    solves = []
+    solve = scheduling.solve_assignment
+    monkeypatch.setattr(
+        scheduling, "solve_assignment", lambda cost: solves.append(len(cost)) or solve(cost)
+    )
+    greedy = []
+    smgd = experiments.smgd_schedule
+    monkeypatch.setattr(
+        experiments, "smgd_schedule", lambda sc, **kw: greedy.append(smgd(sc, **kw)) or greedy[-1]
+    )
+    sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0)
+    experiments.run_policy_comparison(sc, str(tmp_path), pm_grid=(0.05, 1.5, 50.0))
+    assert len(solves) == 1325
+    assert sum(s.candidate_evaluations for s in greedy) == 4068295
+    assert sum(s.update_count for s in greedy) == 2510
+
+
+# the exact optimum on the reference day: its update slots and average
+OPTIMAL_REFERENCE_DAY = {
+    0.05: ([*range(0, 80), *range(91, 143)], "0x1.7333ce9031bfbp-19"),
+    1.5: ([0, *range(53, 67), *range(104, 120), 125, 126], "0x1.840a579db34c8p-19"),
+    50.0: ([0], "0x1.e5c551c721ed5p-19"),
+}
+
+
+@pytest.mark.parametrize("pm", sorted(OPTIMAL_REFERENCE_DAY))
+def test_optimal_schedule_keeps_its_reference_day_bits(pm):
+    sched = optimal_schedule(reference_scenario().with_mobility_power(pm))
+    assert (sched.update_slots, sched.avg_dynamic_rf.hex()) == OPTIMAL_REFERENCE_DAY[pm]
+
+
 @pytest.mark.parametrize(
     "start_day, bands", [(0, None), (3, None), (0, ((1e-7, 1e-7),) * 2)], ids=["day-0", "day-3", "flat"]
 )
-def test_block_screen_requests_the_pair_energies_of_the_per_step_scan(start_day, bands, monkeypatch):
-    # SMGD screens a block of steps at once and visits only the steps with
-    # an update in reach: every pair energy, the scan's (cur, k) visits
-    # among them, must be requested in the order of one step at a time;
+def test_floor_skips_request_the_pair_energies_of_the_per_step_scan(start_day, bands, monkeypatch):
+    # SMGD builds a step's row only where the plan's floor is within reach:
+    # every pair energy, the scan's (cur, k) visits among them, must be
+    # requested in the order of one step at a time that builds every row;
     # flat bands tie every bound, and the first of equal bounds goes first
     requests = []
     pair_energy = _Moves.pair_energy
@@ -1078,12 +1112,11 @@ def test_block_screen_requests_the_pair_energies_of_the_per_step_scan(start_day,
     n_slots=st.integers(min_value=1, max_value=432),
     pm=st.one_of(st.sampled_from([0.0, 0.05, 1.5, 50.0]), st.floats(0.0, 100.0)),
     bands=_bands,
-    data=st.data(),
 )
-def test_screen_keeps_every_update_in_reach(start_slot, n_slots, pm, bands, data):
-    # a block's screen must keep, with the bits of the per-step bound,
-    # every update whose bound is at most the smaller of the hold and the
-    # diligent cost, and send a row to the visits iff it has one
+def test_plan_floor_is_the_least_bound_without_the_move(start_slot, n_slots, pm, bands):
+    # the floor is each step's update bound with the climb term left out:
+    # the minimum over the row on its own, with its bits, inf at the last
+    # slot, and at most every entry of the bound at any mobility power
     sc = dataclasses.replace(
         reference_scenario(),
         start_s=start_slot * 600.0,
@@ -1091,27 +1124,16 @@ def test_screen_keeps_every_update_in_reach(start_slot, n_slots, pm, bands, data
         density_bands=bands,
     ).with_mobility_power(pm)
     plan = SchedulePlan(sc)
-    moves = _Moves(plan, sc.energy)
-    diligent = scheduling._diligent_costs(moves)
     n, eb = plan.n, sc.energy.battery_j
-    k0 = data.draw(st.integers(min_value=0, max_value=n - 1), label="k0")
-    k1, hold, stale, bound, visit = scheduling._screen(moves, k0, diligent)
-    assert k1 == _block_end(n, k0) and stale.shape == bound.shape
-    width = bound.shape[1]
-    for r, cur in enumerate(range(k0, k1)):
-        suffix = _suffix_row(plan, cur)
-        assert hold[r] == suffix[0] == plan.tail[cur]
-        row = suffix[0] - suffix[1:]
-        net = plan.net_altitude[cur + 1 :] - plan.net_altitude[cur]
-        full = row + _climb_bound(net, plan.climb_slack, sc.energy) / eb
-        full += plan.tail[cur + 1 :]
-        reach = min(hold[r], diligent[cur])
-        kept = max(0, width - r - 1)
-        assert stale[r, r + 1 :].tobytes() == row[:kept].tobytes()
-        assert bound[r, r + 1 :].tobytes() == full[:kept].tobytes()
-        assert np.all(bound[r, : r + 1] == math.inf)
-        assert np.all(full[kept:] > reach)
-        assert visit[r] == bool(np.any(full <= reach))
+    assert plan.floor.shape == (n,) and plan.floor[n - 1] == math.inf
+    for k in range(n - 1):
+        suffix = _suffix_row(plan, k)
+        stale = suffix[0] - suffix[1:]
+        assert plan.floor[k].hex() == (stale + plan.tail[k + 1 :]).min().hex()
+        net = plan.net_altitude[k + 1 :] - plan.net_altitude[k]
+        bound = stale + _climb_bound(net, plan.climb_slack, sc.energy) / eb
+        bound += plan.tail[k + 1 :]
+        assert np.all(plan.floor[k] <= bound)
 
 
 @pytest.mark.parametrize(
