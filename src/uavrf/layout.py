@@ -205,22 +205,26 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> np.ndarray:
     return points
 
 
-def layout_positions(rect: Rect, count: int, altitude: float) -> np.ndarray:
+def layout_positions(rect: Rect, count: int, altitude) -> np.ndarray:
     """Deterministic positions for ``count`` UAVs hovering over ``rect``.
 
-    Returns an array of shape (count, 3); all altitudes equal
-    ``altitude`` and all ground projections lie inside the rectangle.
+    A scalar ``altitude`` gives an array of shape (count, 3), whose
+    altitudes all equal it; an array of altitudes of shape S gives one
+    such layout per entry, shape S + (count, 3), each with the bits of
+    its scalar call.  All ground projections lie inside the rectangle.
     The lattice depends on the rectangle and the count alone: it is the
     candidate with the smallest worst uncovered distance for this count.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if np.ndim(altitude):
+        altitude = np.asarray(altitude, dtype=float)
     check_positive("altitude", altitude, zero_ok=True)
     base = _unit_layout(rect.width, rect.height, count)
-    out = np.empty((count, 3))
-    out[:, 0] = base[:, 0] + rect.x
-    out[:, 1] = base[:, 1] + rect.y
-    out[:, 2] = altitude
+    out = np.empty(np.shape(altitude) + (count, 3))
+    out[..., 0] = base[:, 0] + rect.x
+    out[..., 1] = base[:, 1] + rect.y
+    out[..., 2] = np.expand_dims(altitude, -1)
     return out
 
 
@@ -236,6 +240,7 @@ class SubregionDeployment:
 
     def __post_init__(self):
         check_positive("radius", self.radius)
+        check_positive("altitude", self.altitude, zero_ok=True)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must have shape (count, 3)")
 
@@ -254,7 +259,9 @@ class Deployment:
     def __post_init__(self):
         # stacked once: every move energy out of or into it reads them
         positions = (
-            np.vstack([e.positions for e in self.entries]) if self.entries else np.empty((0, 3))
+            np.concatenate([e.positions for e in self.entries])
+            if self.entries
+            else np.empty((0, 3))
         )
         positions.flags.writeable = False
         object.__setattr__(self, "_positions", positions)
@@ -272,24 +279,45 @@ class Deployment:
 
 
 def build_deployment(
-    subregions,
-    radii: Sequence[float],
-    altitudes: Sequence[float],
-    rsc_position: Point3,
-) -> Deployment:
-    """Assemble a :class:`Deployment` from per-subregion radii/altitudes."""
-    if not (len(subregions) == len(radii) == len(altitudes)):
+    subregions, radii, altitudes, rsc_position: Point3
+) -> Deployment | list[Deployment]:
+    """Assemble deployments from per-subregion radii and altitudes.
+
+    ``radii`` and ``altitudes`` of shape (B,), one entry per subregion,
+    give one :class:`Deployment`; (B, D) blocks give a list of D
+    deployments, the d-th from column d, with the bits of building that
+    column alone.  The fleet sizes come from one ``num_uavs`` over the
+    block, and each subregion makes one :func:`layout_positions` call per
+    distinct fleet size, with the altitudes of the columns of that size.
+    Misaligned shapes raise ``ValueError``, and so does a bad radius or
+    altitude, naming its index.
+    """
+    radii = np.asarray(radii, dtype=float)
+    altitudes = np.asarray(altitudes, dtype=float)
+    if radii.ndim not in (1, 2) or radii.shape != altitudes.shape or len(radii) != len(subregions):
         raise ValueError("subregions, radii and altitudes must align")
+    # checked in the caller's shape, so a bad entry is named by its own index
+    check_positive("radius", radii)
+    check_positive("altitude", altitudes, zero_ok=True)
+    one = radii.ndim == 1
+    if one:
+        radii, altitudes = radii[:, None], altitudes[:, None]
     areas = np.array([sub.area for sub in subregions], dtype=float)
-    counts = num_uavs(areas, np.asarray(radii, dtype=float))
-    entries = []
-    for sub, radius, altitude, count in zip(subregions, radii, altitudes, counts.tolist()):
-        entries.append(
-            SubregionDeployment(
-                label=sub.label,
-                radius=radius,
-                altitude=altitude,
-                positions=layout_positions(sub.rect, count, altitude),
-            )
-        )
-    return Deployment(entries=tuple(entries), rsc_position=tuple(rsc_position))
+    counts = num_uavs(areas[:, None], radii)
+    zones = []  # per subregion, its entry of every column
+    for sub, sizes, zone_radii, zone_altitudes in zip(subregions, counts, radii, altitudes):
+        columns_of: dict[int, list[int]] = {}
+        for d, count in enumerate(sizes.tolist()):
+            columns_of.setdefault(count, []).append(d)
+        zone = [None] * len(sizes)
+        for count, columns in columns_of.items():
+            heights = zone_altitudes[columns]
+            layouts = layout_positions(sub.rect, count, heights)
+            for d, radius, altitude, positions in zip(
+                columns, zone_radii[columns].tolist(), heights.tolist(), layouts
+            ):
+                zone[d] = SubregionDeployment(sub.label, radius, altitude, positions)
+        zones.append(zone)
+    rsc = tuple(rsc_position)
+    deployments = [Deployment(entries=entries, rsc_position=rsc) for entries in zip(*zones)]
+    return deployments[0] if one else deployments

@@ -9,12 +9,13 @@ from it; the minimum-energy pairing of old to new positions is then a
 square assignment problem solved exactly in polynomial time.
 
 The scheduler's move energies come from one batched path
-(``_Moves.fill``), which takes any slot moves i -> j and keeps each
-energy per pair.  It reads the positions that each deployment stacked
-once, pads only when the fleet sizes differ, and groups the pairs it
-lacks by padded size.  A batch of new pairs builds its cost matrices in
-one stacked pass, one temporary per axis, and hands each matrix to
-scipy's ``linear_sum_assignment`` (Crouse 2016) through
+(``_Moves.fill``), which takes any slot moves i -> j, keeps each energy
+per pair and returns the batch's energies in order.  It requests the
+deployments of the pairs it lacks from the plan at once, reads the
+positions that each deployment stacked once, pads only when the fleet
+sizes differ, and groups those pairs by padded size.  A batch of new
+pairs builds its cost matrices in one stacked pass, one temporary per
+axis, and hands each matrix to scipy's ``linear_sum_assignment`` (Crouse 2016) through
 :func:`solve_assignment`; a batch of pairs already solved under the same
 cost shape (below) is one gather and one row sum.  Every check stays:
 the two deployments share the depot and the subregion labels, each
@@ -23,7 +24,8 @@ holds at most 2^18 cost entries, so paper-density fleets (a few hundred
 UAVs per zone, where the assignment dominates) go one pair at a time.
 The consecutive moves j -> j + 1, which the diligent plan needs before
 any scan, and the moves of an assembled schedule are known up front and
-filled together; a scan's visit is a batch of one.  On the two-zone
+filled together, and an assembled schedule reads its deployments from
+one request; a scan's visit is a batch of one.  On the two-zone
 reference scenario (2 x 2 matrices) a batched solve costs about 12 us a
 pair on a 2-vCPU VM, and a re-sum about 4 us.  :func:`mobility_energy_at`
 solves one pair on its own, with the same bits.
@@ -124,6 +126,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -385,8 +388,11 @@ class SchedulePlan:
     left out, min over j > k of (TAIL[k] - row k's suffix from j) +
     TAIL[j], inf at the last slot (see the module docstring); one pass
     over the blocks from the last back to the first fills both.
-    Slots with equal radii columns share one deployment id, and
-    deployments are cached per id.  The fleet sizes (n,) and the
+    Slots with equal radii columns share one deployment id.
+    :meth:`deployments` keeps the deployments in a list by id and builds
+    the ids that a request for a batch of slots lacks in one block
+    ``build_deployment`` call, so a lazy schedule builds slot 0's alone
+    and each id is built once.  The fleet sizes (n,) and the
     net altitudes (n,) of the climb bound (see the module docstring) come
     from ``num_uavs`` on the radii, so no deployment is built for them.
 
@@ -453,7 +459,8 @@ class SchedulePlan:
         # the pair caches key deployment ids (a, b) by the int a * stride + b,
         # half the memory of a tuple key
         self._pair_stride = len(distinct)
-        self._deployments: Dict[int, Deployment] = {}
+        self._distinct_radii = distinct.T  # (B, ids): column a is id a's radii
+        self._deployments: List[Deployment | None] = [None] * len(distinct)
         self._pair_energies: Dict[EnergyParams, Dict[int, float]] = {}
         # solved permutations per cost shape and pair, int32 buffers shared
         # through the pool when equal; free flight's shape None stays empty
@@ -500,32 +507,37 @@ class SchedulePlan:
                 "(only the mobility powers and speeds may)"
             )
 
-    def deployment(self, k: int) -> Deployment:
-        key = self.deployment_ids[k]
-        dep = self._deployments.get(key)
-        if dep is None:
-            radii = self.radii[:, k]
-            dep = build_deployment(
-                self.scenario.subregions,
-                radii,
-                radii * self.h1,
-                self.scenario.rsc_position,
+    def deployments(self, slots: Iterable[int]) -> List[Deployment | None]:
+        """The deployments by id, those of ``slots`` built: the ids not
+        built yet go to one ``build_deployment`` call over their radii
+        columns.  Read slot k's as ``[deployment_ids[k]]``; ids that no
+        request has reached yet hold None."""
+        built, ids = self._deployments, self.deployment_ids
+        missing = sorted({ids[k] for k in slots if built[ids[k]] is None})
+        if missing:
+            radii = self._distinct_radii[:, missing]
+            block = build_deployment(
+                self.scenario.subregions, radii, radii * self.h1, self.scenario.rsc_position
             )
-            self._deployments[key] = dep
-        return dep
+            for key, dep in zip(missing, block):
+                built[key] = dep
+        return built
+
+    def deployment(self, k: int) -> Deployment:
+        return self.deployments((k,))[self.deployment_ids[k]]
 
 
 class _Moves:
     """Move energies of one energy model between the deployments of a plan.
 
-    :meth:`fill` computes the energies of a batch of moves, and
-    :meth:`pair_energy` reads one, filling it as a batch of one on a miss.
-    Pair energies go to a dict that the plan keeps per energy model, so
-    every scheduler call at the same mobility solves each pair once.
-    Solved permutations go to a dict that the plan keeps per cost shape,
-    so a pair already solved under another model of the same shape is
-    re-summed along its permutation, not solved.  Under free flight every
-    move costs 0 J, and nothing is solved or kept.
+    :meth:`fill` returns the energies of a batch of moves, computing those
+    not kept yet, and :meth:`pair_energy` reads one, filling it as a batch
+    of one on a miss.  Pair energies go to a dict that the plan keeps per
+    energy model, so every scheduler call at the same mobility solves each
+    pair once.  Solved permutations go to a dict that the plan keeps per
+    cost shape, so a pair already solved under another model of the same
+    shape is re-summed along its permutation, not solved.  Under free
+    flight every move costs 0 J, and nothing is solved or kept.
     """
 
     def __init__(self, plan: SchedulePlan, energy: EnergyParams):
@@ -541,16 +553,14 @@ class _Moves:
         a, b = ids[i], ids[j]
         if a == b or self._free:
             return 0.0
-        key = a * self.plan._pair_stride + b
-        value = self._pair_energy.get(key)
-        if value is None:
-            self._fill([(key, i, j)], key in self._permutations)
-            value = self._pair_energy[key]
-        return value
+        value = self._pair_energy.get(a * self.plan._pair_stride + b)
+        return self.fill(((i, j),))[0] if value is None else value
 
-    def fill(self, moves: Iterable[Tuple[int, int]]) -> None:
-        """Cache the energy of every slot move i -> j of ``moves``, with the
-        bits of :meth:`pair_energy`, in batches of pairs of one padded size.
+    def fill(self, moves: Iterable[Tuple[int, int]]) -> List[float]:
+        """The energy of every slot move i -> j of ``moves``, in order, with
+        the bits of :meth:`pair_energy`.  The pairs not kept yet are
+        computed in batches of one padded size, from deployments that one
+        :meth:`SchedulePlan.deployments` request builds.
 
         A batch of new pairs builds its cost matrices in one stacked
         ``_flight_energies`` call and hands each to ``solve_assignment``;
@@ -558,28 +568,40 @@ class _Moves:
         row sum, which has the bits of the 1-D sum.  A batch holds at most
         ``_BATCH_ENTRIES`` cost entries (at least one pair).
         """
+        moves = list(moves)
         if self._free:
-            return
-        plan = self.plan
+            return [0.0] * len(moves)
+        plan, table = self.plan, self._pair_energy
         ids, stride = plan.deployment_ids, plan._pair_stride
-        sizes = plan.fleet_sizes.tolist()
-        batches: Dict[Tuple[bool, int], Dict[int, Tuple[int, int, int]]] = {}
-        for i, j in moves:
-            key = ids[i] * stride + ids[j]
-            if ids[i] != ids[j] and key not in self._pair_energy:
-                size = max(sizes[i], sizes[j])
-                batch = batches.setdefault((key in self._permutations, size), {})
-                batch.setdefault(key, (key, i, j))
-        for (stored, size), pairs in batches.items():
-            pairs = list(pairs.values())
-            step = max(1, _BATCH_ENTRIES // (size if stored else size * size))
-            for start in range(0, len(pairs), step):
-                self._fill(pairs[start : start + step], stored)
+        # -1 for a move between equal deployments, which costs 0 J
+        keys = [ids[i] * stride + ids[j] if ids[i] != ids[j] else -1 for i, j in moves]
+        missing = {}
+        for key, (i, j) in zip(keys, moves):
+            if key >= 0 and key not in table:
+                missing.setdefault(key, (key, i, j))
+        if missing:
+            pairs = list(missing.values())
+            deployments = plan.deployments(k for _, i, j in pairs for k in (i, j))
+            sizes = plan.fleet_sizes[np.array(pairs)[:, 1:]].max(axis=1)
+            batches: Dict[Tuple[bool, int], List[Tuple[int, int, int]]] = {}
+            for pair, size in zip(pairs, sizes.tolist()):
+                batches.setdefault((pair[0] in self._permutations, size), []).append(pair)
+            for (stored, size), batch in batches.items():
+                step = max(1, _BATCH_ENTRIES // (size if stored else size * size))
+                for start in range(0, len(batch), step):
+                    self._fill(deployments, batch[start : start + step], stored)
+        return [table[key] if key >= 0 else 0.0 for key in keys]
 
-    def _fill(self, moves: List[Tuple[int, int, int]], stored: bool) -> None:
+    def _fill(
+        self,
+        deployments: List[Deployment | None],
+        moves: List[Tuple[int, int, int]],
+        stored: bool,
+    ) -> None:
         """Energies of the (key, i, j) moves i -> j, of one padded size."""
         plan = self.plan
-        padded = [_padded_positions(plan.deployment(i), plan.deployment(j)) for _, i, j in moves]
+        ids = plan.deployment_ids
+        padded = [_padded_positions(deployments[ids[i]], deployments[ids[j]]) for _, i, j in moves]
         origins = np.stack([before for before, _ in padded])
         destinations = np.stack([after for _, after in padded])
         keys = [key for key, _, _ in moves]
@@ -621,30 +643,28 @@ def _assemble(
 ) -> Schedule:
     pre = moves.plan
     mu = pre.mu
-    eb = scenario.energy.battery_j
-    epochs: List[ScheduleEpoch] = []
+    ids = pre.deployment_ids
+    epoch_ids = [ids[k] for k in epoch_slots]
+    deployments = pre.deployments(epoch_slots)
+    launch = moves.launch_energy(epoch_slots[0]) if scenario.include_initial_launch else 0.0
+    mobility = [launch, *moves.fill(zip(epoch_slots, epoch_slots[1:]))]
     static_total = 0.0
-    mobility_total = 0.0
-    moves.fill(zip(epoch_slots, epoch_slots[1:]))
-    for i, k in enumerate(epoch_slots):
-        end = epoch_slots[i + 1] if i + 1 < len(epoch_slots) else pre.n
+    for k, end, one_slot in zip(
+        epoch_slots, [*epoch_slots[1:], pre.n], pre.slot_static[epoch_slots].tolist()
+    ):
         if end == k + 1:
-            static_total += float(pre.slot_static[k]) * mu
+            static_total += one_slot * mu
         else:
             static_total += float(pre.static(k, k, end).sum()) * mu
-        if i == 0:
-            mob = moves.launch_energy(k) if scenario.include_initial_launch else 0.0
-            changed = False
-        else:
-            mob = moves.pair_energy(epoch_slots[i - 1], k)
-            changed = bool(
-                pre.deployment_ids[epoch_slots[i - 1]] != pre.deployment_ids[k]
-            )
+    mobility_total = 0.0
+    for mob in mobility:
         mobility_total += mob
-        epochs.append(
-            ScheduleEpoch(tau=k * mu, deployment=pre.deployment(k), mobility_j=mob, changed=changed)
-        )
-    avg = (static_total + mobility_total / eb) / pre.horizon_s
+    changed = [False, *map(operator.ne, epoch_ids, epoch_ids[1:])]
+    epochs = [
+        ScheduleEpoch(k * mu, deployments[a], mob, moved)
+        for k, a, mob, moved in zip(epoch_slots, epoch_ids, mobility, changed)
+    ]
+    avg = (static_total + mobility_total / scenario.energy.battery_j) / pre.horizon_s
     return Schedule(
         method=method,
         epochs=epochs,
@@ -653,7 +673,7 @@ def _assemble(
         avg_dynamic_rf=avg,
         static_integral=static_total,
         mobility_total_j=mobility_total,
-        update_count=sum(1 for e in epochs if e.changed),
+        update_count=sum(changed),
         candidate_evaluations=evaluations,
     )
 
@@ -693,11 +713,10 @@ def _diligent_costs(moves: _Moves) -> List[float]:
     """The diligent plan's excess from each slot: every consecutive move
     left, over the battery; inf at the last slot, which has no such plan.
 
-    The moves are requested from the last back and summed by one
-    cumulative sum, which adds them in that order."""
+    The moves are filled in one batch and summed from the last back by
+    one cumulative sum."""
     n = moves.plan.n
-    moves.fill((j, j + 1) for j in range(n - 1))
-    energies = [moves.pair_energy(j, j + 1) for j in range(n - 2, -1, -1)]
+    energies = moves.fill((j, j + 1) for j in range(n - 1))[::-1]
     costs = np.cumsum(np.array(energies) / moves.energy.battery_j)[::-1]
     return [*costs.tolist(), math.inf]
 

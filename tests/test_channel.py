@@ -293,6 +293,7 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
         ("battery_j", lambda v: rf_increment_exact_samples(1.0, [1.0], 0.5, _URBAN, _RADIO, 1e6, v)),
         ("altitude", lambda v: layout_positions(Rect(0.0, 0.0, 100.0, 100.0), 2, v)),
         ("radius", lambda v: SubregionDeployment("A", v, 1.0, np.zeros((1, 3)))),
+        ("altitude", lambda v: SubregionDeployment("A", 1.0, v, np.zeros((1, 3)))),
         ("stddev", lambda v: perturbed_density(0.1, 0.0, v, 3, 0)),
         ("density lam", lambda v: perturbed_density(v, 0.0, 1.0, 3, 0)),
         ("eigenvalue", lambda v: rf_increment(v, 1.0)),
@@ -305,7 +306,8 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
     ],
     ids=["optimal_radius", "static_rf", "static_rf_at_optimal_altitude", "eigenvalue-p_circuit",
          "eigenvalue-battery", "exact_samples-p_circuit", "exact_samples-area",
-         "exact_samples-battery", "layout_positions", "SubregionDeployment", "perturbed_density",
+         "exact_samples-battery", "layout_positions", "SubregionDeployment",
+         "SubregionDeployment-altitude", "perturbed_density",
          "perturbed_density-lam", "rf_increment", "to_db", "avg_path_loss", "elevation_angle_deg", "normalized_tx_power", "tx_power",
          "num_uavs"],
 )
@@ -324,9 +326,11 @@ def test_non_finite_input_names_the_argument(named, call, value):
         ("bias must be finite, got inf", lambda: perturbed_density(0.1, math.inf, 1.0, 3, 0)),
         ("bias must be finite, got -inf", lambda: perturbed_density(0.1, -math.inf, 1.0, 3, 0)),
         ("eigenvalue must be finite and nonnegative, got -2.0", lambda: rf_increment(-2.0, 1.0)),
+        ("altitude must be finite and nonnegative, got -5.0",
+         lambda: SubregionDeployment("A", 1.0, -5.0, np.zeros((1, 3)))),
     ],
     ids=["perturbed_density-negative-lam", "bias-nan", "bias-inf", "bias-neg-inf",
-         "rf_increment-negative"],
+         "rf_increment-negative", "SubregionDeployment-negative-altitude"],
 )
 def test_out_of_range_input_names_the_argument(message, call):
     # each returned nan, inf, a negative increment or floored draws

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -181,6 +182,91 @@ def test_build_deployment():
     with pytest.raises(ValueError):
         build_deployment(subs, radii=(200.0,), altitudes=(180.0, 380.0),
                          rsc_position=(0, 0, 0))
+
+
+# the reference scenario's two zones, 500 m x 1000 m side by side
+_ZONES = (
+    Subregion(label="E", rect=Rect(0.0, 0.0, 500.0, 1000.0), pattern=constant_pattern(1.0)),
+    Subregion(label="R", rect=Rect(500.0, 0.0, 500.0, 1000.0), pattern=constant_pattern(1.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    zones=st.integers(min_value=1, max_value=2),
+    # radii giving 1-4 UAVs a zone (the reference densities) or 165-218
+    # (the paper's band, 0.1-1 users/m^2)
+    band=st.sampled_from([(200.0, 2000.0), (27.0, 31.0)]),
+    data=st.data(),
+)
+def test_block_build_equals_one_column_builds(zones, band, data):
+    # a (B, D) block gives D deployments, each with the entries, the depot
+    # and the position bits of building its column alone; columns repeat
+    subs = _ZONES[:zones]
+    pool = data.draw(st.lists(st.floats(*band), min_size=1, max_size=3))
+    picks = data.draw(
+        st.lists(st.tuples(*[st.sampled_from(pool)] * zones), min_size=1, max_size=6)
+    )
+    radii = np.array(picks).T
+    altitudes = radii * data.draw(st.floats(0.0, 3.0))
+    rsc = (500.0, 500.0, 0.0)
+    block = build_deployment(subs, radii, altitudes, rsc)
+    assert isinstance(block, list) and len(block) == radii.shape[1]
+    for d, dep in enumerate(block):
+        alone = build_deployment(subs, radii[:, d], altitudes[:, d], rsc)
+        assert dep.entries == alone.entries and dep.rsc_position == alone.rsc_position
+        assert dep.all_positions().tobytes() == alone.all_positions().tobytes()
+        assert [e.positions.tobytes() for e in dep.entries] == [
+            e.positions.tobytes() for e in alone.entries
+        ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=40),
+    altitudes=st.lists(st.floats(0.0, 1e4), min_size=0, max_size=5),
+)
+def test_layout_positions_altitude_vector_stacks_the_scalar_calls(count, altitudes):
+    rect = Rect(3.0, -7.0, 500.0, 1000.0)
+    got = layout_positions(rect, count, np.array(altitudes))
+    want = np.array([layout_positions(rect, count, h) for h in altitudes]).reshape(-1, count, 3)
+    assert got.shape == (len(altitudes), count, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "radii, altitudes",
+    [
+        (np.full((2, 3), 300.0), np.full((2, 2), 300.0)),  # D differs
+        (np.full((1, 3), 300.0), np.full((1, 3), 300.0)),  # one row for two zones
+        (np.full((2, 3, 1), 300.0), np.full((2, 3, 1), 300.0)),  # 3-D
+        (300.0, 300.0),  # scalars
+        ((300.0, 400.0), ((300.0, 400.0),)),  # (B,) against (1, B)
+    ],
+)
+def test_build_deployment_rejects_misaligned_shapes(radii, altitudes):
+    with pytest.raises(ValueError, match="must align"):
+        build_deployment(_ZONES, radii, altitudes, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "name, row, column, value, message",
+    [
+        ("radius", 1, 2, -1.0, "radius must be finite and positive, got -1.0"),
+        ("radius", 0, 0, math.nan, "radius must be finite and positive, got nan"),
+        ("altitude", 0, 1, -5.0, "altitude must be finite and nonnegative, got -5.0"),
+        ("altitude", 1, 0, math.inf, "altitude must be finite and nonnegative, got inf"),
+    ],
+)
+def test_build_deployment_names_the_index_of_a_bad_entry(name, row, column, value, message):
+    # a block names the entry's (zone, column), one column its zone
+    block = {"radius": np.full((2, 3), 300.0), "altitude": np.full((2, 3), 300.0)}
+    block[name][row, column] = value
+    depot = (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape(f"{message} at index [{row}, {column}]")):
+        build_deployment(_ZONES, block["radius"], block["altitude"], depot)
+    with pytest.raises(ValueError, match=re.escape(f"{message} at index [{row}]")):
+        build_deployment(_ZONES, block["radius"][:, column], block["altitude"][:, column], depot)
 
 
 def test_subregion_deployment_validation():

@@ -971,10 +971,10 @@ def _per_step_smgd(sc, plan, cutoff=True):
     moves = _Moves(plan, sc.energy)
     n, eb = plan.n, sc.energy.battery_j
     own_tail = np.array([_suffix_row(plan, k)[0] for k in range(n)])
-    moves.fill((j, j + 1) for j in range(n - 1))
+    consecutive = moves.fill((j, j + 1) for j in range(n - 1))
     dil_suffix = np.zeros(n + 1)
     for j in range(n - 2, -1, -1):
-        dil_suffix[j] = dil_suffix[j + 1] + moves.pair_energy(j, j + 1) / eb
+        dil_suffix[j] = dil_suffix[j + 1] + consecutive[j] / eb
     slots, evaluations, cur = [0], 0, 0
     while True:
         evaluations += n - cur
@@ -1038,11 +1038,25 @@ def test_diligent_cutoff_keeps_schedules_and_saves_solves(start_day, monkeypatch
 
 def test_reference_two_weeks_keep_their_solves_evaluations_and_updates(tmp_path, monkeypatch):
     # the counts that the docs quote for the two-week reference comparison
-    # (three policies at pm 0.05 / 1.5 / 50 W on one plan)
+    # (three policies at pm 0.05 / 1.5 / 50 W on one plan), and its
+    # deployments: every distinct radii column is built once, in whatever
+    # blocks, and the slots of one deployment id share one object
     solves = []
     solve = scheduling.solve_assignment
     monkeypatch.setattr(
         scheduling, "solve_assignment", lambda cost: solves.append(len(cost)) or solve(cost)
+    )
+    built = []
+    build = scheduling.build_deployment
+
+    def counted(subregions, radii, altitudes, rsc_position):
+        built.extend(map(tuple, np.asarray(radii).reshape(len(subregions), -1).T.tolist()))
+        return build(subregions, radii, altitudes, rsc_position)
+
+    monkeypatch.setattr(scheduling, "build_deployment", counted)
+    plans = []
+    monkeypatch.setattr(
+        experiments, "SchedulePlan", lambda sc: plans.append(SchedulePlan(sc)) or plans[-1]
     )
     greedy = []
     smgd = experiments.smgd_schedule
@@ -1054,6 +1068,34 @@ def test_reference_two_weeks_keep_their_solves_evaluations_and_updates(tmp_path,
     assert len(solves) == 1325
     assert sum(s.candidate_evaluations for s in greedy) == 4068295
     assert sum(s.update_count for s in greedy) == 2510
+    (plan,) = plans
+    assert len(built) == len(set(built))
+    assert set(built) == {tuple(column) for column in plan.radii.T.tolist()}
+    first = {}
+    for k, key in enumerate(plan.deployment_ids):
+        assert first.setdefault(key, plan.deployment(k)) is plan.deployment(k)
+    assert len({id(dep) for dep in first.values()}) == len(first) == len(built)
+
+
+def test_lazy_schedule_builds_only_its_first_deployment(monkeypatch):
+    # a plan builds deployments on request: the lazy baseline asks for
+    # slot 0's alone, and a later diligent one builds every other id once
+    built = []
+    build = scheduling.build_deployment
+
+    def counted(subregions, radii, altitudes, rsc_position):
+        built.append(np.asarray(radii).reshape(len(subregions), -1).shape[1])
+        return build(subregions, radii, altitudes, rsc_position)
+
+    monkeypatch.setattr(scheduling, "build_deployment", counted)
+    sc = reference_scenario().with_mobility_power(1.5)
+    plan = SchedulePlan(sc)
+    assert plan._pair_stride > 1
+    lazy = baseline_schedule("lazy", sc, plan=plan)
+    assert built == [1]
+    assert lazy.epochs[0].deployment is plan.deployment(0) and built == [1]
+    baseline_schedule("diligent", sc, plan=plan)
+    assert built == [1, plan._pair_stride - 1]
 
 
 # the exact optimum on the reference day: its update slots and average
@@ -1075,17 +1117,24 @@ def test_optimal_schedule_keeps_its_reference_day_bits(pm):
 )
 def test_floor_skips_request_the_pair_energies_of_the_per_step_scan(start_day, bands, monkeypatch):
     # SMGD builds a step's row only where the plan's floor is within reach:
-    # every pair energy, the scan's (cur, k) visits among them, must be
-    # requested in the order of one step at a time that builds every row;
-    # flat bands tie every bound, and the first of equal bounds goes first
+    # every batch of moves and every pair energy, the scan's (cur, k)
+    # visits, must be requested in the order of one step at a time that
+    # builds every row; flat bands tie every bound, and the first of equal
+    # bounds goes first
     requests = []
-    pair_energy = _Moves.pair_energy
+    pair_energy, fill = _Moves.pair_energy, _Moves.fill
 
-    def logged(self, i, j):
+    def logged_pair(self, i, j):
         requests.append((i, j))
         return pair_energy(self, i, j)
 
-    monkeypatch.setattr(_Moves, "pair_energy", logged)
+    def logged_fill(self, moves):
+        moves = list(moves)
+        requests.append(("fill", moves))
+        return fill(self, moves)
+
+    monkeypatch.setattr(_Moves, "pair_energy", logged_pair)
+    monkeypatch.setattr(_Moves, "fill", logged_fill)
     base = dataclasses.replace(
         reference_scenario(), horizon_s=7 * 86400.0, start_s=start_day * 86400.0
     )
@@ -1101,8 +1150,7 @@ def test_floor_skips_request_the_pair_energies_of_the_per_step_scan(start_day, b
             sched = run()
             logs.append((_schedule_bits(sched), list(requests)))
         assert logs[0] == logs[1]
-        # past the diligent requests, less the epochs' moves, are the visits
-        visits += len(logs[0][1]) - (base.n_slots - 1) - (len(sched.epochs) - 1)
+        visits += sum(request[0] != "fill" for request in logs[0][1])
     assert visits > 0
 
 
@@ -1167,6 +1215,13 @@ def test_block_suffix_rows_have_the_bits_of_one_row_blocks(make):
             k0 = k1
 
 
+def _inject_energies(monkeypatch, energies):
+    # every move energy the schedulers read, in a batch or one pair at a
+    # time, comes from ``energies`` [J], 0 for a move it does not list
+    monkeypatch.setattr(_Moves, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0))
+    monkeypatch.setattr(_Moves, "fill", lambda self, moves: [energies.get(m, 0.0) for m in moves])
+
+
 def test_smgd_equal_updates_earliest_wins(monkeypatch):
     # slot 2's update has the smaller static bound, so the best-first scan
     # visits it first; its pair energy is set so that both updates cost
@@ -1186,9 +1241,7 @@ def test_smgd_equal_updates_earliest_wins(monkeypatch):
         energy_02 = math.nextafter(energy_02, math.inf if tied < bound[0] else -math.inf)
     assert tied == bound[0]
     energies = {(0, 1): 0.0, (0, 2): energy_02, (1, 2): 1e9 * eb}
-    monkeypatch.setattr(
-        _Moves, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0)
-    )
+    _inject_energies(monkeypatch, energies)
     assert smgd_schedule(sc).update_slots[:2] == [0, 1]
     for prune in (True, False):
         slots = _ascending_scan_smgd(sc, prune, lambda i, j: energies.get((i, j), 0.0))[0]
@@ -1212,7 +1265,7 @@ def test_smgd_update_at_the_diligent_cost_wins(monkeypatch):
         energy_01 = math.nextafter(energy_01, math.inf if energy_01 / eb < target else -math.inf)
     assert energy_01 / eb == target < hold
     energies = {(0, 1): energy_01, (0, 2): 0.0, (1, 2): 0.0}
-    monkeypatch.setattr(_Moves, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0))
+    _inject_energies(monkeypatch, energies)
     assert smgd_schedule(sc).update_slots == [0, 2]
     for prune in (True, False):
         assert _ascending_scan_smgd(sc, prune, lambda i, j: energies.get((i, j), 0.0))[0] == [0, 2]
