@@ -25,6 +25,20 @@ those xs of ``fl(dx2 + dy2_i)`` is ``fl(dx2 + min_i dy2_i)``; the square
 root is monotone, so one root of the maximum is the maximum of the roots.
 No k-d tree is built; time is O(res * m + rows * res + distinct rows *
 res^2) and memory O(res^2) per candidate.
+
+Each lattice shape (a row count and a kind: aligned, staggered, or
+hexagonal from a long or a short row) is tried with four edge margins,
+``_MARGINS``.  The margins of one shape give arrays of the same shapes
+and the same row indices, so the builders take them as a leading array
+axis G (``ys`` (G, rows), each distinct row's xs (G, m)) and the score
+folds the G lattices in one pass, with no padding: one scorer call per
+shape on the coarse grid.  On its 36 x 36 arrays numpy's per-call
+overhead dominates, so the four margins of a shape cost about 1.7 times
+one margin's call, not four times.  Entry g has the bits of scoring margin g's lattice alone: the
+fold uses only elementwise subtraction, squaring, addition, minimum,
+maximum and square root, each of which rounds entry by entry whatever
+the array's shape.  The shortlisted candidates are then scored one by
+one on the fine grid, where the arithmetic, not the call, dominates.
 """
 
 from __future__ import annotations
@@ -81,11 +95,15 @@ def _alternating_counts(count: int, rows: int, start: int) -> list[int] | None:
     return [m if (i % 2 == start % 2) else m - 1 for i in range(rows)]
 
 
-def _axis_positions(extent: float, m: int, margin: float) -> np.ndarray:
-    """m coordinates across ``extent`` with edge margins of ``margin`` pitches."""
+def _axis_positions(extent: float, m: int, margins) -> np.ndarray:
+    """m coordinates across ``extent`` with edge margins of ``margins`` pitches.
+
+    A scalar margin gives shape (m,); margins of shape G give G + (m,).
+    """
+    margins = np.asarray(margins, dtype=float)[..., None]
     if m == 1:
-        return np.array([extent / 2.0])
-    return extent * (np.arange(m) + margin) / (m - 1.0 + 2.0 * margin)
+        return np.full(margins.shape, extent / 2.0)
+    return extent * (np.arange(m) + margins) / (m - 1.0 + 2.0 * margins)
 
 
 def _candidate(
@@ -93,42 +111,48 @@ def _candidate(
     rect_h: float,
     counts: Sequence[int],
     staggered: bool,
-    margin: float,
+    margins,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Row lattice as (row ys, the distinct rows' ascending xs, the index of row i's xs).
 
-    Rows of one count and one shift share their xs, built once.
+    Rows of one count and one shift share their xs, built once.  Margins
+    of shape G give G lattices along a leading axis of ``ys`` (G + (rows,))
+    and of each distinct row's xs (G + (m,)), all with the same row
+    indices.
     """
-    ys = _axis_positions(rect_h, len(counts), margin)
+    margins = np.asarray(margins, dtype=float)
+    ys = _axis_positions(rect_h, len(counts), margins)
     xs, entry, row_xs = [], {}, []
     for i, m in enumerate(counts):
         # alternate quarter-pitch shifts; stays inside for margin >= 0.25
         shift = (0.25 if i % 2 else -0.25) if staggered and m > 1 else 0.0
         if (m, shift) not in entry:
             entry[m, shift] = len(xs)
-            row = _axis_positions(rect_w, m, margin)
+            row = _axis_positions(rect_w, m, margins)
             if shift:
-                row = row + shift * (rect_w / (m - 1.0 + 2.0 * margin))
+                pitch = rect_w / (m - 1.0 + 2.0 * margins)
+                row = row + (shift * pitch)[..., None]
             xs.append(row)
         row_xs.append(entry[m, shift])
     return ys, xs, np.array(row_xs)
 
 
 def _hex_candidate(
-    rect_w: float, rect_h: float, counts: Sequence[int], margin: float
+    rect_w: float, rect_h: float, counts: Sequence[int], margins
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Half-pitch staggered rows sharing one pitch (rows alternate m, m-1).
 
     The genuine hexagonal covering lattice; only well formed when
     consecutive row counts differ by exactly one.  Returned as
-    :func:`_candidate` returns its lattice.
+    :func:`_candidate` returns its lattice, margins and all.
     """
-    ys = _axis_positions(rect_h, len(counts), margin)
+    margins = np.asarray(margins, dtype=float)
+    ys = _axis_positions(rect_h, len(counts), margins)
     lengths = sorted(set(counts), reverse=True)
     m_long = lengths[0]
-    xs_long = _axis_positions(rect_w, m_long, margin)
-    pitch = rect_w / (m_long - 1.0 + 2.0 * margin) if m_long > 1 else rect_w
-    xs = [xs_long] + [xs_long[:m] + 0.5 * pitch for m in lengths[1:]]
+    xs_long = _axis_positions(rect_w, m_long, margins)
+    pitch = rect_w / (m_long - 1.0 + 2.0 * margins)
+    xs = [xs_long] + [xs_long[..., :m] + (0.5 * pitch)[..., None] for m in lengths[1:]]
     return ys, xs, np.array([lengths.index(m) for m in counts])
 
 
@@ -148,16 +172,25 @@ def _worst_cover_distance(
     ys: np.ndarray,
     xs: Sequence[np.ndarray],
     row_xs: np.ndarray,
-) -> float:
-    """Largest distance from a grid point to its nearest lattice point."""
+) -> np.ndarray:
+    """Largest distance from a grid point to its nearest lattice point.
+
+    Lattices stacked along leading axes G (as the builders return them for
+    margins of shape G) give the G scores at once, entry g with the bits
+    of scoring lattice g alone.
+    """
     gx, gy = grid
-    dy2 = (gy[None, :] - ys[:, None]) ** 2
-    best = np.full((len(gy), len(gx)), np.inf)
+    dy2 = (gy - ys[..., None]) ** 2
+    best = np.full(ys.shape[:-1] + (len(gy), len(gx)), np.inf)
     for k, row in enumerate(xs):
-        dx2 = ((gx[None, :] - row[:, None]) ** 2).min(axis=0)
-        row_dy2 = dy2[row_xs == k].min(axis=0)
-        np.minimum(best, dx2[None, :] + row_dy2[:, None], out=best)
-    return math.sqrt(best.max())
+        dx2 = ((gx - row[..., None]) ** 2).min(axis=-2)
+        row_dy2 = dy2[..., row_xs == k, :].min(axis=-2)
+        np.minimum(best, dx2[..., None, :] + row_dy2[..., :, None], out=best)
+    return np.sqrt(best.max(axis=(-2, -1)))
+
+
+# edge margins, in pitches, that every lattice shape is scored with
+_MARGINS = (0.5, 0.42, 0.34, 0.27)
 
 
 @lru_cache(maxsize=4096)
@@ -169,34 +202,31 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> np.ndarray:
     r0 = max(1, round(rect_h / (math.sqrt(3) / 2.0 * dx0)))
     lo = min(max(1, r0 - 8), count)
     hi = min(count, r0 + 8)
-    margins = (0.5, 0.42, 0.34, 0.27)
     coarse = _grid(rect_w, rect_h, 36)
     candidates = []
     for rows in range(lo, hi + 1):
         counts = _row_counts(count, rows)
-        variants = [(0, m) for m in margins]
+        shapes = [(0, _candidate(rect_w, rect_h, counts, False, _MARGINS))]
         if rows >= 3 and len(set(counts)) == 1:
-            variants += [(1, m) for m in margins]
-        for kind, margin in variants:
-            lattice = _candidate(rect_w, rect_h, counts, kind == 1, margin)
-            score = _worst_cover_distance(coarse, *lattice)
-            candidates.append((score, rows, kind, margin, lattice))
+            shapes.append((1, _candidate(rect_w, rect_h, counts, True, _MARGINS)))
         # alternating m/m-1 rows admit the true hexagonal lattice
         for start in (0, 1):
             alt = _alternating_counts(count, rows, start)
-            if alt is None:
-                continue
-            for margin in margins:
-                lattice = _hex_candidate(rect_w, rect_h, alt, margin)
-                score = _worst_cover_distance(coarse, *lattice)
-                candidates.append((score, rows, 2 + start, margin, lattice))
+            if alt is not None:
+                shapes.append((2 + start, _hex_candidate(rect_w, rect_h, alt, _MARGINS)))
+        # one scoring pass per shape: its margins share every array shape
+        for kind, (ys, xs, row_xs) in shapes:
+            scores = _worst_cover_distance(coarse, ys, xs, row_xs).tolist()
+            for g, margin in enumerate(_MARGINS):
+                lattice = (ys[g], [row[g] for row in xs], row_xs)
+                candidates.append((scores[g], rows, kind, margin, lattice))
     # coarse shortlist, then a fine pass: the coarse grid can misrank
     # near-tied lattices by a few percent
     candidates.sort(key=lambda c: c[:4])
     fine_grid = _grid(rect_w, rect_h, 120 if count <= 256 else 72)
     best = None
     for score, rows, staggered, margin, lattice in candidates[:8]:
-        fine = _worst_cover_distance(fine_grid, *lattice)
+        fine = float(_worst_cover_distance(fine_grid, *lattice))
         key = (fine, rows, staggered, margin)
         if best is None or key < best[0]:
             best = (key, lattice)
@@ -214,7 +244,11 @@ def layout_positions(rect: Rect, count: int, altitude) -> np.ndarray:
     its scalar call.  All ground projections lie inside the rectangle.
     The lattice depends on the rectangle and the count alone: it is the
     candidate with the smallest worst uncovered distance for this count.
+    ``count`` is a Python or numpy integer; a bool, a float or any other
+    type raises ``ValueError``, as does a count below 1.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be at least 1")
     if np.ndim(altitude):
@@ -251,13 +285,17 @@ class SubregionDeployment:
 
 @dataclass(frozen=True)
 class Deployment:
-    """Explicit fleet placement across all subregions plus the depot."""
+    """Explicit fleet placement across all subregions plus the depot.
+
+    ``labels`` holds the entries' subregion labels, in order.
+    """
 
     entries: Tuple[SubregionDeployment, ...]
     rsc_position: Point3
 
     def __post_init__(self):
-        # stacked once: every move energy out of or into it reads them
+        # stacked once: every move energy out of or into it reads the
+        # positions and checks the labels
         positions = (
             np.concatenate([e.positions for e in self.entries])
             if self.entries
@@ -265,6 +303,7 @@ class Deployment:
         )
         positions.flags.writeable = False
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "labels", tuple(e.label for e in self.entries))
 
     def all_positions(self) -> np.ndarray:
         """Every UAV position (total_count, 3), subregion by subregion; read-only."""

@@ -240,7 +240,7 @@ def _padded_positions(prev: Deployment, nxt: Deployment) -> Tuple[np.ndarray, np
     fleets return their two read-only ``all_positions()`` arrays themselves."""
     if prev.rsc_position != nxt.rsc_position:
         raise ValueError("deployments must share the depot position")
-    if [e.label for e in prev.entries] != [e.label for e in nxt.entries]:
+    if prev.labels != nxt.labels:
         raise ValueError("deployments must cover the same subregions")
     before, after = prev.all_positions(), nxt.all_positions()
     missing = len(after) - len(before)
@@ -445,7 +445,8 @@ class SchedulePlan:
             self.tail[k0:k1] = np.diagonal(suffix)
             floors = np.subtract(self.tail[k0:k1, None], suffix, out=suffix)
             floors += self.tail[k0:]
-            floors[np.tril_indices(k1 - k0, 0, self.n - k0)] = math.inf
+            for r in range(k1 - k0):
+                floors[r, : r + 1] = math.inf  # j > k only
             self.floor[k0:k1] = floors.min(axis=1)
         # deployment(k)'s fleet sizes by construction, so neither the climb
         # bound nor the batch sizes build a deployment
@@ -476,13 +477,12 @@ class SchedulePlan:
         on to the horizon, for k0 <= k < k1: row k - k0, column t - k0.
 
         Each row takes its static row from its own ``static(k, k, n)``
-        (another slice of the product can round otherwise) and OPT left
-        of its slot, where the excess is then exactly 0, so those columns
-        repeat the row's sum from slot k, its TAIL."""
-        excess = np.tile(self.opt[k0:], (k1 - k0, 1))
+        (another slice of the product can round otherwise) and an excess
+        of exactly 0 left of its slot, so those columns repeat the row's
+        sum from slot k, its TAIL."""
+        excess = np.zeros((k1 - k0, self.n - k0))
         for r, k in enumerate(range(k0, k1)):
-            excess[r, r:] = self.static(k, k, self.n)
-        excess -= self.opt[k0:]
+            np.subtract(self.static(k, k, self.n), self.opt[k:], out=excess[r, r:])
         np.maximum(excess, 0.0, out=excess)
         excess *= self.mu
         reversed_excess = excess[:, ::-1]

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import os
 import re
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -26,6 +28,8 @@ from uavrf.layout import (
     num_uavs,
 )
 from uavrf.patterns import Rect, Subregion, constant_pattern
+from uavrf.scenario import load_scenario
+from uavrf.scheduling import SchedulePlan
 
 
 def worst_cover_ratio(rect: Rect, count: int, radius: float, res: int = 200) -> float:
@@ -109,10 +113,17 @@ def test_layout_inside_rect_and_altitude():
 
 
 def test_layout_count_validation():
+    rect = Rect(0, 0, 10, 10)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        layout_positions(rect, 0, 1.0)
     with pytest.raises(ValueError):
-        layout_positions(Rect(0, 0, 10, 10), 0, 1.0)
-    with pytest.raises(ValueError):
-        layout_positions(Rect(0, 0, 10, 10), 2, -1.0)
+        layout_positions(rect, 2, -1.0)
+    for count in (3.0, 2.5, True, np.bool_(True), np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="^count must be an integer, got "):
+            layout_positions(rect, count, 1.0)
+    want = layout_positions(rect, 3, 1.0)
+    for count in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert layout_positions(rect, count, 1.0).tobytes() == want.tobytes()
 
 
 def test_coverage_single_uav_regime():
@@ -342,6 +353,44 @@ def test_row_score_bits_match_kdtree(rect_w, rect_h, count, rows_draw, kind, sta
     assert got.hex() == _kdtree_cover_distance(grid, _points(*lattice)).hex()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rect_w=st.floats(min_value=1.0, max_value=5000.0),
+    rect_h=st.floats(min_value=1.0, max_value=5000.0),
+    count=st.integers(min_value=1, max_value=300),
+    rows_draw=st.integers(min_value=0, max_value=2**16),
+    kind=st.sampled_from(["aligned", "staggered", "hex"]),
+    start=st.integers(min_value=0, max_value=1),
+    margins=st.one_of(
+        st.just(layout._MARGINS),
+        st.lists(st.floats(min_value=0.25, max_value=0.5), min_size=1, max_size=6).map(tuple),
+    ),
+    res=st.sampled_from([36, 72, 120]),
+)
+def test_margin_stack_has_the_bits_of_one_margin_lattices(
+    rect_w, rect_h, count, rows_draw, kind, start, margins, res
+):
+    # _unit_layout scores the margins of one shape in one call: entry g of
+    # the stack must be margin g's lattice and score, bit for bit, since
+    # near-tied lattices are ranked by these scores
+    rows = 1 + rows_draw % min(count, 30)
+    if kind == "hex":
+        m = max(2, count // rows)
+        build = partial(_hex_candidate, rect_w, rect_h, [m - (i + start) % 2 for i in range(rows)])
+    else:
+        build = partial(_candidate, rect_w, rect_h, _row_counts(count, rows), kind == "staggered")
+    ys, xs, row_xs = build(margins)
+    grid = _grid(rect_w, rect_h, res)
+    scores = _worst_cover_distance(grid, ys, xs, row_xs)
+    assert ys.shape == (len(margins), rows) and scores.shape == (len(margins),)
+    for g, margin in enumerate(margins):
+        one = build(margin)
+        assert ys[g].tobytes() == one[0].tobytes()
+        assert [row[g].tobytes() for row in xs] == [row.tobytes() for row in one[1]]
+        assert row_xs.tolist() == one[2].tolist()
+        assert scores[g].hex() == float(_worst_cover_distance(grid, *one)).hex()
+
+
 def _per_row_candidate(rect_w, rect_h, counts, staggered, margin):
     """Reference lattice builder: one ``_axis_positions`` call and one xs per row."""
     ys = layout._axis_positions(rect_h, len(counts), margin)
@@ -424,6 +473,28 @@ def test_distinct_row_fold_matches_per_row_fold(
     assert got.hex() == _per_row_cover_distance(grid, ys, rows_xs).hex()
 
 
+def _per_margin(build):
+    """A lattice builder for a tuple of margins from a one-margin reference
+    builder: one lattice per margin, stacked, each row with its own xs."""
+
+    def stacked(*args):
+        *shape, margins = args
+        lattices = [build(*shape, margin) for margin in margins]
+        ys = np.stack([ys for ys, _ in lattices])
+        xs = [np.stack(rows) for rows in zip(*(xs for _, xs in lattices))]
+        return ys, xs, np.arange(ys.shape[1])
+
+    return stacked
+
+
+def _per_row_scores(grid, ys, xs, row_xs):
+    """Reference scores of a stack of lattices, or of one: lattice by lattice, row by row."""
+    rows = [xs[k] for k in row_xs]
+    if ys.ndim == 1:
+        return _per_row_cover_distance(grid, ys, rows)
+    return np.array([_per_row_cover_distance(grid, ys[g], [row[g] for row in rows]) for g in range(len(ys))])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rect_w=st.floats(min_value=20.0, max_value=3000.0),
@@ -433,10 +504,10 @@ def test_distinct_row_fold_matches_per_row_fold(
 def test_unit_layout_matches_per_row_route(rect_w, aspect, count):
     rect_h = rect_w * aspect
     per_row_route = {
-        "_candidate": _per_row_candidate,
-        "_hex_candidate": _per_row_hex_candidate,
-        "_points": _per_row_points,
-        "_worst_cover_distance": _per_row_cover_distance,
+        "_candidate": _per_margin(_per_row_candidate),
+        "_hex_candidate": _per_margin(_per_row_hex_candidate),
+        "_points": lambda ys, xs, row_xs: _per_row_points(ys, [xs[k] for k in row_xs]),
+        "_worst_cover_distance": _per_row_scores,
     }
     try:
         _unit_layout.cache_clear()
@@ -506,6 +577,30 @@ def test_unit_layout_positions_unchanged():
         for case in LAYOUT_DIGESTS
     }
     assert got == LAYOUT_DIGESTS
+
+
+# sha256 of the positions of every distinct (width, height, count) that the
+# paper-density day (tests/data/paper_day.cfg) lays out, in sorted order:
+# fleets of 120-380 UAVs a zone, of which LAYOUT_DIGESTS pins only 221 and 256
+PAPER_DAY_LAYOUTS = (117, 120, 380, "e9d5a75e6b2e90ad54f57d19c365bcc4a9992f9c47e409c994125ae1075b0e0d")
+
+
+def test_paper_day_layouts_unchanged():
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), "data", "paper_day.cfg"))
+    radii = SchedulePlan(sc).radii
+    keys = sorted(
+        {
+            (sub.rect.width, sub.rect.height, count)
+            for sub, zone_radii in zip(sc.subregions, radii)
+            for count in num_uavs(sub.area, zone_radii).tolist()
+        }
+    )
+    digest = hashlib.sha256()
+    _unit_layout.cache_clear()
+    for key in keys:
+        digest.update(_unit_layout(*key).tobytes())
+    counts = [count for _, _, count in keys]
+    assert (len(keys), min(counts), max(counts), digest.hexdigest()) == PAPER_DAY_LAYOUTS
 
 
 def test_unit_layout_is_one_read_only_array():

@@ -224,11 +224,20 @@ def test_mobility_energy_swap_symmetry():
 def test_mobility_energy_validation():
     a = _single_uav_deployment((0, 0, 10))
     b = _single_uav_deployment((0, 0, 10), rsc=(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must share the depot position"):
         mobility_energy_at(a, b, UNIT_MOVES)
     c = _single_uav_deployment((0, 0, 10), label="OTHER")
-    with pytest.raises(ValueError):
+    assert a.labels == ("S0",) and c.labels == ("OTHER",)
+    with pytest.raises(ValueError, match="must cover the same subregions"):
         mobility_energy_at(a, c, UNIT_MOVES)
+    # the same zones in another order, and one zone of two
+    sc = reference_scenario()
+    two = build_deployment(sc.subregions, (300.0, 300.0), (300.0, 300.0), sc.rsc_position)
+    swapped = Deployment(entries=two.entries[::-1], rsc_position=two.rsc_position)
+    fewer = Deployment(entries=two.entries[:1], rsc_position=two.rsc_position)
+    for other in (swapped, fewer):
+        with pytest.raises(ValueError, match="must cover the same subregions"):
+            mobility_energy_at(two, other, UNIT_MOVES)
 
 
 def _fleet(positions, rsc=(500.0, 500.0, 0.0)):
@@ -1213,6 +1222,57 @@ def test_block_suffix_rows_have_the_bits_of_one_row_blocks(make):
                 assert row[k - k0 :].tobytes() == plan.excess_suffixes(k, k + 1)[0].tobytes()
                 assert [x.hex() for x in row[: k - k0 + 1]] == [plan.tail[k].hex()] * (k - k0 + 1)
             k0 = k1
+
+
+def _tiled_excess_suffixes(plan, k0, k1):
+    """Reference block: OPT tiled into every row, then each row's static
+    row written from its slot on, so the columns left of it subtract to 0."""
+    excess = np.tile(plan.opt[k0:], (k1 - k0, 1))
+    for r, k in enumerate(range(k0, k1)):
+        excess[r, r:] = plan.static(k, k, plan.n)
+    excess -= plan.opt[k0:]
+    np.maximum(excess, 0.0, out=excess)
+    excess *= plan.mu
+    reversed_excess = excess[:, ::-1]
+    np.cumsum(reversed_excess, axis=1, out=reversed_excess)
+    return excess
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        reference_scenario,
+        lambda: dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0),
+        lambda: dataclasses.replace(
+            reference_scenario(), horizon_s=28 * 86400.0, start_s=7 * 86400.0
+        ),
+        lambda: load_scenario(os.path.join(os.path.dirname(__file__), "data", "paper_day.cfg")),
+        lambda: dataclasses.replace(
+            load_scenario(os.path.join(os.path.dirname(__file__), "data", "paper_day.cfg")),
+            horizon_s=7 * 86400.0,
+        ),
+    ],
+    ids=["reference-day", "reference-2-weeks", "reference-4-weeks-from-day-7", "paper-day", "paper-week"],
+)
+def test_plan_block_pass_matches_the_tiled_construction(make):
+    # the plan writes each row's excess into zeros and masks the columns at
+    # or left of each row's slot row by row; the reference tiles OPT into
+    # every row and masks them through np.tril_indices
+    plan = SchedulePlan(make())
+    n = plan.n
+    starts = [0]
+    while starts[-1] < n:
+        starts.append(_block_end(n, starts[-1]))
+    tail, floor = np.empty(n), np.empty(n)
+    for k0, k1 in reversed(list(zip(starts, starts[1:]))):
+        suffix = _tiled_excess_suffixes(plan, k0, k1)
+        assert plan.excess_suffixes(k0, k1).tobytes() == suffix.tobytes()
+        tail[k0:k1] = np.diagonal(suffix)
+        floors = tail[k0:k1, None] - suffix + tail[k0:]
+        floors[np.tril_indices(k1 - k0, 0, n - k0)] = math.inf
+        floor[k0:k1] = floors.min(axis=1)
+    assert plan.tail.tobytes() == tail.tobytes()
+    assert plan.floor.tobytes() == floor.tobytes()
 
 
 def _inject_energies(monkeypatch, energies):
