@@ -203,31 +203,35 @@ def _unit_layout(rect_w: float, rect_h: float, count: int) -> np.ndarray:
     lo = min(max(1, r0 - 8), count)
     hi = min(count, r0 + 8)
     coarse = _grid(rect_w, rect_h, 36)
+    shapes = []
     candidates = []
     for rows in range(lo, hi + 1):
         counts = _row_counts(count, rows)
-        shapes = [(0, _candidate(rect_w, rect_h, counts, False, _MARGINS))]
+        kinds = [(0, _candidate(rect_w, rect_h, counts, False, _MARGINS))]
         if rows >= 3 and len(set(counts)) == 1:
-            shapes.append((1, _candidate(rect_w, rect_h, counts, True, _MARGINS)))
+            kinds.append((1, _candidate(rect_w, rect_h, counts, True, _MARGINS)))
         # alternating m/m-1 rows admit the true hexagonal lattice
         for start in (0, 1):
             alt = _alternating_counts(count, rows, start)
             if alt is not None:
-                shapes.append((2 + start, _hex_candidate(rect_w, rect_h, alt, _MARGINS)))
+                kinds.append((2 + start, _hex_candidate(rect_w, rect_h, alt, _MARGINS)))
         # one scoring pass per shape: its margins share every array shape
-        for kind, (ys, xs, row_xs) in shapes:
-            scores = _worst_cover_distance(coarse, ys, xs, row_xs).tolist()
+        for kind, shape in kinds:
+            scores = _worst_cover_distance(coarse, *shape).tolist()
             for g, margin in enumerate(_MARGINS):
-                lattice = (ys[g], [row[g] for row in xs], row_xs)
-                candidates.append((scores[g], rows, kind, margin, lattice))
+                candidates.append((scores[g], rows, kind, margin, len(shapes), g))
+            shapes.append(shape)
     # coarse shortlist, then a fine pass: the coarse grid can misrank
-    # near-tied lattices by a few percent
-    candidates.sort(key=lambda c: c[:4])
+    # near-tied lattices by a few percent; (score, rows, kind, margin) is
+    # unique, so the order never reaches the shape index
+    candidates.sort()
     fine_grid = _grid(rect_w, rect_h, 120 if count <= 256 else 72)
     best = None
-    for score, rows, staggered, margin, lattice in candidates[:8]:
+    for score, rows, kind, margin, index, g in candidates[:8]:
+        ys, xs, row_xs = shapes[index]
+        lattice = (ys[g], [row[g] for row in xs], row_xs)
         fine = float(_worst_cover_distance(fine_grid, *lattice))
-        key = (fine, rows, staggered, margin)
+        key = (fine, rows, kind, margin)
         if best is None or key < best[0]:
             best = (key, lattice)
     points = _points(*best[1])

@@ -205,6 +205,8 @@ def normalized_shape(pattern: DensityPattern, n_points: int | None = None) -> np
     """
     if n_points is None:
         n_points = pattern.n_samples
+    elif n_points < 1:
+        raise ValueError(f"n_points must be positive, got {n_points!r}")
     x = reconstruct_series(pattern, range(n_points))
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
@@ -224,6 +226,8 @@ def perturbed_density(lam: float, bias: float, stddev: float, n: int, seed) -> n
     if not math.isfinite(bias):
         raise ValueError(f"bias must be finite, got {bias!r}")
     check_positive("stddev", stddev, zero_ok=True)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
     rng = np.random.default_rng(seed)
     draws = lam + bias + stddev * rng.standard_normal(n)
     return np.maximum(DENSITY_FLOOR, draws)

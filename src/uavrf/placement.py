@@ -91,10 +91,12 @@ def adaptive_simpson(
     Richardson correction.  The relative tolerance applies per panel
     against its own scale; the absolute tolerance halves with each
     split.  Raises :class:`NumericalError` if any panel reaches
-    ``max_depth`` halvings.
+    ``max_depth`` halvings, and ``ValueError`` unless the bounds are
+    finite with a <= b.
     """
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
+    # one chained test: a NaN fails every comparison
+    if not -math.inf < a <= b < math.inf:
+        raise ValueError(f"integration bounds must be finite and satisfy a <= b, got a={a!r}, b={b!r}")
     if b == a:
         return 0.0
 

@@ -8,6 +8,15 @@ of the depot (RSC) so recalled units fly home and supplements launch
 from it; the minimum-energy pairing of old to new positions is then a
 square assignment problem solved exactly in polynomial time.
 
+The solver is scipy's ``linear_sum_assignment`` (Crouse 2016), the only
+scipy function the package calls.  It is loaded from the compiled module
+that holds it, ``scipy.optimize._lsap``, without running
+``scipy.optimize``'s package import, which pulls in ``scipy.linalg``,
+linprog and ``numpy.f2py``: that import took about four fifths of
+``import uavrf`` and more than half the peak RSS of a short run, even
+one that never assigns.  A later ``import scipy.optimize`` re-exports the
+very same function, so every solve is scipy's own.
+
 The scheduler's move energies come from one batched path
 (``_Moves.fill``), which takes any slot moves i -> j, keeps each energy
 per pair and returns the batch's energies in order.  It requests the
@@ -15,7 +24,7 @@ deployments of the pairs it lacks from the plan at once, reads the
 positions that each deployment stacked once, pads only when the fleet
 sizes differ, and groups those pairs by padded size.  A batch of new
 pairs builds its cost matrices in one stacked pass, one temporary per
-axis, and hands each matrix to scipy's ``linear_sum_assignment`` (Crouse 2016) through
+axis, and hands each matrix to the solver through
 :func:`solve_assignment`; a batch of pairs already solved under the same
 cost shape (below) is one gather and one row sum.  Every check stays:
 the two deployments share the depot and the subregion labels, each
@@ -125,18 +134,48 @@ non-mobility inputs, the horizon included, raises ``ValueError``.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 
 from .layout import Deployment, build_deployment, num_uavs
 from .placement import EnergyParams, min_static_rf, optimal_altitude_ratio, static_rf_terms
 from .scenario import Scenario, slot_densities
+
+
+def _load_linear_sum_assignment():
+    """scipy's ``linear_sum_assignment`` from its compiled module alone.
+
+    Importing ``scipy.optimize._lsap`` by its dotted name would run the
+    package import first.  The module is registered under its full name
+    before it runs, so a later ``import scipy.optimize`` reuses it; a
+    scipy without the module, or the name, gets the public import.
+    """
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        paths = [os.path.join(path, "optimize") for path in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, paths)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    solver = getattr(module, "linear_sum_assignment", None)
+    if solver is None:
+        from scipy.optimize import linear_sum_assignment as solver
+    return solver
+
+
+linear_sum_assignment = _load_linear_sum_assignment()
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from uavrf.channel import (
     to_db,
 )
 from uavrf.layout import SubregionDeployment, layout_positions, num_uavs
-from uavrf.patterns import Rect, perturbed_density
+from uavrf.patterns import Rect, constant_pattern, normalized_shape, perturbed_density
 from uavrf.placement import (
     EnergyParams,
+    adaptive_simpson,
     normalized_tx_power,
     optimal_radius,
     static_rf,
@@ -303,13 +304,14 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
         ("altitude ratio h1", lambda v: normalized_tx_power(v, _URBAN, _RADIO)),
         ("radius", lambda v: tx_power(v, 0.1, 1.0, _URBAN, _RADIO)),
         ("area", lambda v: num_uavs(v, 1.0)),
+        ("integration bounds", lambda v: adaptive_simpson(math.sin, 0.0, v)),
     ],
     ids=["optimal_radius", "static_rf", "static_rf_at_optimal_altitude", "eigenvalue-p_circuit",
          "eigenvalue-battery", "exact_samples-p_circuit", "exact_samples-area",
          "exact_samples-battery", "layout_positions", "SubregionDeployment",
          "SubregionDeployment-altitude", "perturbed_density",
          "perturbed_density-lam", "rf_increment", "to_db", "avg_path_loss", "elevation_angle_deg", "normalized_tx_power", "tx_power",
-         "num_uavs"],
+         "num_uavs", "adaptive_simpson"],
 )
 def test_non_finite_input_names_the_argument(named, call, value):
     # each returned nan or inf, raised NumericalError, or named no argument
@@ -328,11 +330,25 @@ def test_non_finite_input_names_the_argument(named, call, value):
         ("eigenvalue must be finite and nonnegative, got -2.0", lambda: rf_increment(-2.0, 1.0)),
         ("altitude must be finite and nonnegative, got -5.0",
          lambda: SubregionDeployment("A", 1.0, -5.0, np.zeros((1, 3)))),
+        ("integration bounds must be finite and satisfy a <= b, got a=1.0, b=0.0",
+         lambda: adaptive_simpson(math.sin, 1.0, 0.0)),
+        ("integration bounds must be finite and satisfy a <= b, got a=-inf, b=1.0",
+         lambda: adaptive_simpson(math.sin, -math.inf, 1.0)),
+        ("integration bounds must be finite and satisfy a <= b, got a=nan, b=nan",
+         lambda: adaptive_simpson(math.sin, math.nan, math.nan)),
+        ("n_points must be positive, got 0",
+         lambda: normalized_shape(constant_pattern(2.5, n_samples=64), 0)),
+        ("n_points must be positive, got -3",
+         lambda: normalized_shape(constant_pattern(2.5, n_samples=64), -3)),
+        ("n must be nonnegative, got -1", lambda: perturbed_density(0.1, 0.0, 1.0, -1, 0)),
     ],
     ids=["perturbed_density-negative-lam", "bias-nan", "bias-inf", "bias-neg-inf",
-         "rf_increment-negative", "SubregionDeployment-negative-altitude"],
+         "rf_increment-negative", "SubregionDeployment-negative-altitude",
+         "adaptive_simpson-reversed", "adaptive_simpson-neg-inf", "adaptive_simpson-nan",
+         "normalized_shape-zero", "normalized_shape-negative", "perturbed_density-negative-n"],
 )
 def test_out_of_range_input_names_the_argument(message, call):
-    # each returned nan, inf, a negative increment or floored draws
+    # each returned nan, inf, a negative increment or floored draws, hit
+    # the subdivision cap or raised numpy's own error
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
