@@ -46,6 +46,16 @@ def check_positive(name: str, value, zero_ok: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}{where}")
 
 
+def check_integer(name: str, value, minimum: int, bound: str | None = None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or
+    numpy integer (a bool is not one) of at least ``minimum``.  ``bound``
+    words that minimum in the message ("at least MINIMUM" by default)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be {bound or f'at least {minimum}'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Environment:
     """Statistical propagation constants of a deployment environment.

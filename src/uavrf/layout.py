@@ -50,7 +50,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .channel import check_positive
+from .channel import check_integer, check_positive
 from .patterns import Rect
 
 Point3 = Tuple[float, float, float]
@@ -251,10 +251,7 @@ def layout_positions(rect: Rect, count: int, altitude) -> np.ndarray:
     ``count`` is a Python or numpy integer; a bool, a float or any other
     type raises ``ValueError``, as does a count below 1.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    check_integer("count", count, 1)
     if np.ndim(altitude):
         altitude = np.asarray(altitude, dtype=float)
     check_positive("altitude", altitude, zero_ok=True)

@@ -23,12 +23,13 @@ import io
 import math
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
+from operator import attrgetter
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import Environment, RadioConfig, environment_preset
+from .channel import Environment, RadioConfig, check_integer, environment_preset
 from .patterns import (
     DensityPattern,
     Rect,
@@ -76,8 +77,10 @@ class Scenario:
             raise ScenarioError(f"subregion labels must be distinct, got {labels!r}")
         if len(self.density_bands) != len(self.subregions):
             raise ScenarioError("density_bands must align with subregions")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        try:
+            check_integer("seed", self.seed, 0, "a nonnegative integer")
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         if not (0 < self.horizon_s < math.inf and 0 < self.slot_s < math.inf):
             raise ScenarioError(
                 f"horizon and slot must be finite and positive, got {self.horizon_s!r} s "
@@ -212,7 +215,6 @@ def default_scenario() -> Scenario:
         rsc_position=(500.0, 500.0, 0.0),
         horizon_s=24 * 3600.0,
         slot_s=600.0,
-        seed=0,
     )
 
 
@@ -236,17 +238,36 @@ def reference_scenario(seed: int = 12060) -> Scenario:
     )
 
 
-# the keys each section may set; "subregion" stands for every [subregion ...] section
-_SECTION_KEYS = {
-    "scenario": frozenset({
-        "name", "environment", "area", "rsc", "horizon_hours", "slot_seconds",
-        "start_hours", "seed", "include_initial_launch",
-    }),
-    "environment": frozenset({"name", "a", "b", "eta_los", "eta_nlos"}),
-    "radio": frozenset(f.name for f in fields(RadioConfig)),
-    "energy": frozenset(f.name for f in fields(EnergyParams)),
-    "subregion": frozenset({"label", "rect", "pattern", "density_band", "densities"}),
+# Every key of the four keyed sections, once: (key, field, numbers, unit).  The
+# field is an attribute path from the section's object; numbers is how many the
+# value holds (0: a word, an integer or a boolean); unit is how a number is written.
+_KEYS = {
+    "scenario": (
+        ("name", "name", 0, "a word"),
+        ("environment", "env.name", 0, "a word"),
+        ("area", "bounds", 4, "as written"),
+        ("rsc", "rsc_position", 3, "as written"),
+        ("horizon_hours", "horizon_s", 1, "hours"),
+        ("slot_seconds", "slot_s", 1, "seconds"),
+        ("start_hours", "start_s", 1, "hours"),
+        ("seed", "seed", 0, "an integer"),
+        ("include_initial_launch", "include_initial_launch", 0, "a boolean"),
+    ),
+    "environment": (
+        ("name", "name", 0, "a word"),
+        *((key, key, 1, "as written") for key in ("a", "b", "eta_los", "eta_nlos")),
+    ),
+    **{
+        section: tuple((f.name, f.name, 1, "as written") for f in fields(params))
+        for section, params in (("radio", RadioConfig), ("energy", EnergyParams))
+    },
 }
+# what one written number is worth in its field
+_SCALE = {"hours": 3600.0, "seconds": 1.0, "as written": 1.0}
+
+# the keys each section may set; "subregion" stands for every [subregion ...] section
+_SECTION_KEYS = {section: {entry[0] for entry in keys} for section, keys in _KEYS.items()}
+_SECTION_KEYS["subregion"] = {"label", "rect", "pattern", "density_band", "densities"}
 
 
 def _check_keys(parser: configparser.ConfigParser) -> None:
@@ -280,8 +301,41 @@ def _floats(section: configparser.SectionProxy, key: str, n: int | None = 1) -> 
     return numbers
 
 
-def _number(section: configparser.SectionProxy, key: str) -> float:
-    return _floats(section, key)[0]
+def _read(section: configparser.SectionProxy, key: str, numbers: int, unit: str):
+    """The value of table key ``key`` in ``section``, as its field holds it."""
+    if numbers:
+        values = _floats(section, key, numbers)
+        return values if numbers > 1 else values[0] * _SCALE[unit]
+    value = section[key]
+    try:
+        if unit == "an integer":
+            return int(value)
+        if unit == "a boolean":
+            return section.getboolean(key)
+    except ValueError:
+        raise ScenarioError(f"[{section.name}] {key} is not {unit}: {value!r}") from None
+    return value
+
+
+def _given(parser: configparser.ConfigParser, section: str, every_number: bool = False) -> dict:
+    """Field -> value of each table key that [section] sets, or of every number."""
+    if not parser.has_section(section):
+        return {}
+    s = parser[section]
+    return {
+        field: _read(s, key, numbers, unit)
+        for key, field, numbers, unit in _KEYS[section]
+        if key in s or (every_number and numbers)
+    }
+
+
+def _text(value, numbers: int, unit: str) -> str:
+    """``value`` as a table key writes it; :func:`_read` reads it back."""
+    if numbers > 1:
+        return " ".join(map(repr, astuple(value) if isinstance(value, Rect) else value))
+    if numbers:
+        return repr(value / _SCALE[unit])
+    return str(value).lower() if unit == "a boolean" else str(value)
 
 
 def _parse_pattern_ref(
@@ -327,85 +381,45 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
 
 def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> Scenario:
     base = default_scenario()
-    if not parser.has_section("scenario"):
-        parser.add_section("scenario")
-    sc = parser["scenario"]
-
-    if parser.has_section("environment"):
-        e = parser["environment"]
-        env = Environment(
-            a=_number(e, "a"),
-            b=_number(e, "b"),
-            eta_los=_number(e, "eta_los"),
-            eta_nlos=_number(e, "eta_nlos"),
-            name=e.get("name", "custom"),
-        )
+    given = _given(parser, "scenario")
+    named = given.pop("env.name", None)
+    if parser.has_section("environment"):  # every number is required, the name is not
+        env = Environment(**_given(parser, "environment", every_number=True))
+        # a custom environment is dumped as the section and the key with its name
+        if named not in (None, env.name):
+            raise ScenarioError(
+                f"[scenario] environment {named!r} does not match [environment] name {env.name!r}"
+            )
     else:
-        env = environment_preset(sc.get("environment", "urban"))
-
-    radio = base.radio
-    if parser.has_section("radio"):
-        r = parser["radio"]
-        radio = replace(radio, **{key: _number(r, key) for key in r})
-
-    bounds = Rect(*_floats(sc, "area", 4)) if "area" in sc else base.bounds
+        env = base.env if named is None else environment_preset(named)
+    bounds = Rect(*given.pop("bounds")) if "bounds" in given else base.bounds
+    given.setdefault("rsc_position", (*bounds.center, 0.0))  # the depot at the area's centre
 
     # defaults normalize the battery to the parsed area and zone count,
     # whether or not an [energy] section is present
     sections = [s for s in parser.sections() if s.startswith("subregion")]
     energy = _table_defaults_energy(bounds.area, max(1, len(sections)))
-    if parser.has_section("energy"):
-        g = parser["energy"]
-        energy = replace(energy, **{key: _number(g, key) for key in g})
+    energy = replace(energy, **_given(parser, "energy"))
 
-    subregions = []
-    bands = []
-    explicit = []
+    subregions, bands, explicit = [], [], []
     for section in sections:
         s = parser[section]
         label = s.get("label", section.split(None, 1)[-1])
         rect = Rect(*_floats(s, "rect", 4))
-        pattern = _parse_pattern_ref(s, base_dir)
+        subregions.append(Subregion(label, rect, _parse_pattern_ref(s, base_dir)))
         bands.append(_floats(s, "density_band", 2) if "density_band" in s else None)
         if "densities" in s:
             explicit.append(_floats(s, "densities", None))
-        subregions.append(Subregion(label=label, rect=rect, pattern=pattern))
     if explicit and len(explicit) < len(sections):
         missing = next(section for section in sections if "densities" not in parser[section])
         raise ScenarioError(f"[{missing}] needs densities: every subregion or none sets them")
-    if not subregions:
-        subregions = list(base.subregions)
+    if not subregions:  # the default zone, spanning the area
+        subregions = [replace(base.subregions[0], rect=bounds)]
         bands = list(base.density_bands)
 
-    try:
-        seed = int(sc.get("seed", "0"))
-    except ValueError:
-        raise ScenarioError(f"[scenario] seed is not an integer: {sc['seed']!r}") from None
-    try:
-        launch = sc.getboolean("include_initial_launch", fallback=False)
-    except ValueError:
-        value = sc["include_initial_launch"]
-        raise ScenarioError(
-            f"[scenario] include_initial_launch is not a boolean: {value!r}"
-        ) from None
-    return Scenario(
-        name=sc.get("name", base.name),
-        env=env,
-        radio=radio,
-        energy=energy,
-        bounds=bounds,
-        subregions=tuple(subregions),
-        density_bands=tuple(bands),
-        rsc_position=(
-            _floats(sc, "rsc", 3)
-            if "rsc" in sc
-            else (bounds.x + bounds.width / 2.0, bounds.y + bounds.height / 2.0, 0.0)
-        ),
-        horizon_s=(_number(sc, "horizon_hours") if "horizon_hours" in sc else 24.0) * 3600.0,
-        slot_s=_number(sc, "slot_seconds") if "slot_seconds" in sc else 600.0,
-        start_s=(_number(sc, "start_hours") if "start_hours" in sc else 0.0) * 3600.0,
-        seed=seed,
-        include_initial_launch=launch,
+    return replace(
+        base, **given, env=env, radio=replace(base.radio, **_given(parser, "radio")),
+        energy=energy, bounds=bounds, subregions=tuple(subregions), density_bands=tuple(bands),
         explicit_densities=tuple(explicit) if explicit else None,
     )
 
@@ -424,40 +438,24 @@ def dump_scenario(scenario: Scenario) -> str:
     """Serialize to the text format; inverse of :func:`parse_scenario`."""
     buf = io.StringIO()
     w = buf.write
-    w("[scenario]\n")
-    w(f"name = {scenario.name}\n")
-    w(f"environment = {scenario.env.name}\n")
-    b = scenario.bounds
-    w(f"area = {b.x!r} {b.y!r} {b.width!r} {b.height!r}\n")
-    w(f"rsc = {scenario.rsc_position[0]!r} {scenario.rsc_position[1]!r} {scenario.rsc_position[2]!r}\n")
-    w(f"horizon_hours = {scenario.horizon_s / 3600.0!r}\n")
-    w(f"slot_seconds = {scenario.slot_s!r}\n")
-    w(f"start_hours = {scenario.start_s / 3600.0!r}\n")
-    w(f"seed = {scenario.seed}\n")
-    w(f"include_initial_launch = {str(scenario.include_initial_launch).lower()}\n")
-    if not _is_preset(scenario.env):
-        e = scenario.env
-        w("\n[environment]\n")
-        w(f"name = {e.name}\n")
-        w(f"a = {e.a!r}\nb = {e.b!r}\neta_los = {e.eta_los!r}\neta_nlos = {e.eta_nlos!r}\n")
-    for section, params in (("radio", scenario.radio), ("energy", scenario.energy)):
-        w(f"\n[{section}]\n")
-        for f in fields(params):
-            w(f"{f.name} = {getattr(params, f.name)!r}\n")
+    for section, params in zip(_KEYS, (scenario, scenario.env, scenario.radio, scenario.energy)):
+        if section == "environment" and _is_preset(params):
+            continue
+        w(f"[{section}]\n" if section == "scenario" else f"\n[{section}]\n")
+        for key, field, numbers, unit in _KEYS[section]:
+            w(f"{key} = {_text(attrgetter(field)(params), numbers, unit)}\n")
     series_of = scenario.explicit_densities or [None] * len(scenario.subregions)
     for sub, band, series in zip(scenario.subregions, scenario.density_bands, series_of):
         w(f"\n[subregion {sub.label}]\n")
         w(f"label = {sub.label}\n")
-        rc = sub.rect
-        w(f"rect = {rc.x!r} {rc.y!r} {rc.width!r} {rc.height!r}\n")
+        w(f"rect = {_text(sub.rect, 4, 'as written')}\n")
         known = _match_preset(sub.pattern)
-        if known is not None:
-            w(f"pattern = preset:{known}\n")
-        else:
+        if known is None:
             raise ScenarioError(
                 "cannot serialize a custom pattern inline; write it with "
                 "dump_pattern() and reference it as file:PATH"
             )
+        w(f"pattern = preset:{known}\n")
         if band is not None:
             w(f"density_band = {band[0]!r} {band[1]!r}\n")
         if series is not None:

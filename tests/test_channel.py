@@ -341,11 +341,19 @@ def test_non_finite_input_names_the_argument(named, call, value):
         ("n_points must be positive, got -3",
          lambda: normalized_shape(constant_pattern(2.5, n_samples=64), -3)),
         ("n must be nonnegative, got -1", lambda: perturbed_density(0.1, 0.0, 1.0, -1, 0)),
+        ("n_points must be an integer, got 2.5",
+         lambda: normalized_shape(constant_pattern(2.5, n_samples=64), 2.5)),
+        ("n_points must be an integer, got True",
+         lambda: normalized_shape(constant_pattern(2.5, n_samples=64), True)),
+        ("n must be an integer, got 2.5", lambda: perturbed_density(0.1, 0.0, 1.0, 2.5, 0)),
+        ("n must be an integer, got True", lambda: perturbed_density(0.1, 0.0, 1.0, True, 0)),
     ],
     ids=["perturbed_density-negative-lam", "bias-nan", "bias-inf", "bias-neg-inf",
          "rf_increment-negative", "SubregionDeployment-negative-altitude",
          "adaptive_simpson-reversed", "adaptive_simpson-neg-inf", "adaptive_simpson-nan",
-         "normalized_shape-zero", "normalized_shape-negative", "perturbed_density-negative-n"],
+         "normalized_shape-zero", "normalized_shape-negative", "perturbed_density-negative-n",
+         "normalized_shape-float", "normalized_shape-bool", "perturbed_density-float-n",
+         "perturbed_density-bool-n"],
 )
 def test_out_of_range_input_names_the_argument(message, call):
     # each returned nan, inf, a negative increment or floored draws, hit

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,33 @@ def test_negative_seed_rejected(tmp_path):
         load_scenario(str(path))
     with pytest.raises(ScenarioError, match="seed"):
         dataclasses.replace(reference_scenario(), seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(3.0), "3", None])
+def test_seed_must_be_an_integer(seed):
+    # a float seed constructed and failed only when fig10 drew a stream,
+    # with numpy's "SeedSequence expects int or sequence of ints"
+    with pytest.raises(ScenarioError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        dataclasses.replace(default_scenario(), seed=seed)
+
+
+def test_numpy_integer_seed_accepted():
+    sc = dataclasses.replace(default_scenario(), seed=np.int64(7))
+    assert parse_scenario(dump_scenario(sc)) == sc
+
+
+@pytest.mark.parametrize("area", ["0 0 500 500", "0 0 2000 2000", "-300 40 700 90"])
+def test_default_subregion_spans_the_area(area):
+    # the 1000 m x 1000 m default zone lay outside a smaller area, and in a
+    # larger one gave S / (pi E_b) = 0.25 instead of 1
+    sc = parse_scenario(f"[scenario]\narea = {area}\n")
+    x, y, w, h = map(float, area.split())
+    assert sc.bounds == Rect(x, y, w, h)
+    assert sc.subregions == (dataclasses.replace(default_scenario().subregions[0], rect=sc.bounds),)
+    assert sc.density_bands == (None,)
+    assert sc.subregions[0].area / (math.pi * sc.energy.battery_j) == pytest.approx(1.0)
+    assert sc.rsc_position == (x + w / 2.0, y + h / 2.0, 0.0)
+    assert parse_scenario(dump_scenario(sc)) == sc
 
 
 def test_overlapping_subregions_rejected():
@@ -411,9 +439,38 @@ pattern = preset:R
     assert without == with_empty
 
 
+_CUSTOM_ENV = "[environment]\na = 5.0\nb = 0.3\neta_los = 0.5\neta_nlos = 12.0\n"
+
+
+@pytest.mark.parametrize(
+    "key, section_name, shown",
+    [("bogus", "", "'custom'"), ("suburban", "", "'custom'"), ("urban", "name = myenv\n", "'myenv'"),
+     ("myenv", "name = other\n", "'other'")],
+    ids=["bogus", "preset-next-to-custom", "preset-next-to-named", "other-name"],
+)
+def test_environment_key_must_match_the_section(key, section_name, shown):
+    # the key next to a custom section was silently ignored
+    text = f"[scenario]\nenvironment = {key}\n\n" + _CUSTOM_ENV + section_name
+    named = rf"^\[scenario\] environment '{key}' does not match \[environment\] name {shown}$"
+    with pytest.raises(ScenarioError, match=named):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "key, section_name", [("custom", ""), ("myenv", "name = myenv\n")], ids=["custom", "named"]
+)
+def test_environment_key_matching_the_section_accepted(key, section_name):
+    sc = parse_scenario(f"[scenario]\nenvironment = {key}\n\n" + _CUSTOM_ENV + section_name)
+    assert sc.env == Environment(a=5.0, b=0.3, eta_los=0.5, eta_nlos=12.0, name=key)
+
+
 def test_renamed_custom_environment_roundtrips():
     env = Environment(a=5.0, b=0.3, eta_los=0.5, eta_nlos=12.0, name="myenv")
     sc = dataclasses.replace(reference_scenario(), env=env)
+    # both the key and the section, which the key must match on reading
+    text = dump_scenario(sc)
+    assert "\nenvironment = myenv\n" in text
+    assert "\n[environment]\nname = myenv\na = 5.0\n" in text
     assert parse_scenario(dump_scenario(sc)) == sc
 
 
@@ -486,15 +543,29 @@ _names = st.one_of(
     ),
     energy_section=st.booleans(),
     names=st.lists(_names, min_size=5, max_size=5),
+    rsc=st.none() | st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+    slot_s=st.floats(min_value=1.0, max_value=86400.0),
+    n_slots=st.integers(min_value=1, max_value=48),
+    start_slot=st.integers(min_value=0, max_value=10_000),
+    seed=st.integers(min_value=0, max_value=2**64),
+    launch=st.booleans(),
     # per-zone series of unequal lengths, zeros allowed
     series=st.one_of(st.none(), st.lists(
         st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=6),
         min_size=3, max_size=3,
     )),
 )
-def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section, names, series):
+def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section, names, series,
+                                   rsc, slot_s, n_slots, start_slot, seed, launch):
     x, y, w, h = area
-    lines = ["[scenario]", "name = drawn", f"area = {x!r} {y!r} {w!r} {h!r}"]
+    lines = [
+        "[scenario]", "name = drawn", f"area = {x!r} {y!r} {w!r} {h!r}",
+        f"horizon_hours = {n_slots * slot_s / 3600.0!r}", f"slot_seconds = {slot_s!r}",
+        f"start_hours = {start_slot * slot_s / 3600.0!r}", f"seed = {seed}",
+        f"include_initial_launch = {str(launch).lower()}",
+    ]
+    if rsc is not None:
+        lines.append("rsc = " + " ".join(map(repr, rsc)))
     if by_name and env in _PRESETS:
         lines.append(f"environment = {env.name}")
     else:
@@ -520,7 +591,12 @@ def test_parse_dump_parse_roundtrip(env, by_name, area, bands, energy_section, n
     assert sc.bounds == Rect(x, y, w, h)
     assert sc.density_bands == tuple(bands)
     assert sc.energy.battery_j == w * h / len(bands) / math.pi
-    assert parse_scenario(dump_scenario(sc)) == sc
+    assert sc.rsc_position == (rsc or (x + w / 2.0, y + h / 2.0, 0.0))
+    assert (sc.slot_s, sc.horizon_s, sc.start_s) == (slot_s, n_slots * slot_s, start_slot * slot_s)
+    assert (sc.seed, sc.include_initial_launch) == (seed, launch)
+    back = parse_scenario(dump_scenario(sc))
+    assert back == sc
+    np.testing.assert_array_equal(slot_densities(back), slot_densities(sc))
     # every scenario that constructs with these names must reload as itself
     try:
         named = dataclasses.replace(
