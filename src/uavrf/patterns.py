@@ -104,11 +104,12 @@ class DensityPattern:
     sample_period: float = 600.0       # seconds per sample
 
     def __post_init__(self):
-        check_positive("n_samples", self.n_samples)
+        check_integer("n_samples", self.n_samples, 1, "positive")
         if not math.isfinite(self.scale):
             raise ValueError(f"scale must be finite, got {self.scale!r}")
         check_positive("sample_period", self.sample_period)
         for k, x in self.coefficients.items():
+            check_integer("coefficient index", k, 0, "nonnegative")
             if not cmath.isfinite(x):
                 raise ValueError(f"coefficient {k} must be finite, got {x!r}")
             problem = _coefficient_problem(k, x, self.n_samples)

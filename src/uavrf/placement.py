@@ -20,8 +20,10 @@ the h1* solves); P1(h1*) for any radio is that integral times the
 radio's scale.  Everything downstream is closed-form, cheap, and
 broadcasts over arrays of densities and areas.  P1 or its slope at any
 other ratio is a fresh radial quadrature by the recursive adaptive
-Simpson rule (:func:`adaptive_simpson`; Lyness, J. ACM 1969), so the
-integrands are fused into one Python frame per evaluation.  Every
+Simpson rule (Lyness, J. ACM 1969): P1 by :func:`_p1_panel`, the rule
+fused with its integrand (no closure, no integrand call), the slope of
+the h1* search by :func:`adaptive_simpson` over a fused integrand.  Both
+give the bits of the plain rule over the channel composition.  Every
 failure to converge raises :class:`NumericalError`.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from math import atan2, exp
 from typing import Callable
 
 import numpy as np
@@ -75,6 +78,14 @@ class NumericalError(ArithmeticError):
     """A quadrature or the h1* search did not converge."""
 
 
+def _subdivision_cap(a: float, b: float, both: float, delta: float) -> NumericalError:
+    """The error of a Simpson panel on [a, b] that may not halve again."""
+    return NumericalError(
+        f"adaptive Simpson hit the subdivision cap on [{a:g}, {b:g}]; "
+        f"estimate {both + delta / 15.0!r}, error estimate {abs(delta) / 15.0!r}"
+    )
+
+
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -117,10 +128,7 @@ def adaptive_simpson(
         if abs(delta) <= 15.0 * tol:
             return both + delta / 15.0
         if depth <= 0:
-            raise NumericalError(
-                f"adaptive Simpson hit the subdivision cap on [{a:g}, {b:g}]; "
-                f"estimate {both + delta / 15.0!r}, error estimate {abs(delta) / 15.0!r}"
-            )
+            raise _subdivision_cap(a, b, both, delta)
         half_tol = abs_tol / 2.0
         return panel(a, fa, lm, flm, m, fm, left, half_tol, depth - 1) + panel(
             m, fm, rm, frm, b, fb, right, half_tol, depth - 1
@@ -140,41 +148,23 @@ _BRACKET_SCALE = 10.0   # expansion factor for the upper bracket
 _BRACKET_CAP = 1e6      # give up if no sign change below this ratio
 _MAX_ITERATIONS = 200
 _QUAD_TOL = 1e-8        # relative tolerance of the radial integrals
-
-
-def _p1_integrand(h1: float, env: Environment) -> Callable[[float], float]:
-    """r -> 2*pi*r * (r^2 + h1^2) * (eta_nlos + P0(r, h1)*(eta_los - eta_nlos)).
-
-    The LOS sigmoid of :func:`channel.los_probability` is computed
-    inline, with the same operations in the same order, so each value
-    equals the channel composition bit for bit at one frame per call.
-    """
-    h1 = float(h1)  # exact; a NumPy scalar h1 would make every operation a NumPy one
-    a, neg_b = env.a, -env.b
-    eta_nlos, delta = env.eta_nlos, env.eta_los - env.eta_nlos
-    two_pi, h1_sq = 2.0 * math.pi, h1 * h1
-    atan2, exp = math.atan2, math.exp
-
-    def f(r: float) -> float:
-        if r == 0.0 and h1 == 0.0:
-            return 0.0
-        p = 1.0 / (1.0 + a * exp(neg_b * (atan2(h1, r) * _RAD_TO_DEG - a)))
-        return two_pi * r * (r * r + h1_sq) * (eta_nlos + p * delta)
-
-    return f
+_MAX_DEPTH = 48         # halvings a P1 panel may take (adaptive_simpson's default)
+_TWO_PI = 2.0 * math.pi
 
 
 def _p1_slope_integrand(h1: float, env: Environment) -> Callable[[float], float]:
-    """d/dh1 of :func:`_p1_integrand`'s integrand, fused the same way.
+    """r -> d/dh1 of the P1 integrand 2*pi*r * (r^2 + h1^2) * excess(r, h1):
 
     2*pi*r * (2*h1*excess + (r^2 + h1^2) * (eta_los - eta_nlos) * dP0/dh),
     with dP0/dh as in :func:`channel.los_probability_altitude_slope`.
+    The LOS sigmoid is computed inline, with the channel's operations in
+    the channel's order, so each value equals the channel composition
+    bit for bit at one frame per call.
     """
     h1 = float(h1)
     a, neg_b, b_deg = env.a, -env.b, 180.0 * env.b
     eta_nlos, delta = env.eta_nlos, env.eta_los - env.eta_nlos
-    two_pi, two_h1, h1_sq, pi = 2.0 * math.pi, 2.0 * h1, h1 * h1, math.pi
-    atan2, exp = math.atan2, math.exp
+    two_h1, h1_sq, pi = 2.0 * h1, h1 * h1, math.pi
 
     def f(r: float) -> float:
         if r == 0.0 and h1 == 0.0:
@@ -182,7 +172,7 @@ def _p1_slope_integrand(h1: float, env: Environment) -> Callable[[float], float]
         d2 = r * r + h1_sq
         p = 1.0 / (1.0 + a * exp(neg_b * (atan2(h1, r) * _RAD_TO_DEG - a)))
         slope = b_deg * r * p * (1.0 - p) / (pi * d2)
-        return two_pi * r * (two_h1 * (eta_nlos + p * delta) + d2 * delta * slope)
+        return _TWO_PI * r * (two_h1 * (eta_nlos + p * delta) + d2 * delta * slope)
 
     return f
 
@@ -191,9 +181,52 @@ def _geometry_integral(h1: float, env: Environment) -> float:
     """Dimensionless disk integral of the average loss at ratio h1.
 
     int_0^1 2*pi*r * (r^2 + h1^2) * excess(r, h1) dr; multiplying by the
-    FSPL factor and N0*W gives the normalized transmit power.
+    FSPL factor and N0*W gives the normalized transmit power.  The rule
+    is :func:`adaptive_simpson`'s at relative tolerance ``_QUAD_TOL``,
+    fused with the integrand into :func:`_p1_panel`.
     """
-    return adaptive_simpson(_p1_integrand(h1, env), 0.0, 1.0, rel_tol=_QUAD_TOL)
+    h1 = float(h1)  # exact; a NumPy scalar h1 would make every operation a NumPy one
+    h1_sq, los_a, neg_b = h1 * h1, env.a, -env.b
+    eta_nlos, gap = env.eta_nlos, env.eta_los - env.eta_nlos
+    ends = []
+    for r in (0.0, 0.5, 1.0):
+        if r == 0.0 and h1 == 0.0:
+            ends.append(0.0)  # the elevation angle is undefined; the integrand tends to 0
+            continue
+        p = 1.0 / (1.0 + los_a * exp(neg_b * (atan2(h1, r) * _RAD_TO_DEG - los_a)))
+        ends.append(_TWO_PI * r * (r * r + h1_sq) * (eta_nlos + p * gap))
+    fa, fm, fb = ends
+    whole = 1.0 / 6.0 * (fa + 4.0 * fm + fb)
+    return _p1_panel(0.0, fa, 0.5, fm, 1.0, fb, whole, _MAX_DEPTH,
+                     h1, h1_sq, los_a, neg_b, eta_nlos, gap)
+
+
+def _p1_panel(a, fa, m, fm, b, fb, whole, depth, h1, h1_sq, los_a, neg_b, eta_nlos, gap):
+    """One panel of :func:`adaptive_simpson` at abs_tol 0, fused with the
+    P1 integrand 2*pi*r * (r^2 + h1^2) * (eta_nlos + P0(r, h1) * gap),
+    gap = eta_los - eta_nlos.  P0 at the two new points (never 0) is
+    :func:`channel.los_probability`'s operations in its order, so a value
+    is the rule's over the channel composition, bit for bit.
+    """
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    p = 1.0 / (1.0 + los_a * exp(neg_b * (atan2(h1, lm) * _RAD_TO_DEG - los_a)))
+    flm = _TWO_PI * lm * (lm * lm + h1_sq) * (eta_nlos + p * gap)
+    p = 1.0 / (1.0 + los_a * exp(neg_b * (atan2(h1, rm) * _RAD_TO_DEG - los_a)))
+    frm = _TWO_PI * rm * (rm * rm + h1_sq) * (eta_nlos + p * gap)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    both = left + right
+    delta = both - whole
+    # at abs_tol 0 the rule's max(abs_tol, rel_tol * |both|) is rel_tol * |both|
+    if abs(delta) <= 15.0 * (_QUAD_TOL * abs(both)):
+        return both + delta / 15.0
+    if depth <= 0:
+        raise _subdivision_cap(a, b, both, delta)
+    return (
+        _p1_panel(a, fa, lm, flm, m, fm, left, depth - 1, h1, h1_sq, los_a, neg_b, eta_nlos, gap)
+        + _p1_panel(m, fm, rm, frm, b, fb, right, depth - 1, h1, h1_sq, los_a, neg_b, eta_nlos, gap)
+    )
 
 
 def _geometry_slope(h1: float, env: Environment) -> float:

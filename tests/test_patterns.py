@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_pattern_rejects_non_real_self_mirror():
             DensityPattern(scale=1.0, coefficients={k: cmath.rect(1.0, 0.5)}, n_samples=n_samples)
     # for odd N the top stored index has a mirror, so it may be complex
     DensityPattern(scale=1.0, coefficients={4: cmath.rect(1.0, 0.5)}, n_samples=9)
+
+
+@pytest.mark.parametrize(
+    "n_samples, coefficients, named",
+    [
+        (8.5, {0: 8 + 0j}, "n_samples must be an integer, got 8.5"),
+        (True, {0: 8 + 0j}, "n_samples must be an integer, got True"),
+        # a fractional index is no harmonic of the record
+        (16, {0: 8 + 0j, 2.5: 1j}, "coefficient index must be an integer, got 2.5"),
+    ],
+    ids=["n-fractional", "n-bool", "index-fractional"],
+)
+def test_pattern_rejects_non_integer_counts_and_indices(n_samples, coefficients, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        DensityPattern(scale=1.0, coefficients=coefficients, n_samples=n_samples)
+
+
+def test_pattern_accepts_numpy_integer_counts_and_indices():
+    pat = DensityPattern(
+        scale=2.0, coefficients={np.int64(0): 8 + 0j, np.int64(2): 1j}, n_samples=np.int64(16)
+    )
+    plain = DensityPattern(scale=2.0, coefficients={0: 8 + 0j, 2: 1j}, n_samples=16)
+    assert normalized_shape(pat).tolist() == normalized_shape(plain).tolist()
 
 
 def test_negative_real_self_mirror_round_trips():

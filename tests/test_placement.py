@@ -397,7 +397,7 @@ def test_golden_section_argmin_matches_closed_form(urban, radio, energy_unit_are
     assert abs(result.x - r_star) / r_star < 1e-3
 
 
-# --- fused P1 integrands ------------------------------------------------------
+# --- fused P1 rule and slope integrand ----------------------------------------
 
 
 def _composed_p1(h1, env):
@@ -453,27 +453,73 @@ def _box(field):
 )
 def test_fused_integrands_equal_channel_composition(a, b, eta_los, eta_nlos, r, h1):
     env = Environment(a=a, b=b, eta_los=eta_los, eta_nlos=eta_nlos)
-    assert pl._p1_integrand(h1, env)(r).hex() == _composed_p1(h1, env)(r).hex()
     assert _outcome(pl._p1_slope_integrand(h1, env), r) == _outcome(_composed_slope(h1, env), r)
+
+
+def _reference_p1(h1, env, radio):
+    """P1 by the reference rule over the channel composition."""
+    integral = _recursive_simpson(_composed_p1(h1, env), 0.0, 1.0, rel_tol=1e-8)
+    return pl._radio_scale(radio) * integral
+
+
+def _fused_from_top(h1, env, depth):
+    """The fused P1 panel over [0, 1], started ``depth`` halvings from its cap."""
+    f = _composed_p1(h1, env)
+    fa, fm, fb = f(0.0), f(0.5), f(1.0)
+    whole = 1.0 / 6.0 * (fa + 4.0 * fm + fb)
+    constants = (h1, h1 * h1, env.a, -env.b, env.eta_nlos, env.eta_los - env.eta_nlos)
+    return pl._p1_panel(0.0, fa, 0.5, fm, 1.0, fb, whole, depth, *constants)
+
+
+def _settled(call):
+    # a value's bits, or the message of the NumericalError it raised
+    try:
+        return call().hex()
+    except NumericalError as exc:
+        return f"NumericalError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=_box("a"),
+    b=_box("b"),
+    eta_los=_box("eta_los"),
+    eta_nlos=_box("eta_nlos"),
+    h1=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+    depth=st.integers(0, 4),
+)
+def test_fused_p1_rule_equals_reference_rule(a, b, eta_los, eta_nlos, h1, depth, radio):
+    env = Environment(a=a, b=b, eta_los=eta_los, eta_nlos=eta_nlos)
+    assert normalized_tx_power(h1, env, radio).hex() == _reference_p1(h1, env, radio).hex()
+    # from a shallow start the panel must stop where the reference stops,
+    # with its value or its subdivision-cap message
+    f = _composed_p1(h1, env)
+    reference = _settled(lambda: _recursive_simpson(f, 0.0, 1.0, rel_tol=1e-8, max_depth=depth))
+    assert _settled(lambda: _fused_from_top(h1, env, depth)) == reference
+
+
+def test_fused_p1_panel_raises_at_its_depth_cap():
+    with pytest.raises(NumericalError, match=r"hit the subdivision cap on \[0, 1\]"):
+        _fused_from_top(0.5, URBAN, 0)
 
 
 def test_p1_curve_matches_recursive_composition(monkeypatch, radio):
     # h1* and the 301-point curve of `uavrf altitude` for each preset, by
-    # the fused integrands and the inlined rule and again by the channel
-    # composition and the reference rule: equal bit for bit
-    def curve():
+    # the fused rules and again by the reference rule over the channel
+    # composition: equal bit for bit
+    def curve(p1):
         values = []
         for env in (URBAN, DENSE_URBAN, SUBURBAN):
             values.append(pl._optimum.__wrapped__(env)[0])
-            values += [normalized_tx_power(h, env, radio) for h in np.linspace(0.0, 3.0, 301)]
+            values += [p1(h, env, radio) for h in np.linspace(0.0, 3.0, 301)]
         return [float(v).hex() for v in values]
 
-    fast = curve()
+    fast = curve(normalized_tx_power)
+    # the h1* search reaches the slope through these two module attributes
     monkeypatch.setattr(pl, "adaptive_simpson", _recursive_simpson)
-    monkeypatch.setattr(pl, "_p1_integrand", _composed_p1)
     monkeypatch.setattr(pl, "_p1_slope_integrand", _composed_slope)
     assert len(fast) == 906
-    assert curve() == fast
+    assert curve(_reference_p1) == fast
 
 
 @settings(max_examples=60, deadline=None)
