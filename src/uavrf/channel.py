@@ -91,8 +91,12 @@ class RadioConfig:
     def __post_init__(self):
         for f in fields(self):
             check_positive(f.name, getattr(self, f.name))
-        if not math.isfinite(self.rate_bps / self.bandwidth_hz):
-            raise ValueError("rate/bandwidth ratio must be finite")
+        # 2^(C/W) - 1 overflows exactly from C/W = 1024 on
+        if not self.rate_bps / self.bandwidth_hz < 1024.0:
+            raise ValueError(
+                "rate/bandwidth ratio must be finite and below 1024, where 2^(C/W) - 1 "
+                f"overflows; got rate_bps={self.rate_bps!r}, bandwidth_hz={self.bandwidth_hz!r}"
+            )
 
     @property
     def snr_gap(self) -> float:

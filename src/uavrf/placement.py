@@ -21,10 +21,12 @@ radio's scale.  Everything downstream is closed-form, cheap, and
 broadcasts over arrays of densities and areas.  P1 or its slope at any
 other ratio is a fresh radial quadrature by the recursive adaptive
 Simpson rule (Lyness, J. ACM 1969): P1 by :func:`_p1_panel`, the rule
-fused with its integrand (no closure, no integrand call), the slope of
-the h1* search by :func:`adaptive_simpson` over a fused integrand.  Both
-give the bits of the plain rule over the channel composition.  Every
-failure to converge raises :class:`NumericalError`.
+fused with its integrand (no closure, no integrand call) and given each
+panel of [0, 1] as its midpoint, quarter width and sixth width, exact on
+that interval's dyadic grid; the slope of the h1* search by
+:func:`adaptive_simpson` over a fused integrand.  Both give the bits of
+the plain rule over the channel composition.  Every failure to converge,
+and a radius out of the float range, raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -197,35 +199,51 @@ def _geometry_integral(h1: float, env: Environment) -> float:
         ends.append(_TWO_PI * r * (r * r + h1_sq) * (eta_nlos + p * gap))
     fa, fm, fb = ends
     whole = 1.0 / 6.0 * (fa + 4.0 * fm + fb)
-    return _p1_panel(0.0, fa, 0.5, fm, 1.0, fb, whole, _MAX_DEPTH,
+    # the panel [0, 1] as its midpoint, quarter width and sixth width
+    return _p1_panel(0.5, 0.25, 0.5 / 6.0, fa, fm, fb, whole, _MAX_DEPTH,
                      h1, h1_sq, los_a, neg_b, eta_nlos, gap)
 
 
-def _p1_panel(a, fa, m, fm, b, fb, whole, depth, h1, h1_sq, los_a, neg_b, eta_nlos, gap):
+def _p1_panel(m, q, s, fa, fm, fb, whole, depth, h1, h1_sq, los_a, neg_b, eta_nlos, gap):
     """One panel of :func:`adaptive_simpson` at abs_tol 0, fused with the
     P1 integrand 2*pi*r * (r^2 + h1^2) * (eta_nlos + P0(r, h1) * gap),
     gap = eta_los - eta_nlos.  P0 at the two new points (never 0) is
     :func:`channel.los_probability`'s operations in its order, so a value
     is the rule's over the channel composition, bit for bit.
+
+    The panel [a, b] = [m - 2q, m + 2q] comes as its midpoint m, its
+    quarter width q and its sixth width s, the rule's fl((m - a) / 6.0).
+    Within at most 48 halvings of [0, 1] every point is k / 2^d with
+    d <= 50, exact in a double, so m - q and m + q are the rule's
+    0.5 * (a + m) and 0.5 * (m + b), and b - m equals m - a.  Each half
+    width m - a is a power of two, so fl((m - a) / 6.0) is that power
+    times fl(1/6), and a child's s / 2 is its own fl((m - a) / 6.0):
+    every point and weight has the rule's bits.  Started on an interval
+    whose ends are not such dyadic rationals, these identities fail, and
+    the panel would no longer be the rule's.
     """
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
+    lm = m - q
+    rm = m + q
     p = 1.0 / (1.0 + los_a * exp(neg_b * (atan2(h1, lm) * _RAD_TO_DEG - los_a)))
     flm = _TWO_PI * lm * (lm * lm + h1_sq) * (eta_nlos + p * gap)
     p = 1.0 / (1.0 + los_a * exp(neg_b * (atan2(h1, rm) * _RAD_TO_DEG - los_a)))
     frm = _TWO_PI * rm * (rm * rm + h1_sq) * (eta_nlos + p * gap)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    left = s * (fa + 4.0 * flm + fm)
+    right = s * (fm + 4.0 * frm + fb)
     both = left + right
     delta = both - whole
-    # at abs_tol 0 the rule's max(abs_tol, rel_tol * |both|) is rel_tol * |both|
-    if abs(delta) <= 15.0 * (_QUAD_TOL * abs(both)):
+    # the rule's |delta| <= 15 * (rel_tol * |both|) at abs_tol 0: the
+    # integrand is nonnegative (eta_nlos >= eta_los > 0, 0 <= P0 <= 1), so
+    # both is +-0, positive or NaN, and this test gives the same verdict
+    tol = 15.0 * (_QUAD_TOL * both)
+    if -tol <= delta <= tol:
         return both + delta / 15.0
     if depth <= 0:
-        raise _subdivision_cap(a, b, both, delta)
+        raise _subdivision_cap(m - 2.0 * q, m + 2.0 * q, both, delta)
+    q, s, depth = 0.5 * q, 0.5 * s, depth - 1
     return (
-        _p1_panel(a, fa, lm, flm, m, fm, left, depth - 1, h1, h1_sq, los_a, neg_b, eta_nlos, gap)
-        + _p1_panel(m, fm, rm, frm, b, fb, right, depth - 1, h1, h1_sq, los_a, neg_b, eta_nlos, gap)
+        _p1_panel(lm, q, s, fa, flm, fm, left, depth, h1, h1_sq, los_a, neg_b, eta_nlos, gap)
+        + _p1_panel(rm, q, s, fm, frm, fb, right, depth, h1, h1_sq, los_a, neg_b, eta_nlos, gap)
     )
 
 
@@ -349,11 +367,25 @@ def optimal_radius(
     circuit power, shrinks with density.  Both must be finite and
     positive: at P_cu = 0 the radius and the fleet would degenerate.
     An array of densities gets, entry by entry, the bits of a float.
+    Raises :class:`NumericalError` naming the density where
+    lam * (2^(C/W)-1) * P1(h1*) underflows to 0 or overflows.
     """
     check_positive("density lam", lam)
     check_positive("circuit power p_circuit", p_circuit)
     p1 = optimal_normalized_power(env, radio)
-    x = p_circuit / (lam * radio.snr_gap * p1)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        scale = lam * radio.snr_gap * p1
+    # 0 or inf only at the edges of the float range: the radius would be inf or 0
+    if not (np.min(scale, initial=math.inf) > 0.0 and np.max(scale, initial=0.0) < math.inf):
+        where, value, product = "", lam, scale
+        if isinstance(scale, np.ndarray):
+            index = np.argwhere(~((scale > 0.0) & (scale < math.inf)))[0]
+            where, value, product = f" at index {index.tolist()}", lam[tuple(index)], scale[tuple(index)]
+        raise NumericalError(
+            f"optimal radius out of float range at density lam={float(value)!r}{where}: "
+            f"lam * (2^(C/W) - 1) * P1(h1*) = {float(product)!r}"
+        )
+    x = p_circuit / scale
     if isinstance(x, np.ndarray):
         # numpy's SIMD array power can differ from libm's pow in the last bit
         return np.array([v ** 0.25 for v in x.ravel().tolist()]).reshape(x.shape)

@@ -18,14 +18,13 @@ formulas degenerate, so the shipped scheduling scenarios use bands.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
 import os
 import re
 from dataclasses import astuple, dataclass, fields, replace
 from operator import attrgetter
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +39,9 @@ from .patterns import (
     reconstruct_series,
 )
 from .placement import EnergyParams
+
+if TYPE_CHECKING:  # the annotations' module; parse_scenario imports it to parse
+    import configparser
 
 
 class ScenarioError(ValueError):
@@ -365,6 +367,8 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
     and a value that does not parse raise ``ScenarioError`` naming the
     section and the key.
     """
+    import configparser  # here, not at module level: only a parsed file needs it
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)

@@ -141,7 +141,6 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -354,20 +353,39 @@ def _block_end(n: int, k0: int) -> int:
     return min(n, k0 + max(1, _SCAN_ENTRIES // (n - k0)))
 
 
-def _cost_shape(energy: EnergyParams) -> Tuple[Fraction, ...] | None:
+def _ratio(x) -> Tuple[int, int]:
+    """The exact value of an int, float or numpy number as (numerator,
+    denominator), the denominator positive."""
+    # numpy integers lack as_integer_ratio
+    return (int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio()
+
+
+def _cost_shape(energy: EnergyParams) -> Tuple[Tuple[int, int], ...] | None:
     """The flight coefficients (p_h/v_h, p_a/v_a, p_d/v_d) divided by
-    their largest, in exact arithmetic; None if all three are zero.
+    their largest, in exact arithmetic, each as its reduced (numerator,
+    denominator) pair of integers; None if all three are zero.
 
     A positive factor on every coefficient scales the cost matrix and
     keeps its optimal permutations, so energy models of one shape share
     them.  With free flight every permutation is optimal.
     """
-    coefficients = [
-        Fraction(getattr(energy, "p_" + axis)) / Fraction(getattr(energy, "v_" + axis))
-        for axis in ("horizontal", "ascend", "descend")
-    ]
-    top = max(coefficients)
-    return None if top == 0 else tuple(c / top for c in coefficients)
+    coefficients = []
+    for axis in ("horizontal", "ascend", "descend"):
+        pn, pd = _ratio(getattr(energy, "p_" + axis))
+        vn, vd = _ratio(getattr(energy, "v_" + axis))
+        coefficients.append((pn * vd, pd * vn))  # p / v, the denominator positive as v > 0
+    tn, td = coefficients[0]
+    for n, d in coefficients[1:]:
+        if n * td > tn * d:
+            tn, td = n, d
+    if tn == 0:
+        return None
+    shape = []
+    for n, d in coefficients:
+        n, d = n * td, d * tn
+        g = math.gcd(n, d)
+        shape.append((n // g, d // g))
+    return tuple(shape)
 
 
 @dataclass(frozen=True)
@@ -504,7 +522,7 @@ class SchedulePlan:
         self._pair_energies: Dict[EnergyParams, Dict[int, float]] = {}
         # solved permutations per cost shape and pair, int32 buffers shared
         # through the pool when equal; free flight's shape None stays empty
-        self._permutations: Dict[Tuple[Fraction, ...] | None, Dict[int, bytes]] = {}
+        self._permutations: Dict[Tuple[Tuple[int, int], ...] | None, Dict[int, bytes]] = {}
         self._permutation_pool: Dict[bytes, bytes] = {}
 
     def static(self, k: int, t0: int, t1: int) -> np.ndarray:

@@ -76,6 +76,16 @@ def test_radio_validation():
         RadioConfig(rate_bps=1e300, bandwidth_hz=1e-300)
 
 
+def test_radio_rejects_an_infinite_snr_gap():
+    # a finite ratio C/W = 1e6 whose 2^(C/W) - 1 overflows
+    with pytest.raises(ValueError, match=r"rate_bps=10000000000\.0, bandwidth_hz=10000\.0"):
+        RadioConfig(rate_bps=1e10)
+    with pytest.raises(ValueError, match="rate_bps=1024.0, bandwidth_hz=1.0"):
+        RadioConfig(rate_bps=1024.0, bandwidth_hz=1.0)
+    # at the largest ratio below 1024 the gap is finite, and the radio constructs
+    assert RadioConfig(rate_bps=math.nextafter(1024.0, 0.0), bandwidth_hz=1.0).snr_gap < math.inf
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RadioConfig)])
 def test_radio_rejects_non_finite(field, value):

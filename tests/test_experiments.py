@@ -217,6 +217,12 @@ def test_cli_numerical_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+def test_cli_radius_out_of_float_range_is_a_numerical_failure(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "radius", "--lambdas", "1e-320"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: optimal radius out of float range")
+
+
 def test_cli_negative_seed_exit_2(tmp_path, capsys):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("[scenario]\nseed = -3\n")

@@ -490,8 +490,11 @@ def test_radio_and_energy_fields_roundtrip(data):
         values = {}
         for field in dataclasses.fields(cls):
             low = 0.0 if field.name.startswith("p_") else 1e-12  # powers may be 0
+            # a radio needs a finite 2^(rate_bps / bandwidth_hz) - 1, so
+            # rate_bps stays within 1000 bandwidths (drawn before it)
+            high = min(1e12, 1000.0 * values["bandwidth_hz"]) if field.name == "rate_bps" else 1e12
             values[field.name] = data.draw(
-                st.floats(min_value=low, max_value=1e12, allow_nan=False, allow_infinity=False),
+                st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False),
                 label=f"{cls.__name__}.{field.name}",
             )
         return cls(**values)

@@ -3,10 +3,11 @@ import itertools
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -458,6 +459,64 @@ def test_paper_size_pair_memory():
     mobility_energy_at(prev, nxt, energy)  # warm up scipy
     _, peak = _traced_peak(lambda: mobility_energy_at(prev, nxt, energy))
     assert peak < 10e6
+
+
+def _fraction_shape(energy):
+    """The cost shape as Fractions, the reference for ``_cost_shape``."""
+    # from Python numbers: a Fraction of a numpy integer keeps numpy parts,
+    # which overflow on the huge integers of the float range
+    fraction = lambda name: Fraction(np.asarray(getattr(energy, name)).item())
+    coefficients = [
+        fraction("p_" + axis) / fraction("v_" + axis) for axis in ("horizontal", "ascend", "descend")
+    ]
+    top = max(coefficients)
+    return None if top == 0 else tuple(c / top for c in coefficients)
+
+
+# integer, plain, tiny (down to the least subnormal) and huge powers and speeds
+_SHAPE_VALUES = [1, 2, 3, 0.5, 0.1, 0.3, 1.5, 1e-300, 5e-324, 1e300, 1.7976931348623157e308]
+
+
+def _shape_values(zero_ok):
+    values = st.sampled_from(([0, 0.0] if zero_ok else []) + _SHAPE_VALUES)
+    numpy_values = values.map(lambda v: np.int64(v) if isinstance(v, int) else np.float64(v))
+    return st.one_of(values, numpy_values)
+
+
+_MOBILITY = ["p_horizontal", "p_ascend", "p_descend", "v_horizontal", "v_ascend", "v_descend"]
+
+
+def _energy(values):
+    try:
+        return EnergyParams(1.0, 1.0, *values)
+    except ValueError:  # a scaled speed underflowed to 0, or a value overflowed
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.tuples(*(_shape_values(name.startswith("p_")) for name in _MOBILITY)),
+    # the second model: the first with every power and every speed scaled
+    # (so mostly of the same shape), or drawn anew
+    scales=st.tuples(st.sampled_from([1, 2, 0.5, 3]), st.sampled_from([1, 2, 0.5, 3])),
+    other=st.one_of(
+        st.none(), st.tuples(*(_shape_values(name.startswith("p_")) for name in _MOBILITY))
+    ),
+)
+def test_cost_shape_is_the_exact_fraction_shape(first, scales, other):
+    e1 = _energy(first)
+    powers, speeds = first[:3], first[3:]
+    with np.errstate(over="ignore"):  # a numpy value scaled past the float range
+        scaled = [p * scales[0] for p in powers] + [v * scales[1] for v in speeds]
+    e2 = _energy(other or scaled)
+    for energy in (e1, e2):
+        reference = _fraction_shape(energy)
+        pairs = None if reference is None else tuple((c.numerator, c.denominator) for c in reference)
+        assert scheduling._cost_shape(energy) == pairs
+    # so two models share their permutations exactly when the fractions agree
+    assert (scheduling._cost_shape(e1) == scheduling._cost_shape(e2)) == (
+        _fraction_shape(e1) == _fraction_shape(e2)
+    )
 
 
 def test_baseline_schedule_rejects_an_unknown_kind():

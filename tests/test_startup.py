@@ -6,7 +6,9 @@ of the package's import time and half the peak RSS of a short run).
 These tests pin that the package import leaves ``scipy.optimize`` out,
 that the solver is the very function ``scipy.optimize`` re-exports in
 either import order, and that the public import still serves when the
-compiled module is not found.
+compiled module is not found.  Nor does the import load ``fractions``
+(with ``decimal``) or ``configparser``: the cost shapes are exact
+integer ratios, and only a parsed scenario file needs the parser.
 """
 
 import os
@@ -38,6 +40,14 @@ def test_import_leaves_out_scipy_optimize():
         "# registered, so a later import of scipy.optimize reuses it\n"
         "module = sys.modules['scipy.optimize._lsap']\n"
         "assert module.linear_sum_assignment is uavrf.scheduling.linear_sum_assignment\n"
+    )
+
+
+def test_import_leaves_out_fractions_decimal_and_configparser():
+    run_fresh(
+        "import sys, uavrf, uavrf.experiments\n"
+        "loaded = [m for m in ('fractions', 'decimal', 'configparser') if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
     )
 
 
