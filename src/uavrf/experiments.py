@@ -44,7 +44,7 @@ from .scheduling import Schedule, SchedulePlan, baseline_schedule, smgd_schedule
 MOBILITY_POWER_GRID = (0.05, 1.5, 50.0)  # W
 # most Monte Carlo draws held at once in run_learning_study; at least 128,
 # the longest node that numpy's pairwise sum does not split
-_MC_CHUNK = 1 << 16
+_MC_CHUNK = 1 << 15
 
 
 def _fmt(value) -> str:

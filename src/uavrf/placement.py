@@ -355,6 +355,16 @@ def optimal_normalized_power(env: Environment, radio: RadioConfig) -> float:
     return _radio_scale(radio) * _optimum(env)[1]
 
 
+def _first_outside(value) -> tuple | None:
+    """None if ``value`` (a float or an ndarray) lies in (0, inf) entry by
+    entry, else the index of its first entry outside, () for a float."""
+    if np.min(value, initial=math.inf) > 0.0 and np.max(value, initial=0.0) < math.inf:
+        return None
+    if isinstance(value, np.ndarray):
+        return tuple(np.argwhere(~((value > 0.0) & (value < math.inf)))[0].tolist())
+    return ()
+
+
 def optimal_radius(
     lam: float,
     p_circuit: float,
@@ -368,24 +378,33 @@ def optimal_radius(
     positive: at P_cu = 0 the radius and the fleet would degenerate.
     An array of densities gets, entry by entry, the bits of a float.
     Raises :class:`NumericalError` naming the density where
-    lam * (2^(C/W)-1) * P1(h1*) underflows to 0 or overflows.
+    lam * (2^(C/W)-1) * P1(h1*) underflows to 0 or overflows, and the
+    density and the circuit power where P_cu over that product does,
+    with the index of the first such entry of an array.
     """
     check_positive("density lam", lam)
     check_positive("circuit power p_circuit", p_circuit)
     p1 = optimal_normalized_power(env, radio)
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned
         scale = lam * radio.snr_gap * p1
-    # 0 or inf only at the edges of the float range: the radius would be inf or 0
-    if not (np.min(scale, initial=math.inf) > 0.0 and np.max(scale, initial=0.0) < math.inf):
-        where, value, product = "", lam, scale
-        if isinstance(scale, np.ndarray):
-            index = np.argwhere(~((scale > 0.0) & (scale < math.inf)))[0]
-            where, value, product = f" at index {index.tolist()}", lam[tuple(index)], scale[tuple(index)]
+        # 0 or inf only at the edges of the float range: the radius would be inf or 0
+        index = _first_outside(scale)
+        if index is None:
+            x = p_circuit / scale
+            index = _first_outside(x)
+    if index is not None:
+        lam_i, p_i, scale_i = (float(a[index]) for a in np.broadcast_arrays(lam, p_circuit, scale))
+        where = f" at index {list(index)}" if index else ""
+        if 0.0 < scale_i < math.inf:
+            raise NumericalError(
+                f"optimal radius out of float range at density lam={lam_i!r} and circuit "
+                f"power p_circuit={p_i!r}{where}: p_circuit / (lam * (2^(C/W) - 1) * P1(h1*))"
+                f" = {p_i / scale_i!r}"
+            )
         raise NumericalError(
-            f"optimal radius out of float range at density lam={float(value)!r}{where}: "
-            f"lam * (2^(C/W) - 1) * P1(h1*) = {float(product)!r}"
+            f"optimal radius out of float range at density lam={lam_i!r}{where}: "
+            f"lam * (2^(C/W) - 1) * P1(h1*) = {scale_i!r}"
         )
-    x = p_circuit / scale
     if isinstance(x, np.ndarray):
         # numpy's SIMD array power can differ from libm's pow in the last bit
         return np.array([v ** 0.25 for v in x.ravel().tolist()]).reshape(x.shape)

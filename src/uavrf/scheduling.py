@@ -104,6 +104,12 @@ al. 2005).  Its continuation is known only once the later slots are
 done, so it skips no row; each step of either scheduler runs the same
 one-row visits.  It solves O(n^2) pair energies in the worst case.
 
+A :class:`Schedule` keeps its epochs as columns: the update slots, their
+deployments, the move energies and the ``changed`` flags.
+``Schedule.epochs`` is a read-only view over them that builds each
+:class:`ScheduleEpoch`, at ``tau = k * slot_s``, only when it is read, so
+a sweep that reads only a schedule's totals builds none.
+
 Only the move energies depend on the mobility powers and speeds.  The
 rest (densities, radii, the static-cost coefficients, deployments) lives
 in a :class:`SchedulePlan` built once per scenario, in memory linear in
@@ -396,10 +402,52 @@ class ScheduleEpoch:
     changed: bool              # True if the placement actually moved
 
 
+class _Epochs(Sequence[ScheduleEpoch]):
+    """A schedule's epochs, read-only, built from its columns when read
+    (see the module docstring).  A slice is a list, and the view equals
+    another view or a list of equal epochs."""
+
+    __slots__ = ("_slots", "_mu", "_deployments", "_mobility", "_changed")
+
+    def __init__(self, slots, mu, deployments, mobility, changed):
+        self._slots, self._mu = slots, mu
+        self._deployments, self._mobility, self._changed = deployments, mobility, changed
+
+    def _items(self, part: slice):
+        mu = self._mu
+        taus = [k * mu for k in self._slots[part]]
+        return map(ScheduleEpoch, taus, self._deployments[part], self._mobility[part],
+                   self._changed[part])
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._items(index))
+        return ScheduleEpoch(self._slots[index] * self._mu, self._deployments[index],
+                             self._mobility[index], self._changed[index])
+
+    def __iter__(self):
+        return self._items(slice(None))
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Epochs, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class Schedule:
+    """A schedule's update epochs and its costs.  ``epochs`` is a
+    read-only view that builds each :class:`ScheduleEpoch` when it is
+    read; a :func:`dataclasses.replace` may pass a list instead."""
+
     method: str
-    epochs: List[ScheduleEpoch]
+    epochs: Sequence[ScheduleEpoch]
     horizon_s: float
     slot_s: float
     avg_dynamic_rf: float      # [1/s]
@@ -702,7 +750,7 @@ def _assemble(
     mu = pre.mu
     ids = pre.deployment_ids
     epoch_ids = [ids[k] for k in epoch_slots]
-    deployments = pre.deployments(epoch_slots)
+    built = pre.deployments(epoch_slots)
     launch = moves.launch_energy(epoch_slots[0]) if scenario.include_initial_launch else 0.0
     mobility = [launch, *moves.fill(zip(epoch_slots, epoch_slots[1:]))]
     static_total = 0.0
@@ -717,14 +765,10 @@ def _assemble(
     for mob in mobility:
         mobility_total += mob
     changed = [False, *map(operator.ne, epoch_ids, epoch_ids[1:])]
-    epochs = [
-        ScheduleEpoch(k * mu, deployments[a], mob, moved)
-        for k, a, mob, moved in zip(epoch_slots, epoch_ids, mobility, changed)
-    ]
     avg = (static_total + mobility_total / scenario.energy.battery_j) / pre.horizon_s
     return Schedule(
         method=method,
-        epochs=epochs,
+        epochs=_Epochs(epoch_slots, mu, list(map(built.__getitem__, epoch_ids)), mobility, changed),
         horizon_s=pre.horizon_s,
         slot_s=mu,
         avg_dynamic_rf=avg,

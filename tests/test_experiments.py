@@ -71,7 +71,7 @@ def test_different_seed_changes_monte_carlo(tmp_path):
 
 def test_learning_study_memory_bounded(tmp_path):
     # the study streams leaves of at most _MC_CHUNK draws through a few
-    # half-MiB buffers (about 2 MiB traced); one array of the 10^6 draws
+    # quarter-MiB buffers; one array of the 10^6 draws
     # alone is 7.6 MiB, and holding the draws and a full buffer of
     # increments peaked near 17 MiB
     sc = default_scenario()
@@ -110,7 +110,7 @@ def _leaf_reader(values):
 @example(n=_MC_CHUNK + 1, seed=4)
 @example(n=2 * _MC_CHUNK + 13, seed=5)
 @example(n=3 * _MC_CHUNK, seed=6)
-@example(n=10**6, seed=7)  # fig10's length: 16 leaves of 62,496 or 62,504
+@example(n=10**6, seed=7)  # fig10's length: 32 leaves of 31,248 or 31,256
 def test_pairwise_total_has_the_bits_of_add_reduce(n, seed):
     # pins numpy's summation tree that fig10's streamed mean relies on: a
     # numpy that splits its pairwise sum elsewhere fails here, not only in
@@ -137,7 +137,7 @@ def test_learning_study_draws_continue_the_one_shot_stream():
     _pairwise_total(10**6, draw_leaf)
     one_shot = _stream(sc, 10).standard_normal(10**6)
     streamed = np.concatenate(leaves)
-    assert {len(leaf) for leaf in leaves} == {62_496, 62_504}
+    assert {len(leaf) for leaf in leaves} == {31_248, 31_256}
     assert np.array_equal(streamed.view(np.int64), one_shot.view(np.int64))
     # nor does the split need multiples of 8: chunks of a prime length
     rng = _stream(sc, 10)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,40 @@ def test_optimal_radius_rejects_an_underflowing_product(urban, radio):
         optimal_radius(1e-320, 1.0, urban, radio)
     with pytest.raises(NumericalError, match=r"density lam=1e-320 at index \[0, 1\]"):
         optimal_radius(np.array([[0.1, 1e-320]]), 1.0, urban, radio)
+
+
+@pytest.mark.parametrize(
+    "lam, p_circuit, result",
+    [(1e-300, 1e300, "inf"), (1e300, 1e-300, "0.0"), (1e-300, 1e3, "inf"), (1e300, 1e-30, "0.0")],
+    ids=["overflow", "underflow", "overflow-at-the-edge", "underflow-at-the-edge"],
+)
+def test_optimal_radius_rejects_an_out_of_range_quotient(urban, radio, lam, p_circuit, result):
+    # the product is finite and nonzero, but p_circuit over it is not: the
+    # radius would be inf or 0
+    named = re.escape(f"density lam={lam!r} and circuit power p_circuit={p_circuit!r}")
+    with pytest.raises(NumericalError, match=rf"{named}: .* = {result}$"):
+        optimal_radius(lam, p_circuit, urban, radio)
+    # an array names the first such entry, before numpy can warn
+    with pytest.raises(NumericalError, match=rf"{named} at index \[1, 0\]: .* = {result}$"):
+        optimal_radius(np.array([[0.1], [lam], [lam]]), p_circuit, urban, radio)
+    with pytest.raises(NumericalError, match=rf"{named} at index \[2\]: "):
+        optimal_radius(lam, np.array([1.0, 1.0, p_circuit]), urban, radio)
+    energy = EnergyParams(p_circuit=p_circuit, battery_j=1e6)
+    with pytest.raises(NumericalError, match=rf"{named}: "):
+        min_static_rf(lam, energy, 1e6, urban, radio)
+
+
+def test_optimal_radius_near_the_quotient_edges_keeps_the_float_bits(urban, radio):
+    # quotients just inside the float range (one is subnormal) pass, and an
+    # array gets the bits of a float entry by entry
+    lams = np.array([1e-300, 1e300, 0.1])
+    p_circuit = np.array([1e2, 1e-28, 0.5])
+    radii = optimal_radius(lams, p_circuit, urban, radio)
+    expected = [optimal_radius(*pair, urban, radio) for pair in zip(lams.tolist(), p_circuit.tolist())]
+    assert [r.hex() for r in radii.tolist()] == [r.hex() for r in expected]
+    assert all(0.0 < r < math.inf for r in expected)
+    phi, placement = min_static_rf(1e300, EnergyParams(p_circuit=1e-28, battery_j=1e6), 1e6, urban, radio)
+    assert placement.radius == expected[1]
 
 
 def test_min_static_rf_zero_circuit_power_names_it(urban, radio):

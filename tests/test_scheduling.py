@@ -1,4 +1,6 @@
+import collections.abc
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -1178,6 +1180,74 @@ OPTIMAL_REFERENCE_DAY = {
 def test_optimal_schedule_keeps_its_reference_day_bits(pm):
     sched = optimal_schedule(reference_scenario().with_mobility_power(pm))
     assert (sched.update_slots, sched.avg_dynamic_rf.hex()) == OPTIMAL_REFERENCE_DAY[pm]
+
+
+def test_epoch_view_reads_like_a_list():
+    sc = reference_scenario().with_mobility_power(1.5)
+    plan = SchedulePlan(sc)
+    sched = smgd_schedule(sc, plan=plan)
+    view, items = sched.epochs, list(sched.epochs)
+    n = len(items)
+    assert len(view) == n > 3 and isinstance(view, collections.abc.Sequence)
+    assert [view[i] for i in range(-n, n)] == items + items
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[index]
+    for part in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(5, 2)):
+        assert type(view[part]) is list and view[part] == items[part]
+    assert list(iter(view)) == items and view.index(items[2]) == 2
+    # element-wise equality, both operand orders, with a view or a list
+    again = smgd_schedule(sc, plan=plan).epochs
+    assert again is not view and view == again and again == view
+    assert view == items and items == view and not view != items
+    assert view != items[:-1] and items[1:] != view and view != items[::-1]
+    assert view != tuple(items) and view != "epochs"
+    assert dataclasses.replace(sched, epochs=items) == sched
+    assert repr(view) == repr(items)
+    with pytest.raises(TypeError):
+        view[0] = items[0]
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+# the reference day's epochs at pm 0.05 / 1.5 / 50 W, SMGD, lazy and
+# diligent on one plan, as built one ScheduleEpoch per epoch: per epoch its
+# method, pm, slot, tau and move energy in hex, changed flag and deployment id
+EPOCH_BITS_REFERENCE_DAY = (636, "8b1fff69e4325a5df60b5f11e30b7e9dbeb53d7b3b1eef73765803a0b37c4e0b")
+
+
+def test_epoch_view_keeps_the_eager_bits_on_the_reference_day():
+    base = reference_scenario()
+    plan = SchedulePlan(base)
+    lines = []
+    for pm in (0.05, 1.5, 50.0):
+        sc = base.with_mobility_power(pm)
+        for sched in (
+            smgd_schedule(sc, plan=plan),
+            baseline_schedule("lazy", sc, plan=plan),
+            baseline_schedule("diligent", sc, plan=plan),
+        ):
+            for epoch, k in zip(sched.epochs, sched.update_slots):
+                assert epoch.deployment is plan.deployment(k)
+                lines.append(
+                    f"{sched.method} {pm} {k} {epoch.tau.hex()} {epoch.mobility_j.hex()} "
+                    f"{epoch.changed} {plan.deployment_ids[k]}"
+                )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == EPOCH_BITS_REFERENCE_DAY
+
+
+def test_policy_comparison_builds_no_epoch_objects(tmp_path, monkeypatch):
+    # the two reference weeks from day 0 hold 10,000 epochs over 9
+    # schedules; each ScheduleEpoch is built only when it is read
+    built = []
+    epoch = scheduling.ScheduleEpoch
+    monkeypatch.setattr(scheduling, "ScheduleEpoch", lambda *a: built.append(a) or epoch(*a))
+    sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0)
+    experiments.run_policy_comparison(sc, str(tmp_path))
+    assert built == []
+    diligent = baseline_schedule("diligent", sc.with_mobility_power(1.5))
+    assert built == [] and len(list(diligent.epochs)) == len(built) == 2016
 
 
 @pytest.mark.parametrize(
