@@ -30,5 +30,6 @@ for pm in (0.05, 1.5, 50.0):
 
 print("update instants at 1.5 W (hours):")
 sched = smgd_schedule(scenario.with_mobility_power(1.5), plan=plan)
-hours = [round(e.tau / 3600.0, 2) for e in sched.epochs if e.changed]
+hours = [round(k * sched.slot_s / 3600.0, 2)
+         for k, changed in zip(sched.update_slots, sched.changed) if changed]
 print(f"  {hours}")

@@ -174,7 +174,7 @@ def _cmd_schedule(args) -> int:
             os.path.join(args.out, "deployment_initial.csv"),
             ("subregion", "x", "y", "z", "radius"),
             ((entry.label, x, y, z, entry.radius)
-             for entry in sched.epochs[0].deployment.entries for x, y, z in entry.positions),
+             for entry in sched.deployments[0].entries for x, y, z in entry.positions),
         )
         print(f"wrote {dep_path}")
     print(

@@ -168,10 +168,12 @@ def run_density_placements(scenario: Scenario, out_dir: str) -> List[str]:
 
 def _epoch_rows(schedule: Schedule):
     """(tau, subregion, radius, altitude, count, mobility) per epoch and subregion."""
-    for epoch in schedule.epochs:
-        for entry in epoch.deployment.entries:
-            yield (epoch.tau, entry.label, entry.radius, entry.altitude, entry.count,
-                   epoch.mobility_j)
+    for k, deployment, mobility in zip(
+        schedule.update_slots, schedule.deployments, schedule.mobility_j
+    ):
+        tau = k * schedule.slot_s
+        for entry in deployment.entries:
+            yield (tau, entry.label, entry.radius, entry.altitude, entry.count, mobility)
 
 
 def run_update_epochs(scenario: Scenario, out_dir: str) -> List[str]:

@@ -104,11 +104,8 @@ al. 2005).  Its continuation is known only once the later slots are
 done, so it skips no row; each step of either scheduler runs the same
 one-row visits.  It solves O(n^2) pair energies in the worst case.
 
-A :class:`Schedule` keeps its epochs as columns: the update slots, their
-deployments, the move energies and the ``changed`` flags.
-``Schedule.epochs`` is a read-only view over them that builds each
-:class:`ScheduleEpoch`, at ``tau = k * slot_s``, only when it is read, so
-a sweep that reads only a schedule's totals builds none.
+A :class:`Schedule` keeps its epochs as four plain columns (update slots,
+deployments, move energies, ``changed`` flags), one entry per epoch.
 
 Only the move energies depend on the mobility powers and speeds.  The
 rest (densities, radii, the static-cost coefficients, deployments) lives
@@ -394,72 +391,44 @@ def _cost_shape(energy: EnergyParams) -> Tuple[Tuple[int, int], ...] | None:
     return tuple(shape)
 
 
-@dataclass(frozen=True)
-class ScheduleEpoch:
-    tau: float                 # update instant [s]
-    deployment: Deployment
-    mobility_j: float          # energy of the move into this deployment [J]
-    changed: bool              # True if the placement actually moved
-
-
-class _Epochs(Sequence[ScheduleEpoch]):
-    """A schedule's epochs, read-only, built from its columns when read
-    (see the module docstring).  A slice is a list, and the view equals
-    another view or a list of equal epochs."""
-
-    __slots__ = ("_slots", "_mu", "_deployments", "_mobility", "_changed")
-
-    def __init__(self, slots, mu, deployments, mobility, changed):
-        self._slots, self._mu = slots, mu
-        self._deployments, self._mobility, self._changed = deployments, mobility, changed
-
-    def _items(self, part: slice):
-        mu = self._mu
-        taus = [k * mu for k in self._slots[part]]
-        return map(ScheduleEpoch, taus, self._deployments[part], self._mobility[part],
-                   self._changed[part])
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._items(index))
-        return ScheduleEpoch(self._slots[index] * self._mu, self._deployments[index],
-                             self._mobility[index], self._changed[index])
-
-    def __iter__(self):
-        return self._items(slice(None))
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Epochs, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 @dataclass
 class Schedule:
-    """A schedule's update epochs and its costs.  ``epochs`` is a
-    read-only view that builds each :class:`ScheduleEpoch` when it is
-    read; a :func:`dataclasses.replace` may pass a list instead."""
+    """A schedule's update epochs, as columns of one entry per epoch, and
+    its costs.  Epoch i starts at slot ``update_slots[i]`` (the first at
+    slot 0), at ``update_slots[i] * slot_s`` seconds, and holds
+    ``deployments[i]`` until the next epoch; ``mobility_j[i]`` is the
+    energy [J] of the move into it (the launch, or 0, for the first) and
+    ``changed[i]`` is True if the placement actually moved."""
 
     method: str
-    epochs: Sequence[ScheduleEpoch]
+    update_slots: List[int]
+    deployments: List[Deployment]
+    mobility_j: List[float]
+    changed: List[bool]
     horizon_s: float
     slot_s: float
     avg_dynamic_rf: float      # [1/s]
     static_integral: float     # dimensionless (rf x time)
     mobility_total_j: float
-    update_count: int          # epochs whose placement actually changed
     candidate_evaluations: int = 0
 
+    def __post_init__(self):
+        lengths = tuple(map(len, (self.update_slots, self.deployments, self.mobility_j,
+                                  self.changed)))
+        if len(set(lengths)) != 1:
+            raise ValueError(
+                f"schedule columns differ in length: update_slots, deployments, "
+                f"mobility_j, changed have {', '.join(map(str, lengths))}"
+            )
+        if not lengths[0]:
+            raise ValueError("a schedule needs at least one epoch")
+        if self.update_slots[0] != 0:
+            raise ValueError(f"a schedule's first epoch is at slot 0, not {self.update_slots[0]}")
+
     @property
-    def update_slots(self) -> List[int]:
-        # k * slot_s / slot_s can fall just below k, so round, never floor
-        return [round(e.tau / self.slot_s) for e in self.epochs]
+    def update_count(self) -> int:
+        """Epochs whose placement actually changed."""
+        return sum(self.changed)
 
 
 # the fields of ``EnergyParams`` that only move energies depend on
@@ -768,13 +737,15 @@ def _assemble(
     avg = (static_total + mobility_total / scenario.energy.battery_j) / pre.horizon_s
     return Schedule(
         method=method,
-        epochs=_Epochs(epoch_slots, mu, list(map(built.__getitem__, epoch_ids)), mobility, changed),
+        update_slots=epoch_slots,
+        deployments=list(map(built.__getitem__, epoch_ids)),
+        mobility_j=mobility,
+        changed=changed,
         horizon_s=pre.horizon_s,
         slot_s=mu,
         avg_dynamic_rf=avg,
         static_integral=static_total,
         mobility_total_j=mobility_total,
-        update_count=sum(changed),
         candidate_evaluations=evaluations,
     )
 
@@ -903,10 +874,9 @@ def dynamic_rf(schedule: Schedule, scenario: Scenario) -> float:
     areas = np.array([s.area for s in scenario.subregions])
     slots = schedule.update_slots
     total_static = 0.0
-    total_mobility = sum(e.mobility_j for e in schedule.epochs)
-    for i, k in enumerate(slots):
-        end = slots[i + 1] if i + 1 < len(slots) else n
-        radii = np.array(schedule.epochs[i].deployment.radii())
+    total_mobility = sum(schedule.mobility_j)
+    for k, end, deployment in zip(slots, [*slots[1:], n], schedule.deployments):
+        radii = np.array(deployment.radii())
         terms = static_rf_terms(radii, scenario.energy, areas, scenario.env, scenario.radio)
         total_static += float((terms[0].sum() + terms[1] @ lams[:, k:end]).sum()) * mu
     return (total_static + total_mobility / scenario.energy.battery_j) / horizon

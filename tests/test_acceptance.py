@@ -230,7 +230,7 @@ def test_criterion_07_greedy_vs_exhaustive():
         sc = toy_scenario(lams, pm=pm, seed=1000 + trial)
         greedy = smgd_schedule(sc)
         # fleet-size envelope of the toy class
-        assert max(e.deployment.total_count for e in greedy.epochs) <= 6
+        assert max(d.total_count for d in greedy.deployments) <= 6
         best = optimal_schedule(sc).avg_dynamic_rf
         assert greedy.avg_dynamic_rf >= best - 1e-15, "greedy beat the exact optimum"
         gap = greedy.avg_dynamic_rf / best - 1.0

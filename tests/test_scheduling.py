@@ -1,4 +1,3 @@
-import collections.abc
 import dataclasses
 import hashlib
 import itertools
@@ -315,7 +314,7 @@ def test_schedules_from_fresh_plans_compare_equal():
         reference_scenario(), density_bands=((1e-5, 1e-4),) * 2, horizon_s=1200.0
     )
     first, second = smgd_schedule(sc), smgd_schedule(sc)
-    assert max(e.count for e in first.epochs[0].deployment.entries) >= 2
+    assert max(e.count for e in first.deployments[0].entries) >= 2
     assert first == second and not first != second
 
 
@@ -537,7 +536,7 @@ def test_interval_avg_constant_density_no_mobility():
         pre_radius, lam, sc.energy, sc.subregions[0].area, sc.env, sc.radio
     )
     lazy = baseline_schedule("lazy", sc)
-    assert lazy.epochs[0].deployment.radii() == (pytest.approx(pre_radius, rel=1e-12),)
+    assert lazy.deployments[0].radii() == (pytest.approx(pre_radius, rel=1e-12),)
     assert lazy.mobility_total_j == 0.0
     assert dynamic_rf(lazy, sc) == pytest.approx(phi, rel=1e-12)
 
@@ -571,14 +570,15 @@ def test_launch_energy_equals_sum_of_move_energies(sc):
         v_horizontal=7.0, v_ascend=3.0, v_descend=5.0,
     )
     sc = dataclasses.replace(sc, energy=energy, include_initial_launch=True)
-    first = baseline_schedule("lazy", sc).epochs[0]
-    fleet = first.deployment.all_positions()
+    lazy = baseline_schedule("lazy", sc)
+    launch = lazy.mobility_j[0]
+    fleet = lazy.deployments[0].all_positions()
     expected = sum(move_energy(sc.rsc_position, p, energy) for p in fleet)
-    assert first.mobility_j > 0.0
-    assert first.mobility_j == pytest.approx(expected, rel=1e-12)
+    assert lazy.update_slots == [0] and launch > 0.0
+    assert launch == pytest.approx(expected, rel=1e-12)
     if len(fleet) == 1:
         assert tuple(fleet[0, :2]) == sc.rsc_position[:2]
-        assert first.mobility_j == pytest.approx(fleet[0, 2] * 2.5 / 3.0, rel=1e-15)
+        assert launch == pytest.approx(fleet[0, 2] * 2.5 / 3.0, rel=1e-15)
 
 
 def test_nonpositive_pattern_density_names_subregion_and_source():
@@ -600,9 +600,7 @@ def test_interval_avg_two_slot_hand_oracle():
     r0 = (0.5 / (lam0 * radio.snr_gap * p1)) ** 0.25
     lazy = baseline_schedule("lazy", sc)
     mobility = 500.0  # J, hand-set
-    charged = dataclasses.replace(
-        lazy, epochs=[dataclasses.replace(lazy.epochs[0], mobility_j=mobility)]
-    )
+    charged = dataclasses.replace(lazy, mobility_j=[mobility])
     spe = area / (math.pi * eb)
     phi_slot0 = spe * (0.5 / r0**2 + lam0 * radio.snr_gap * p1 * r0**2)
     phi_slot1 = spe * (0.5 / r0**2 + lam1 * radio.snr_gap * p1 * r0**2)
@@ -614,7 +612,7 @@ def test_smgd_constant_density_never_updates():
     sc = toy_scenario([[3e-6] * 12], pm=0.0)
     sched = smgd_schedule(sc)
     assert sched.update_count == 0
-    assert len(sched.epochs) == 1  # initial placement only
+    assert len(sched.update_slots) == 1  # initial placement only
     lazy = baseline_schedule("lazy", sc)
     assert sched.avg_dynamic_rf == pytest.approx(lazy.avg_dynamic_rf, rel=1e-14)
 
@@ -709,7 +707,7 @@ def test_dynamic_rf_split_invariance():
     sc = toy_scenario([[2e-6] * 8], pm=1.0)
     lazy = baseline_schedule("lazy", sc)
     split = baseline_schedule("diligent", sc)
-    assert len(split.epochs) == 8 and split.mobility_total_j == 0.0
+    assert len(split.update_slots) == 8 and split.mobility_total_j == 0.0
     assert dynamic_rf(split, sc) == pytest.approx(dynamic_rf(lazy, sc), rel=1e-12)
 
 
@@ -781,18 +779,34 @@ def test_initial_launch_flag():
 def test_schedule_epoch_invariants():
     sc = reference_scenario().with_mobility_power(1.5)
     sched = smgd_schedule(sc)
-    taus = [e.tau for e in sched.epochs]
-    assert taus[0] == 0.0
-    assert all(b > a for a, b in zip(taus, taus[1:]))  # strictly increasing
-    assert taus[-1] < sched.horizon_s
-    assert len(sched.epochs) - 1 <= sched.horizon_s / sched.slot_s
-    assert sched.epochs[0].mobility_j == 0.0  # no charge for the initial placement
+    slots = sched.update_slots
+    assert slots[0] == 0
+    assert all(b > a for a, b in zip(slots, slots[1:]))  # strictly increasing
+    assert slots[-1] * sched.slot_s < sched.horizon_s
+    assert len(slots) - 1 <= sched.horizon_s / sched.slot_s
+    assert sched.mobility_j[0] == 0.0  # no charge for the initial placement
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"mobility_j": [0.0, 1.0]}, "have 1, 1, 2, 1"),
+        ({"update_slots": [], "deployments": [], "mobility_j": [], "changed": []},
+         "at least one epoch"),
+        ({"update_slots": [3]}, "slot 0, not 3"),
+    ],
+    ids=["unequal-lengths", "empty", "first-slot"],
+)
+def test_schedule_rejects_inconsistent_columns(columns, message):
+    lazy = baseline_schedule("lazy", toy_scenario([[2e-6] * 4], pm=1.0))
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(lazy, **columns)
 
 
 def test_single_slot_horizon():
     sc = toy_scenario([[2e-6]], pm=1.0)
     sched = smgd_schedule(sc)
-    assert len(sched.epochs) == 1 and sched.update_count == 0
+    assert len(sched.update_slots) == 1 and sched.update_count == 0
     assert baseline_schedule("diligent", sc).avg_dynamic_rf == pytest.approx(
         sched.avg_dynamic_rf, rel=1e-14
     )
@@ -1163,7 +1177,7 @@ def test_lazy_schedule_builds_only_its_first_deployment(monkeypatch):
     assert plan._pair_stride > 1
     lazy = baseline_schedule("lazy", sc, plan=plan)
     assert built == [1]
-    assert lazy.epochs[0].deployment is plan.deployment(0) and built == [1]
+    assert lazy.deployments[0] is plan.deployment(0) and built == [1]
     baseline_schedule("diligent", sc, plan=plan)
     assert built == [1, plan._pair_stride - 1]
 
@@ -1182,36 +1196,8 @@ def test_optimal_schedule_keeps_its_reference_day_bits(pm):
     assert (sched.update_slots, sched.avg_dynamic_rf.hex()) == OPTIMAL_REFERENCE_DAY[pm]
 
 
-def test_epoch_view_reads_like_a_list():
-    sc = reference_scenario().with_mobility_power(1.5)
-    plan = SchedulePlan(sc)
-    sched = smgd_schedule(sc, plan=plan)
-    view, items = sched.epochs, list(sched.epochs)
-    n = len(items)
-    assert len(view) == n > 3 and isinstance(view, collections.abc.Sequence)
-    assert [view[i] for i in range(-n, n)] == items + items
-    for index in (n, -n - 1):
-        with pytest.raises(IndexError):
-            view[index]
-    for part in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(5, 2)):
-        assert type(view[part]) is list and view[part] == items[part]
-    assert list(iter(view)) == items and view.index(items[2]) == 2
-    # element-wise equality, both operand orders, with a view or a list
-    again = smgd_schedule(sc, plan=plan).epochs
-    assert again is not view and view == again and again == view
-    assert view == items and items == view and not view != items
-    assert view != items[:-1] and items[1:] != view and view != items[::-1]
-    assert view != tuple(items) and view != "epochs"
-    assert dataclasses.replace(sched, epochs=items) == sched
-    assert repr(view) == repr(items)
-    with pytest.raises(TypeError):
-        view[0] = items[0]
-    with pytest.raises(TypeError):
-        hash(view)
-
-
 # the reference day's epochs at pm 0.05 / 1.5 / 50 W, SMGD, lazy and
-# diligent on one plan, as built one ScheduleEpoch per epoch: per epoch its
+# diligent on one plan, read from the schedules' columns: per epoch its
 # method, pm, slot, tau and move energy in hex, changed flag and deployment id
 EPOCH_BITS_REFERENCE_DAY = (636, "8b1fff69e4325a5df60b5f11e30b7e9dbeb53d7b3b1eef73765803a0b37c4e0b")
 
@@ -1227,27 +1213,15 @@ def test_epoch_view_keeps_the_eager_bits_on_the_reference_day():
             baseline_schedule("lazy", sc, plan=plan),
             baseline_schedule("diligent", sc, plan=plan),
         ):
-            for epoch, k in zip(sched.epochs, sched.update_slots):
-                assert epoch.deployment is plan.deployment(k)
+            columns = zip(sched.update_slots, sched.deployments, sched.mobility_j, sched.changed)
+            for k, deployment, mobility, changed in columns:
+                assert deployment is plan.deployment(k)
                 lines.append(
-                    f"{sched.method} {pm} {k} {epoch.tau.hex()} {epoch.mobility_j.hex()} "
-                    f"{epoch.changed} {plan.deployment_ids[k]}"
+                    f"{sched.method} {pm} {k} {(k * sched.slot_s).hex()} {mobility.hex()} "
+                    f"{changed} {plan.deployment_ids[k]}"
                 )
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == EPOCH_BITS_REFERENCE_DAY
-
-
-def test_policy_comparison_builds_no_epoch_objects(tmp_path, monkeypatch):
-    # the two reference weeks from day 0 hold 10,000 epochs over 9
-    # schedules; each ScheduleEpoch is built only when it is read
-    built = []
-    epoch = scheduling.ScheduleEpoch
-    monkeypatch.setattr(scheduling, "ScheduleEpoch", lambda *a: built.append(a) or epoch(*a))
-    sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0)
-    experiments.run_policy_comparison(sc, str(tmp_path))
-    assert built == []
-    diligent = baseline_schedule("diligent", sc.with_mobility_power(1.5))
-    assert built == [] and len(list(diligent.epochs)) == len(built) == 2016
 
 
 @pytest.mark.parametrize(
@@ -1637,7 +1611,7 @@ def test_reassembly_reads_no_tables():
     # identity, and dynamic_rf may not build a plan
     sc = dataclasses.replace(reference_scenario(), horizon_s=14 * 86400.0).with_mobility_power(1.5)
     sched = baseline_schedule("diligent", sc)
-    assert len(sched.epochs) == 2016
+    assert len(sched.update_slots) == 2016
     same = dataclasses.replace(sc)
     assert same == sc and same is not sc
     _warm_caches(sc)
