@@ -23,7 +23,6 @@ from .channel import (
 )
 from .layout import (
     Deployment,
-    SubregionDeployment,
     build_deployment,
     layout_positions,
     num_uavs,

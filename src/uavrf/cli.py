@@ -170,11 +170,17 @@ def _cmd_schedule(args) -> int:
         _epoch_rows(sched),
     )
     if args.positions:
+        dep = sched.deployments[0]
+        # zone i's label and radius for each of its counts[i] position rows
+        zones = [
+            (label, radius)
+            for label, radius, count in zip(dep.labels, dep.radii, dep.counts)
+            for _ in range(count)
+        ]
         dep_path = write_csv(
             os.path.join(args.out, "deployment_initial.csv"),
             ("subregion", "x", "y", "z", "radius"),
-            ((entry.label, x, y, z, entry.radius)
-             for entry in sched.deployments[0].entries for x, y, z in entry.positions),
+            ((label, x, y, z, radius) for (label, radius), (x, y, z) in zip(zones, dep.positions)),
         )
         print(f"wrote {dep_path}")
     print(

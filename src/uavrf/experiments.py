@@ -172,8 +172,10 @@ def _epoch_rows(schedule: Schedule):
         schedule.update_slots, schedule.deployments, schedule.mobility_j
     ):
         tau = k * schedule.slot_s
-        for entry in deployment.entries:
-            yield (tau, entry.label, entry.radius, entry.altitude, entry.count, mobility)
+        for zone in zip(
+            deployment.labels, deployment.radii, deployment.altitudes, deployment.counts
+        ):
+            yield (tau, *zone, mobility)
 
 
 def run_update_epochs(scenario: Scenario, out_dir: str) -> List[str]:

@@ -264,58 +264,43 @@ def layout_positions(rect: Rect, count: int, altitude) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SubregionDeployment:
-    """One subregion's share of a deployment."""
-
-    label: str
-    radius: float
-    altitude: float
-    # (count, 3); follows from the zone, radius and altitude, so == and hash skip it
-    positions: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        check_positive("radius", self.radius)
-        check_positive("altitude", self.altitude, zero_ok=True)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError("positions must have shape (count, 3)")
-
-    @property
-    def count(self) -> int:
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
 class Deployment:
     """Explicit fleet placement across all subregions plus the depot.
 
-    ``labels`` holds the entries' subregion labels, in order.
+    One entry per zone, in zone order: its label, disk radius, altitude
+    and UAV count.  ``positions`` stacks every UAV's (x, y, z), zone by
+    zone, so zone i's UAVs are the next ``counts[i]`` rows; the
+    deployment owns a read-only copy of it.  The positions follow from
+    the zones, radii and altitudes, so == and hash skip them.
     """
 
-    entries: Tuple[SubregionDeployment, ...]
+    labels: Tuple[str, ...]
+    radii: Tuple[float, ...]
+    altitudes: Tuple[float, ...]
+    counts: Tuple[int, ...]
+    positions: np.ndarray = field(compare=False)
     rsc_position: Point3
 
     def __post_init__(self):
-        # stacked once: every move energy out of or into it reads the
-        # positions and checks the labels
-        positions = (
-            np.concatenate([e.positions for e in self.entries])
-            if self.entries
-            else np.empty((0, 3))
-        )
+        lengths = {len(self.labels), len(self.radii), len(self.altitudes), len(self.counts)}
+        if len(lengths) != 1:
+            raise ValueError("labels, radii, altitudes and counts must have one entry per zone")
+        # scalar checks: on a handful of zones numpy's per-call overhead would dominate
+        for radius in self.radii:
+            check_positive("radius", radius)
+        for altitude in self.altitudes:
+            check_positive("altitude", altitude, zero_ok=True)
+        for count in self.counts:
+            check_integer("count", count, 0)
+        positions, shape = np.array(self.positions, dtype=float), (sum(self.counts), 3)
+        if positions.shape != shape:
+            raise ValueError(f"positions must have shape {shape}, got {positions.shape}")
         positions.flags.writeable = False
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "labels", tuple(e.label for e in self.entries))
-
-    def all_positions(self) -> np.ndarray:
-        """Every UAV position (total_count, 3), subregion by subregion; read-only."""
-        return self._positions
-
-    def radii(self) -> Tuple[float, ...]:
-        return tuple(e.radius for e in self.entries)
+        object.__setattr__(self, "positions", positions)
 
     @property
     def total_count(self) -> int:
-        return sum(e.count for e in self.entries)
+        return len(self.positions)
 
 
 def build_deployment(
@@ -328,9 +313,10 @@ def build_deployment(
     deployments, the d-th from column d, with the bits of building that
     column alone.  The fleet sizes come from one ``num_uavs`` over the
     block, and each subregion makes one :func:`layout_positions` call per
-    distinct fleet size, with the altitudes of the columns of that size.
-    Misaligned shapes raise ``ValueError``, and so does a bad radius or
-    altitude, naming its index.
+    distinct fleet size, with the altitudes of the columns of that size;
+    a column's zone layouts are concatenated once, so no layout block
+    outlives the call.  Misaligned shapes raise ``ValueError``, and so
+    does a bad radius or altitude, naming its index.
     """
     radii = np.asarray(radii, dtype=float)
     altitudes = np.asarray(altitudes, dtype=float)
@@ -344,20 +330,22 @@ def build_deployment(
         radii, altitudes = radii[:, None], altitudes[:, None]
     areas = np.array([sub.area for sub in subregions], dtype=float)
     counts = num_uavs(areas[:, None], radii)
-    zones = []  # per subregion, its entry of every column
-    for sub, sizes, zone_radii, zone_altitudes in zip(subregions, counts, radii, altitudes):
+    zones = []  # per subregion, its layout of every column
+    for sub, sizes, zone_altitudes in zip(subregions, counts, altitudes):
         columns_of: dict[int, list[int]] = {}
         for d, count in enumerate(sizes.tolist()):
             columns_of.setdefault(count, []).append(d)
         zone = [None] * len(sizes)
         for count, columns in columns_of.items():
-            heights = zone_altitudes[columns]
-            layouts = layout_positions(sub.rect, count, heights)
-            for d, radius, altitude, positions in zip(
-                columns, zone_radii[columns].tolist(), heights.tolist(), layouts
-            ):
-                zone[d] = SubregionDeployment(sub.label, radius, altitude, positions)
+            layouts = layout_positions(sub.rect, count, zone_altitudes[columns])
+            for d, positions in zip(columns, layouts):
+                zone[d] = positions
         zones.append(zone)
+    labels = tuple(sub.label for sub in subregions)
     rsc = tuple(rsc_position)
-    deployments = [Deployment(entries=entries, rsc_position=rsc) for entries in zip(*zones)]
+    columns = zip(radii.T.tolist(), altitudes.T.tolist(), counts.T.tolist(), zip(*zones))
+    deployments = [
+        Deployment(labels, tuple(r), tuple(h), tuple(c), np.concatenate(layouts), rsc)
+        for r, h, c, layouts in columns
+    ]
     return deployments[0] if one else deployments

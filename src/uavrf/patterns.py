@@ -236,10 +236,11 @@ def perturbed_density(lam: float, bias: float, stddev: float, n: int, seed) -> n
 def parse_pattern_file(text: str) -> DensityPattern:
     """Parse the pattern override format.
 
-    Header lines ``gamma_r VALUE``, ``N VALUE``, ``mu_seconds VALUE``
-    followed by one ``k magnitude phase_radians`` line per stored
-    coefficient.  Blank lines and ``#`` comments are ignored.  An error
-    names the line it comes from and the key or field.
+    Header lines ``gamma_r VALUE``, ``N VALUE``, ``mu_seconds VALUE``,
+    each with exactly one value, followed by one ``k magnitude
+    phase_radians`` line per stored coefficient.  Blank lines and ``#``
+    comments are ignored.  An error names the line it comes from and the
+    key or field.
     """
     gamma = None
     n_samples = 4032
@@ -259,6 +260,8 @@ def parse_pattern_file(text: str) -> DensityPattern:
             continue
         parts = line.split()
         try:
+            if parts[0] in ("gamma_r", "N", "mu_seconds") and len(parts) != 2:
+                raise ValueError(f"expected '{parts[0]} VALUE', got {line!r}")
             if parts[0] == "gamma_r":
                 gamma = finite("gamma_r", parts[1])
             elif parts[0] == "N":
@@ -276,7 +279,7 @@ def parse_pattern_file(text: str) -> DensityPattern:
                     raise ValueError(f"duplicate coefficient index {k}")
                 coeffs[k] = mag * complex(math.cos(ph), math.sin(ph))
                 coeff_lines[k] = lineno
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"pattern file line {lineno}: {exc}") from None
     if gamma is None:
         raise ValueError("pattern file missing required 'gamma_r' header")

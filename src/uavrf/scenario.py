@@ -383,12 +383,21 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
+def _built(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ``ValueError`` it raises begins with ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where} {exc}") from None
+
+
 def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> Scenario:
     base = default_scenario()
     given = _given(parser, "scenario")
     named = given.pop("env.name", None)
     if parser.has_section("environment"):  # every number is required, the name is not
-        env = Environment(**_given(parser, "environment", every_number=True))
+        numbers = _given(parser, "environment", every_number=True)
+        env = _built("[environment]", Environment, **numbers)
         # a custom environment is dumped as the section and the key with its name
         if named not in (None, env.name):
             raise ScenarioError(
@@ -396,20 +405,21 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
             )
     else:
         env = base.env if named is None else environment_preset(named)
-    bounds = Rect(*given.pop("bounds")) if "bounds" in given else base.bounds
+    bounds = _built("[scenario] area:", Rect, *given.pop("bounds", astuple(base.bounds)))
     given.setdefault("rsc_position", (*bounds.center, 0.0))  # the depot at the area's centre
 
     # defaults normalize the battery to the parsed area and zone count,
     # whether or not an [energy] section is present
     sections = [s for s in parser.sections() if s.startswith("subregion")]
     energy = _table_defaults_energy(bounds.area, max(1, len(sections)))
-    energy = replace(energy, **_given(parser, "energy"))
+    energy = _built("[energy]", replace, energy, **_given(parser, "energy"))
+    radio = _built("[radio]", replace, base.radio, **_given(parser, "radio"))
 
     subregions, bands, explicit = [], [], []
     for section in sections:
         s = parser[section]
         label = s.get("label", section.split(None, 1)[-1])
-        rect = Rect(*_floats(s, "rect", 4))
+        rect = _built(f"[{section}] rect:", Rect, *_floats(s, "rect", 4))
         subregions.append(Subregion(label, rect, _parse_pattern_ref(s, base_dir)))
         bands.append(_floats(s, "density_band", 2) if "density_band" in s else None)
         if "densities" in s:
@@ -422,8 +432,8 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
         bands = list(base.density_bands)
 
     return replace(
-        base, **given, env=env, radio=replace(base.radio, **_given(parser, "radio")),
-        energy=energy, bounds=bounds, subregions=tuple(subregions), density_bands=tuple(bands),
+        base, **given, env=env, radio=radio, energy=energy, bounds=bounds,
+        subregions=tuple(subregions), density_bands=tuple(bands),
         explicit_densities=tuple(explicit) if explicit else None,
     )
 

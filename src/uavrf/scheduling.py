@@ -20,9 +20,9 @@ very same function, so every solve is scipy's own.
 The scheduler's move energies come from one batched path
 (``_Moves.fill``), which takes any slot moves i -> j, keeps each energy
 per pair and returns the batch's energies in order.  It requests the
-deployments of the pairs it lacks from the plan at once, reads the
-positions that each deployment stacked once, pads only when the fleet
-sizes differ, and groups those pairs by padded size.  A batch of new
+deployments of the pairs it lacks from the plan at once, reads each
+deployment's own ``positions`` column, pads only when the fleet sizes
+differ, and groups those pairs by padded size.  A batch of new
 pairs builds its cost matrices in one stacked pass, one temporary per
 axis, and hands each matrix to the solver through
 :func:`solve_assignment`; a batch of pairs already solved under the same
@@ -278,12 +278,12 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
 
 def _padded_positions(prev: Deployment, nxt: Deployment) -> Tuple[np.ndarray, np.ndarray]:
     """Both fleets' positions, the shorter padded with depot copies; equal
-    fleets return their two read-only ``all_positions()`` arrays themselves."""
+    fleets return their two read-only ``positions`` arrays themselves."""
     if prev.rsc_position != nxt.rsc_position:
         raise ValueError("deployments must share the depot position")
     if prev.labels != nxt.labels:
         raise ValueError("deployments must cover the same subregions")
-    before, after = prev.all_positions(), nxt.all_positions()
+    before, after = prev.positions, nxt.positions
     missing = len(after) - len(before)
     if missing == 0:
         return before, after
@@ -605,8 +605,7 @@ class _Moves:
     """Move energies of one energy model between the deployments of a plan.
 
     :meth:`fill` returns the energies of a batch of moves, computing those
-    not kept yet, and :meth:`pair_energy` reads one, filling it as a batch
-    of one on a miss.  Pair energies go to a dict that the plan keeps per
+    not kept yet.  Pair energies go to a dict that the plan keeps per
     energy model, so every scheduler call at the same mobility solves each
     pair once.  Solved permutations go to a dict that the plan keeps per
     cost shape, so a pair already solved under another model of the same
@@ -622,19 +621,10 @@ class _Moves:
         self._pair_energy = plan._pair_energies.setdefault(energy, {})
         self._permutations = plan._permutations.setdefault(shape, {})
 
-    def pair_energy(self, i: int, j: int) -> float:
-        ids = self.plan.deployment_ids
-        a, b = ids[i], ids[j]
-        if a == b or self._free:
-            return 0.0
-        value = self._pair_energy.get(a * self.plan._pair_stride + b)
-        return self.fill(((i, j),))[0] if value is None else value
-
     def fill(self, moves: Iterable[Tuple[int, int]]) -> List[float]:
-        """The energy of every slot move i -> j of ``moves``, in order, with
-        the bits of :meth:`pair_energy`.  The pairs not kept yet are
-        computed in batches of one padded size, from deployments that one
-        :meth:`SchedulePlan.deployments` request builds.
+        """The energy of every slot move i -> j of ``moves``, in order.  The
+        pairs not kept yet are computed in batches of one padded size, from
+        deployments that one :meth:`SchedulePlan.deployments` request builds.
 
         A batch of new pairs builds its cost matrices in one stacked
         ``_flight_energies`` call and hands each to ``solve_assignment``;
@@ -695,7 +685,7 @@ class _Moves:
     def launch_energy(self, k: int) -> float:
         """Energy to launch the slot-k fleet from the depot."""
         rsc = np.array(self.plan.scenario.rsc_position)
-        fleet = self.plan.deployment(k).all_positions()
+        fleet = self.plan.deployment(k).positions
         return float(_flight_energies(rsc, fleet, self.energy).sum())
 
 
@@ -775,7 +765,7 @@ def _best_update(
             break  # every other candidate has a larger bound
         bound[i] = math.inf
         j = k + 1 + i
-        value = float(stale[i]) + moves.pair_energy(k, j) / eb + float(continuation[j])
+        value = float(stale[i]) + moves.fill(((k, j),))[0] / eb + float(continuation[j])
         if value < best_value or (value == best_value and nxt is not None and j < nxt):
             best_value, nxt = value, j
     return best_value, nxt
@@ -876,7 +866,7 @@ def dynamic_rf(schedule: Schedule, scenario: Scenario) -> float:
     total_static = 0.0
     total_mobility = sum(schedule.mobility_j)
     for k, end, deployment in zip(slots, [*slots[1:], n], schedule.deployments):
-        radii = np.array(deployment.radii())
+        radii = np.array(deployment.radii)
         terms = static_rf_terms(radii, scenario.energy, areas, scenario.env, scenario.radio)
         total_static += float((terms[0].sum() + terms[1] @ lams[:, k:end]).sum()) * mu
     return (total_static + total_mobility / scenario.energy.battery_j) / horizon

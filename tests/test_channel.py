@@ -20,7 +20,7 @@ from uavrf.channel import (
     per_user_tx_power,
     to_db,
 )
-from uavrf.layout import SubregionDeployment, layout_positions, num_uavs
+from uavrf.layout import Deployment, layout_positions, num_uavs
 from uavrf.patterns import Rect, constant_pattern, normalized_shape, perturbed_density
 from uavrf.placement import (
     EnergyParams,
@@ -286,6 +286,7 @@ def test_check_positive_accepts_arrays(entries, zero_ok):
 
 
 _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyParams(0.5, 1.0)
+_DEPOT = (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -303,8 +304,8 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
         ("area", lambda v: rf_increment_exact_samples(1.0, [1.0], 0.5, _URBAN, _RADIO, v, 1.0)),
         ("battery_j", lambda v: rf_increment_exact_samples(1.0, [1.0], 0.5, _URBAN, _RADIO, 1e6, v)),
         ("altitude", lambda v: layout_positions(Rect(0.0, 0.0, 100.0, 100.0), 2, v)),
-        ("radius", lambda v: SubregionDeployment("A", v, 1.0, np.zeros((1, 3)))),
-        ("altitude", lambda v: SubregionDeployment("A", 1.0, v, np.zeros((1, 3)))),
+        ("radius", lambda v: Deployment(("A",), (v,), (1.0,), (1,), np.zeros((1, 3)), _DEPOT)),
+        ("altitude", lambda v: Deployment(("A",), (1.0,), (v,), (1,), np.zeros((1, 3)), _DEPOT)),
         ("stddev", lambda v: perturbed_density(0.1, 0.0, v, 3, 0)),
         ("density lam", lambda v: perturbed_density(v, 0.0, 1.0, 3, 0)),
         ("eigenvalue", lambda v: rf_increment(v, 1.0)),
@@ -318,8 +319,8 @@ _URBAN, _RADIO, _ENERGY = environment_preset("urban"), RadioConfig(), EnergyPara
     ],
     ids=["optimal_radius", "static_rf", "static_rf_at_optimal_altitude", "eigenvalue-p_circuit",
          "eigenvalue-battery", "exact_samples-p_circuit", "exact_samples-area",
-         "exact_samples-battery", "layout_positions", "SubregionDeployment",
-         "SubregionDeployment-altitude", "perturbed_density",
+         "exact_samples-battery", "layout_positions", "Deployment",
+         "Deployment-altitude", "perturbed_density",
          "perturbed_density-lam", "rf_increment", "to_db", "avg_path_loss", "elevation_angle_deg", "normalized_tx_power", "tx_power",
          "num_uavs", "adaptive_simpson"],
 )
@@ -339,7 +340,7 @@ def test_non_finite_input_names_the_argument(named, call, value):
         ("bias must be finite, got -inf", lambda: perturbed_density(0.1, -math.inf, 1.0, 3, 0)),
         ("eigenvalue must be finite and nonnegative, got -2.0", lambda: rf_increment(-2.0, 1.0)),
         ("altitude must be finite and nonnegative, got -5.0",
-         lambda: SubregionDeployment("A", 1.0, -5.0, np.zeros((1, 3)))),
+         lambda: Deployment(("A",), (1.0,), (-5.0,), (1,), np.zeros((1, 3)), _DEPOT)),
         ("integration bounds must be finite and satisfy a <= b, got a=1.0, b=0.0",
          lambda: adaptive_simpson(math.sin, 1.0, 0.0)),
         ("integration bounds must be finite and satisfy a <= b, got a=-inf, b=1.0",
@@ -359,7 +360,7 @@ def test_non_finite_input_names_the_argument(named, call, value):
         ("n must be an integer, got True", lambda: perturbed_density(0.1, 0.0, 1.0, True, 0)),
     ],
     ids=["perturbed_density-negative-lam", "bias-nan", "bias-inf", "bias-neg-inf",
-         "rf_increment-negative", "SubregionDeployment-negative-altitude",
+         "rf_increment-negative", "Deployment-negative-altitude",
          "adaptive_simpson-reversed", "adaptive_simpson-neg-inf", "adaptive_simpson-nan",
          "normalized_shape-zero", "normalized_shape-negative", "perturbed_density-negative-n",
          "normalized_shape-float", "normalized_shape-bool", "perturbed_density-float-n",

@@ -17,6 +17,7 @@ from uavrf.experiments import (
     run_policy_comparison,
     write_csv,
 )
+from uavrf.patterns import dump_pattern, parse_pattern_file, pattern_preset, reconstruct_series
 from uavrf.scenario import default_scenario, dump_scenario, reference_scenario
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -511,6 +512,38 @@ SMGD_FIGURE_DIGESTS = {
 @pytest.mark.parametrize("figure", sorted(SMGD_FIGURE_DIGESTS))
 def test_cli_smgd_figure_csv_bytes(tmp_path, figure):
     test_cli_csv_bytes(tmp_path, ["figure", figure], SMGD_FIGURE_DIGESTS[figure])
+
+
+# the paper-density day's lazy schedule holds 120 UAVs over E, then 144
+# over R: a label or radius given to the wrong position rows changes the
+# bytes of deployment_initial.csv, which one UAV per zone would not show
+PAPER_DAY_LAZY_DIGESTS = {
+    "schedule_lazy.csv": "50174ded3e835a3fcd325fe0b179a50f0e050af967d5132d7c8480e22aee81b2",
+    "deployment_initial.csv": "367f05fa72065ebef20b611b9eb8b1f8d289351a69186106d498f1b58af735bf",
+}
+
+
+def test_cli_paper_day_lazy_positions_bytes(tmp_path):
+    command = ["--config", os.path.join(DATA, "paper_day.cfg"), "schedule", "--method", "lazy"]
+    test_cli_csv_bytes(tmp_path, [*command, "--positions"], PAPER_DAY_LAZY_DIGESTS)
+    rows = (tmp_path / "deployment_initial.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["E"] * 120 + ["R"] * 144
+
+
+def test_cli_pattern_file_writes_the_file_pattern(tmp_path):
+    # a dumped preset read back through --pattern-file: one row per sample
+    # of the parsed pattern, the CSV named after the file
+    text = dump_pattern(pattern_preset("E"))
+    (tmp_path / "e.pat").write_text(text)
+    assert main(["--out", str(tmp_path), "pattern", "--pattern-file", str(tmp_path / "e.pat")]) == 0
+    pattern = parse_pattern_file(text)
+    x = reconstruct_series(pattern, range(pattern.n_samples))
+    lines = (tmp_path / "pattern_e.pat.csv").read_text().splitlines()
+    assert lines[0] == "n,t_seconds,traffic,density_per_m2"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        [str(i), format(i * pattern.sample_period, ".12g"), format(v, ".12g")]
+        for i, v in enumerate(x.tolist())
+    ]
 
 
 def test_cli_pattern_file_error_names_the_line(tmp_path, capsys):

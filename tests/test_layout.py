@@ -15,7 +15,6 @@ from scipy.spatial import cKDTree
 import uavrf.layout as layout
 from uavrf.layout import (
     Deployment,
-    SubregionDeployment,
     _candidate,
     _grid,
     _hex_candidate,
@@ -179,16 +178,15 @@ def test_build_deployment():
     dep = build_deployment(subs, radii=(200.0, 420.0), altitudes=(180.0, 380.0),
                            rsc_position=(500.0, 500.0, 0.0))
     assert isinstance(dep, Deployment)
-    assert dep.radii() == (200.0, 420.0)
-    assert [e.count for e in dep.entries] == [
-        num_uavs(5e5, 200.0),
-        num_uavs(5e5, 420.0),
-    ]
-    assert dep.total_count == sum(e.count for e in dep.entries)
-    assert dep.all_positions().shape == (dep.total_count, 3)
-    for entry, sub in zip(dep.entries, subs):
-        assert np.all(entry.positions[:, 2] == entry.altitude)
-        for x, y, _ in entry.positions:
+    assert dep.labels == ("A", "B")
+    assert dep.radii == (200.0, 420.0) and dep.altitudes == (180.0, 380.0)
+    assert dep.counts == (num_uavs(5e5, 200.0), num_uavs(5e5, 420.0))
+    assert dep.total_count == sum(dep.counts)
+    assert dep.positions.shape == (dep.total_count, 3)
+    zones = np.split(dep.positions, np.cumsum(dep.counts)[:-1])
+    for positions, altitude, sub in zip(zones, dep.altitudes, subs):
+        assert np.all(positions[:, 2] == altitude)
+        for x, y, _ in positions:
             assert sub.rect.contains(x, y)
     with pytest.raises(ValueError):
         build_deployment(subs, radii=(200.0,), altitudes=(180.0, 380.0),
@@ -225,11 +223,8 @@ def test_block_build_equals_one_column_builds(zones, band, data):
     assert isinstance(block, list) and len(block) == radii.shape[1]
     for d, dep in enumerate(block):
         alone = build_deployment(subs, radii[:, d], altitudes[:, d], rsc)
-        assert dep.entries == alone.entries and dep.rsc_position == alone.rsc_position
-        assert dep.all_positions().tobytes() == alone.all_positions().tobytes()
-        assert [e.positions.tobytes() for e in dep.entries] == [
-            e.positions.tobytes() for e in alone.entries
-        ]
+        assert dep == alone and dep.rsc_position == alone.rsc_position
+        assert dep.positions.tobytes() == alone.positions.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,12 +276,64 @@ def test_build_deployment_names_the_index_of_a_bad_entry(name, row, column, valu
 
 
 def test_subregion_deployment_validation():
+    # one zone of two UAVs, with a bad radius, then with (x, y) positions
     with pytest.raises(ValueError):
-        SubregionDeployment(label="X", radius=-1.0, altitude=10.0,
-                            positions=np.zeros((2, 3)))
+        Deployment(("X",), (-1.0,), (10.0,), (2,), np.zeros((2, 3)), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        SubregionDeployment(label="X", radius=1.0, altitude=10.0,
-                            positions=np.zeros((2, 2)))
+        Deployment(("X",), (1.0,), (10.0,), (2,), np.zeros((2, 2)), (0.0, 0.0, 0.0))
+
+
+def _two_zones(**columns):
+    """Zones A (2 UAVs) and B (1 UAV), with ``columns`` replacing any column."""
+    fields = dict(
+        labels=("A", "B"),
+        radii=(100.0, 200.0),
+        altitudes=(50.0, 0.0),
+        counts=(2, 1),
+        positions=np.arange(9.0).reshape(3, 3),
+        rsc_position=(0.0, 0.0, 0.0),
+    )
+    return Deployment(**{**fields, **columns})
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (dict(labels=("A",)), "labels, radii, altitudes and counts must have one entry per zone"),
+        (dict(radii=(100.0,)), "labels, radii, altitudes and counts must have one entry per zone"),
+        (dict(counts=(2, 1, 0)), "labels, radii, altitudes and counts must have one entry per zone"),
+        (dict(radii=(100.0, 0.0)), "radius must be finite and positive, got 0.0"),
+        (dict(radii=(-1.0, 200.0)), "radius must be finite and positive, got -1.0"),
+        (dict(radii=(100.0, math.inf)), "radius must be finite and positive, got inf"),
+        (dict(altitudes=(50.0, -1.0)), "altitude must be finite and nonnegative, got -1.0"),
+        (dict(altitudes=(math.nan, 0.0)), "altitude must be finite and nonnegative, got nan"),
+        (dict(counts=(2, -1), positions=np.zeros((1, 3))), "count must be at least 0, got -1"),
+        (dict(counts=(2.0, 1)), "count must be an integer, got 2.0"),
+        (dict(counts=(2, True)), "count must be an integer, got True"),
+        (dict(positions=np.zeros((3, 2))), "positions must have shape (3, 3), got (3, 2)"),
+        (dict(positions=np.zeros((2, 3))), "positions must have shape (3, 3), got (2, 3)"),
+        (dict(positions=np.zeros(9)), "positions must have shape (3, 3), got (9,)"),
+    ],
+    ids=["labels", "radii", "counts", "zero-radius", "negative-radius", "inf-radius",
+         "negative-altitude", "nan-altitude", "negative-count", "float-count", "bool-count",
+         "positions-2d", "positions-rows", "positions-1d"],
+)
+def test_deployment_rejects_bad_columns(columns, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _two_zones(**columns)
+
+
+def test_deployment_owns_read_only_positions():
+    mine = np.arange(9.0).reshape(3, 3)
+    dep = _two_zones(positions=mine)
+    mine[0, 0] = -1.0  # the caller's array, not the deployment's
+    assert dep.positions[0, 0] == 0.0 and dep.positions.base is None
+    with pytest.raises(ValueError, match="read-only"):
+        dep.positions[0, 0] = 1.0
+    # a built deployment holds its one concatenation of the zone layouts,
+    # not a view into a block that outlives the build
+    for built in build_deployment(_ZONES, np.full((2, 3), 40.0), np.full((2, 3), 30.0), (0, 0, 0)):
+        assert built.positions.base is None and not built.positions.flags.writeable
 
 
 def brute_force_cover_distance(rect_w: float, rect_h: float, pts: np.ndarray, res: int) -> float:
@@ -540,7 +587,7 @@ def test_extreme_aspect_rectangles_are_placed(aspect, tall, short_side, count):
     zone = Subregion(label="Z", rect=rect, pattern=constant_pattern(1.0))
     dep = build_deployment((zone,), (radius,), (20.0,), (0.0, 0.0, 0.0))
     assert dep.total_count == num_uavs(rect.area, radius)
-    assert all(rect.contains(x, y) for x, y, _ in dep.all_positions())
+    assert all(rect.contains(x, y) for x, y, _ in dep.positions)
 
 
 # sha256 prefixes of the float64 positions: any change to the score, the

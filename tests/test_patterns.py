@@ -185,6 +185,26 @@ def test_pattern_file_errors():
         parse_pattern_file("gamma_r 1.0\n")
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("gamma_r 1.0 2.0\n4 0.5 0.3\n", "line 1: expected 'gamma_r VALUE', got 'gamma_r 1.0 2.0'"),
+        ("gamma_r 1.0\nN 4032 junk\n4 0.5 0.3\n", "line 2: expected 'N VALUE', got 'N 4032 junk'"),
+        ("gamma_r 1.0\n4 0.5 0.3\nmu_seconds 600 x  # slot\n",
+         "line 3: expected 'mu_seconds VALUE', got 'mu_seconds 600 x'"),
+        ("gamma_r\n4 0.5 0.3\n", "line 1: expected 'gamma_r VALUE', got 'gamma_r'"),
+        ("gamma_r 1.0\n4 0.5\n", "line 2: expected 'k magnitude phase_radians'"),
+        ("gamma_r 1.0\n4 0.5 0.3 0.1\n", "line 2: expected 'k magnitude phase_radians'"),
+        ("gamma_r 1.0\n4 0.5 0.3\n\n4 0.25 0.1\n", "line 4: duplicate coefficient index 4"),
+    ],
+    ids=["gamma_r-extra", "N-extra", "mu_seconds-extra", "gamma_r-missing", "coefficient-short",
+         "coefficient-long", "duplicate-index"],
+)
+def test_pattern_file_malformed_lines_name_the_line(text, named):
+    with pytest.raises(ValueError, match="^" + re.escape(f"pattern file {named}") + "$"):
+        parse_pattern_file(text)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "field, build",

@@ -692,3 +692,26 @@ def test_pattern_file_errors_name_section_and_file(tmp_path, pattern_text, named
 def test_unknown_pattern_preset_names_the_section():
     with pytest.raises(ScenarioError, match=r"^\[subregion A\] pattern 'preset:X': unknown"):
         parse_scenario("[subregion A]\nrect = 0 0 1000 1000\npattern = preset:X\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[subregion A]\nrect = 0 0 1000 1000\n[subregion B]\nrect = 0 0 0 10\n",
+         "[subregion B] rect: rectangle sides must be positive"),
+        ("[scenario]\narea = 0 0 -1000 1000\n", "[scenario] area: rectangle sides must be positive"),
+        ("[energy]\nbattery_j = -1\n", "[energy] battery_j must be finite and positive, got -1.0"),
+        ("[radio]\nrate_bps = 0\n", "[radio] rate_bps must be finite and positive, got 0.0"),
+        ("[environment]\na = 10\nb = 0.6\neta_los = 20\neta_nlos = 1\n",
+         "[environment] excess losses must satisfy eta_nlos >= eta_los"),
+    ],
+    ids=["subregion-rect", "scenario-area", "energy", "radio", "environment"],
+)
+def test_invalid_values_name_their_section(tmp_path, text, message):
+    # each value parses, so only the object built from it can reject it;
+    # the error names the section it came from, and the file after it
+    with pytest.raises(ScenarioError, match="^" + re.escape(message) + "$"):
+        parse_scenario(text)
+    (tmp_path / "bad.cfg").write_text(text)
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"{message} (in ")):
+        load_scenario(str(tmp_path / "bad.cfg"))

@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 
 from uavrf import experiments, scheduling
 from uavrf.channel import RadioConfig, environment_preset
-from uavrf.layout import Deployment, SubregionDeployment, build_deployment, num_uavs
+from uavrf.layout import Deployment, build_deployment, num_uavs
 from uavrf.patterns import Rect, Subregion, constant_pattern, pattern_preset
 from uavrf.placement import (
     EnergyParams,
@@ -176,25 +176,22 @@ def test_solve_assignment_validation():
 
 def _single_uav_deployment(position, label="S0", radius=100.0, rsc=(500.0, 500.0, 0.0)):
     return Deployment(
-        entries=(
-            SubregionDeployment(
-                label=label,
-                radius=radius,
-                altitude=position[2],
-                positions=np.array([position], dtype=float),
-            ),
-        ),
+        labels=(label,),
+        radii=(radius,),
+        altitudes=(position[2],),
+        counts=(1,),
+        positions=np.array([position], dtype=float),
         rsc_position=rsc,
     )
 
 
 def _empty_deployment(label="S0", rsc=(500.0, 500.0, 0.0)):
     return Deployment(
-        entries=(
-            SubregionDeployment(
-                label=label, radius=1.0, altitude=0.0, positions=np.empty((0, 3))
-            ),
-        ),
+        labels=(label,),
+        radii=(1.0,),
+        altitudes=(0.0,),
+        counts=(0,),
+        positions=np.empty((0, 3)),
         rsc_position=rsc,
     )
 
@@ -235,8 +232,15 @@ def test_mobility_energy_validation():
     # the same zones in another order, and one zone of two
     sc = reference_scenario()
     two = build_deployment(sc.subregions, (300.0, 300.0), (300.0, 300.0), sc.rsc_position)
-    swapped = Deployment(entries=two.entries[::-1], rsc_position=two.rsc_position)
-    fewer = Deployment(entries=two.entries[:1], rsc_position=two.rsc_position)
+    first = two.counts[0]
+    swapped = Deployment(
+        two.labels[::-1], two.radii[::-1], two.altitudes[::-1], two.counts[::-1],
+        np.concatenate((two.positions[first:], two.positions[:first])), two.rsc_position,
+    )
+    fewer = Deployment(
+        two.labels[:1], two.radii[:1], two.altitudes[:1], two.counts[:1],
+        two.positions[:first], two.rsc_position,
+    )
     for other in (swapped, fewer):
         with pytest.raises(ValueError, match="must cover the same subregions"):
             mobility_energy_at(two, other, UNIT_MOVES)
@@ -244,8 +248,7 @@ def test_mobility_energy_validation():
 
 def _fleet(positions, rsc=(500.0, 500.0, 0.0)):
     """One zone holding ``positions`` (an (n, 3) array, n >= 0)."""
-    zone = SubregionDeployment(label="S0", radius=1.0, altitude=0.0, positions=positions)
-    return Deployment(entries=(zone,), rsc_position=rsc)
+    return Deployment(("S0",), (1.0,), (0.0,), (len(positions),), positions, rsc)
 
 
 def test_padded_positions_recall():
@@ -276,8 +279,8 @@ def test_padded_positions_equal_lengths_untouched():
     prev, nxt = _fleet(before), _fleet(after)
     pb, pa = _padded_positions(prev, nxt)
     assert np.array_equal(pb, before) and np.array_equal(pa, after)
-    # the read-only stacked arrays themselves, not copies
-    assert pb is prev.all_positions() and pa is nxt.all_positions()
+    # the deployments' read-only arrays themselves, not copies
+    assert pb is prev.positions and pa is nxt.positions
 
 
 def test_pad_lengths_match_reposition_count():
@@ -301,12 +304,14 @@ def test_deployment_equality_and_hash():
         return build_deployment(subs, (radius, radius), (2.0 * radius, 2.0 * radius), rsc)
 
     a, b, other = build(150.0), build(150.0), build(200.0)
-    assert min(e.count for e in a.entries) >= 2
-    assert a is not b and a.all_positions() is not b.all_positions()
+    assert min(a.counts) >= 2
+    assert a is not b and a.positions is not b.positions
     assert a == b and not a != b
     assert hash(a) == hash(b) and len({a, b}) == 1
     assert a != other and not a == other
-    assert a.entries[0] == b.entries[0] and hash(a.entries[0]) == hash(b.entries[0])
+    # other positions under the same columns: equal, with the same hash
+    moved = dataclasses.replace(a, positions=a.positions + 1.0)
+    assert moved == a and hash(moved) == hash(a)
 
 
 def test_schedules_from_fresh_plans_compare_equal():
@@ -314,7 +319,7 @@ def test_schedules_from_fresh_plans_compare_equal():
         reference_scenario(), density_bands=((1e-5, 1e-4),) * 2, horizon_s=1200.0
     )
     first, second = smgd_schedule(sc), smgd_schedule(sc)
-    assert max(e.count for e in first.deployments[0].entries) >= 2
+    assert max(first.deployments[0].counts) >= 2
     assert first == second and not first != second
 
 
@@ -322,8 +327,8 @@ def _reference_pair_energy(prev, nxt, energy):
     """The pair path as first written: stack, pad with depot copies, build
     the cost matrix with broadcast (n, n) terms, and read the permutation
     off the (rows, cols) pairs.  Returns the energy and the permutation."""
-    before = np.vstack([e.positions for e in prev.entries])
-    after = np.vstack([e.positions for e in nxt.entries])
+    before = np.array(prev.positions)
+    after = np.array(nxt.positions)
     target = max(len(before), len(after))
     rsc = np.asarray(prev.rsc_position, dtype=float).reshape(1, 3)
     before, after = (
@@ -358,15 +363,16 @@ def _resum(prev, nxt, permutation, energy):
 def _zone_deployment(rects, counts, altitudes, rng, snap, rsc):
     """UAVs drawn inside each rectangle at its zone's altitude; ``snap``
     puts them on a 5 x 5 grid of the rectangle, so distances tie often."""
-    entries = []
-    for b, (rect, count, altitude) in enumerate(zip(rects, counts, altitudes)):
+    blocks = []
+    for rect, count, altitude in zip(rects, counts, altitudes):
         u = rng.integers(0, 5, size=(count, 2)) / 4.0 if snap else rng.random((count, 2))
         pos = np.empty((count, 3))
         pos[:, 0] = rect.x + u[:, 0] * rect.width
         pos[:, 1] = rect.y + u[:, 1] * rect.height
         pos[:, 2] = altitude
-        entries.append(SubregionDeployment(f"S{b}", 100.0, altitude, pos))
-    return Deployment(tuple(entries), rsc)
+        blocks.append(pos)
+    labels, radii = tuple(f"S{b}" for b in range(len(rects))), (100.0,) * len(rects)
+    return Deployment(labels, radii, tuple(altitudes), tuple(counts), np.concatenate(blocks), rsc)
 
 
 _rects = st.builds(
@@ -398,7 +404,7 @@ def test_pair_energy_matches_reference_composition(rects, data, depot, snap, pm,
     rsc = tuple(float(v) for v in rng.uniform(-3000.0, 3000.0, size=3))
     prev = _zone_deployment(rects, fleets[0], heights[0], rng, snap, rsc)
     if depot == "on a UAV":
-        rsc = tuple(float(v) for v in prev.all_positions()[0])
+        rsc = tuple(float(v) for v in prev.positions[0])
     elif depot == "zone corner":
         rsc = (rects[0].x, rects[0].y, 0.0)
     prev = dataclasses.replace(prev, rsc_position=rsc)
@@ -433,7 +439,7 @@ def _paper_size_pair(before, after):
         counts = (total // 2, total - total // 2)
         radii = [math.sqrt(s.area / (math.pi * (c - 0.5))) for s, c in zip(sc.subregions, counts)]
         dep = build_deployment(sc.subregions, radii, [r * h1 for r in radii], sc.rsc_position)
-        assert [e.count for e in dep.entries] == list(counts)
+        assert dep.counts == counts
         return dep
 
     return deployment(before), deployment(after), sc.with_mobility_power(1.5).energy
@@ -536,7 +542,7 @@ def test_interval_avg_constant_density_no_mobility():
         pre_radius, lam, sc.energy, sc.subregions[0].area, sc.env, sc.radio
     )
     lazy = baseline_schedule("lazy", sc)
-    assert lazy.deployments[0].radii() == (pytest.approx(pre_radius, rel=1e-12),)
+    assert lazy.deployments[0].radii == (pytest.approx(pre_radius, rel=1e-12),)
     assert lazy.mobility_total_j == 0.0
     assert dynamic_rf(lazy, sc) == pytest.approx(phi, rel=1e-12)
 
@@ -572,7 +578,7 @@ def test_launch_energy_equals_sum_of_move_energies(sc):
     sc = dataclasses.replace(sc, energy=energy, include_initial_launch=True)
     lazy = baseline_schedule("lazy", sc)
     launch = lazy.mobility_j[0]
-    fleet = lazy.deployments[0].all_positions()
+    fleet = lazy.deployments[0].positions
     expected = sum(move_energy(sc.rsc_position, p, energy) for p in fleet)
     assert lazy.update_slots == [0] and launch > 0.0
     assert launch == pytest.approx(expected, rel=1e-12)
@@ -1076,7 +1082,7 @@ def _per_step_smgd(sc, plan, cutoff=True):
                 break
             bound[i] = math.inf
             k = cur + 1 + i
-            value = float(stale[i]) + moves.pair_energy(cur, k) / eb + float(own_tail[k])
+            value = float(stale[i]) + moves.fill(((cur, k),))[0] / eb + float(own_tail[k])
             if value < best_value or (value == best_value and best is not None and k < best):
                 best_value, best = value, k
         if diligent < best_value:
@@ -1229,23 +1235,18 @@ def test_epoch_view_keeps_the_eager_bits_on_the_reference_day():
 )
 def test_floor_skips_request_the_pair_energies_of_the_per_step_scan(start_day, bands, monkeypatch):
     # SMGD builds a step's row only where the plan's floor is within reach:
-    # every batch of moves and every pair energy, the scan's (cur, k)
-    # visits, must be requested in the order of one step at a time that
-    # builds every row; flat bands tie every bound, and the first of equal
-    # bounds goes first
+    # every batch of moves, among them the scan's (cur, k) visits as
+    # batches of one, must be requested in the order of one step at a time
+    # that builds every row; flat bands tie every bound, and the first of
+    # equal bounds goes first
     requests = []
-    pair_energy, fill = _Moves.pair_energy, _Moves.fill
-
-    def logged_pair(self, i, j):
-        requests.append((i, j))
-        return pair_energy(self, i, j)
+    fill = _Moves.fill
 
     def logged_fill(self, moves):
         moves = list(moves)
-        requests.append(("fill", moves))
+        requests.append(moves)
         return fill(self, moves)
 
-    monkeypatch.setattr(_Moves, "pair_energy", logged_pair)
     monkeypatch.setattr(_Moves, "fill", logged_fill)
     base = dataclasses.replace(
         reference_scenario(), horizon_s=7 * 86400.0, start_s=start_day * 86400.0
@@ -1262,7 +1263,7 @@ def test_floor_skips_request_the_pair_energies_of_the_per_step_scan(start_day, b
             sched = run()
             logs.append((_schedule_bits(sched), list(requests)))
         assert logs[0] == logs[1]
-        visits += sum(request[0] != "fill" for request in logs[0][1])
+        visits += sum(len(moves) == 1 for moves in logs[0][1])
     assert visits > 0
 
 
@@ -1379,9 +1380,8 @@ def test_plan_block_pass_matches_the_tiled_construction(make):
 
 
 def _inject_energies(monkeypatch, energies):
-    # every move energy the schedulers read, in a batch or one pair at a
-    # time, comes from ``energies`` [J], 0 for a move it does not list
-    monkeypatch.setattr(_Moves, "pair_energy", lambda self, i, j: energies.get((i, j), 0.0))
+    # every move energy the schedulers read comes from ``energies`` [J],
+    # 0 for a move it does not list
     monkeypatch.setattr(_Moves, "fill", lambda self, moves: [energies.get(m, 0.0) for m in moves])
 
 
@@ -1630,14 +1630,19 @@ def _vertical_pair(counts, altitudes, depot_z, xy_seed, pure):
     grounds = [[rng.random((c, 2)) * (r.width, r.height) for c, r in zip(cs, rects)] for cs in counts]
     if pure:
         grounds[1] = grounds[0]
+    labels = tuple(f"S{b}" for b in range(len(rects)))
     fleets = []
     for f in range(2):
-        entries = []
-        for b, rect in enumerate(rects):
-            count, altitude = counts[f][b], altitudes[f][b]
-            pos = np.column_stack((grounds[f][b] + (rect.x, rect.y), np.full(count, altitude)))
-            entries.append(SubregionDeployment(f"S{b}", 100.0, altitude, pos))
-        fleets.append(Deployment(tuple(entries), rsc))
+        blocks = [
+            np.column_stack((ground + (rect.x, rect.y), np.full(count, altitude)))
+            for ground, rect, count, altitude in zip(grounds[f], rects, counts[f], altitudes[f])
+        ]
+        fleets.append(
+            Deployment(
+                labels, (100.0,) * len(rects), tuple(altitudes[f]), tuple(counts[f]),
+                np.concatenate(blocks), rsc,
+            )
+        )
     return fleets
 
 
@@ -1738,7 +1743,7 @@ def test_consecutive_moves_have_the_pair_bits_on_reference_weeks(start_day):
     ids = plan.deployment_ids
     half = [j for j in range(0, plan.n - 1, 2) if ids[j] != ids[j + 1]]
     for j in half:
-        moves.pair_energy(j, j + 1)
+        moves.fill(((j, j + 1),))
     kept = dict(moves._permutations)
     assert 0 < len(kept) < len(solved)
     moves._pair_energy.clear()  # the energies go, the permutations stay
@@ -1835,19 +1840,19 @@ def test_fill_of_any_moves_has_the_pair_bits(bands, count, monkeypatch):
         scheduling, "solve_assignment", lambda cost: solves.append(len(cost)) or solve(cost)
     )
     pairs = {ids[i] * plan._pair_stride + ids[j] for i, j in moves if ids[i] != ids[j]}
-    # in one fill, or a batch of one per pair_energy miss
+    # in one fill, or one fill of one move at a time
     for one_at_a_time in (False, True):
         for cache in (plan._pair_energies, plan._permutations, plan._permutation_pool):
             cache.clear()
         for column, energy, expected_solves in ((0, solving, len(pairs)), (1, resumming, 0)):
             filled = _Moves(plan, energy)
             if one_at_a_time:
-                for i, j in moves:
-                    filled.pair_energy(i, j)
+                for move in moves:
+                    filled.fill((move,))
             else:
                 filled.fill(iter(moves))
             assert len(solves) == expected_solves and set(filled._pair_energy) == pairs
-            got = {(i, j): filled.pair_energy(i, j).hex() for i, j in moves}
+            got = {move: filled.fill((move,))[0].hex() for move in moves}
             assert got == {move: hexes[column] for move, hexes in oracle.items()}
             assert len(solves) == expected_solves
             del solves[:]
