@@ -120,7 +120,9 @@ def _static_rf_curve(scenario: Scenario, lam: float, p_cu: float, n: int):
     area, env, radio = scenario.subregions[0].area, scenario.env, scenario.radio
     r_star = optimal_radius(lam, p_cu, env, radio)
     energy = dataclasses.replace(scenario.energy, p_circuit=p_cu)
-    radii = np.unique(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, n), r_star))
+    # sorted, without repeats: np.unique's values, without its numpy.ma import
+    radii = np.sort(np.append(np.geomspace(r_star / 8.0, r_star * 8.0, n), r_star))
+    radii = radii[np.append(True, radii[1:] != radii[:-1])]
     phis = static_rf_at_optimal_altitude(radii, lam, energy, area, env, radio)
     return [(radius, phi, radius == r_star) for radius, phi in zip(radii, phis)]
 

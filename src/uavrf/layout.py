@@ -303,6 +303,10 @@ class Deployment:
         return len(self.positions)
 
 
+# UAV positions in one run of columns of a block build (1.5 MiB of floats)
+_RUN_POSITIONS = 2**16
+
+
 def build_deployment(
     subregions, radii, altitudes, rsc_position: Point3
 ) -> Deployment | list[Deployment]:
@@ -312,11 +316,15 @@ def build_deployment(
     give one :class:`Deployment`; (B, D) blocks give a list of D
     deployments, the d-th from column d, with the bits of building that
     column alone.  The fleet sizes come from one ``num_uavs`` over the
-    block, and each subregion makes one :func:`layout_positions` call per
-    distinct fleet size, with the altitudes of the columns of that size;
-    a column's zone layouts are concatenated once, so no layout block
-    outlives the call.  Misaligned shapes raise ``ValueError``, and so
-    does a bad radius or altitude, naming its index.
+    block.  The columns are then built in runs of consecutive columns of
+    at most ``_RUN_POSITIONS`` UAVs in all (at least one column): in a
+    run, each subregion makes one :func:`layout_positions` call per
+    distinct fleet size, with the altitudes of the run's columns of that
+    size, and each column's zone layouts are concatenated once.  So only
+    one run's layout blocks exist beside the finished deployments, and
+    a block that fits one run makes the calls of a one-run build.
+    Misaligned shapes raise ``ValueError``, and so does a bad radius or
+    altitude, naming its index.
     """
     radii = np.asarray(radii, dtype=float)
     altitudes = np.asarray(altitudes, dtype=float)
@@ -330,22 +338,42 @@ def build_deployment(
         radii, altitudes = radii[:, None], altitudes[:, None]
     areas = np.array([sub.area for sub in subregions], dtype=float)
     counts = num_uavs(areas[:, None], radii)
-    zones = []  # per subregion, its layout of every column
-    for sub, sizes, zone_altitudes in zip(subregions, counts, altitudes):
-        columns_of: dict[int, list[int]] = {}
-        for d, count in enumerate(sizes.tolist()):
-            columns_of.setdefault(count, []).append(d)
-        zone = [None] * len(sizes)
-        for count, columns in columns_of.items():
-            layouts = layout_positions(sub.rect, count, zone_altitudes[columns])
-            for d, positions in zip(columns, layouts):
-                zone[d] = positions
-        zones.append(zone)
     labels = tuple(sub.label for sub in subregions)
     rsc = tuple(rsc_position)
-    columns = zip(radii.T.tolist(), altitudes.T.tolist(), counts.T.tolist(), zip(*zones))
-    deployments = [
-        Deployment(labels, tuple(r), tuple(h), tuple(c), np.concatenate(layouts), rsc)
-        for r, h, c, layouts in columns
-    ]
+    radius_columns, altitude_columns = radii.T.tolist(), altitudes.T.tolist()
+    count_columns = counts.T.tolist()
+    deployments = []
+    for start, stop in _runs(map(sum, count_columns)):
+        zones = []  # per subregion, its layout of every column of the run
+        run = slice(start, stop)
+        for sub, sizes, zone_altitudes in zip(subregions, counts[:, run], altitudes[:, run]):
+            columns_of: dict[int, list[int]] = {}
+            for d, count in enumerate(sizes.tolist()):
+                columns_of.setdefault(count, []).append(d)
+            zone = [None] * len(sizes)
+            for count, columns in columns_of.items():
+                layouts = layout_positions(sub.rect, count, zone_altitudes[columns])
+                for d, positions in zip(columns, layouts):
+                    zone[d] = positions
+            zones.append(zone)
+        columns = zip(radius_columns[run], altitude_columns[run], count_columns[run], zip(*zones))
+        deployments += [
+            Deployment(labels, tuple(r), tuple(h), tuple(c), np.concatenate(layouts), rsc)
+            for r, h, c, layouts in columns
+        ]
     return deployments[0] if one else deployments
+
+
+def _runs(totals) -> list[tuple[int, int]]:
+    """(start, stop) runs of consecutive columns whose ``totals`` (ints,
+    one per column) sum to at most ``_RUN_POSITIONS``; a column above it
+    is a run of its own."""
+    runs, start, stop, held = [], 0, 0, 0
+    for total in totals:
+        if held + total > _RUN_POSITIONS and stop > start:
+            runs.append((start, stop))
+            start, held = stop, 0
+        held += total
+        stop += 1
+    runs.append((start, stop))
+    return runs

@@ -405,6 +405,7 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
             )
     else:
         env = base.env if named is None else environment_preset(named)
+    _check_time_axis(parser, given, base)
     bounds = _built("[scenario] area:", Rect, *given.pop("bounds", astuple(base.bounds)))
     given.setdefault("rsc_position", (*bounds.center, 0.0))  # the depot at the area's centre
 
@@ -436,6 +437,31 @@ def _build_scenario(parser: configparser.ConfigParser, base_dir: str | None) -> 
         subregions=tuple(subregions), density_bands=tuple(bands),
         explicit_densities=tuple(explicit) if explicit else None,
     )
+
+
+def _check_time_axis(parser: configparser.ConfigParser, given: dict, base: Scenario) -> None:
+    """Raise ``ScenarioError`` where the [scenario] time keys break the
+    slot-grid rules of ``Scenario`` (tested on the same seconds), naming
+    the key and giving the values in the file's units."""
+    section = parser["scenario"] if parser.has_section("scenario") else {}
+    seconds, written = {}, {}
+    for key, field, _, unit in _KEYS["scenario"]:
+        if unit in ("hours", "seconds"):
+            seconds[key] = given.get(field, getattr(base, field))
+            written[key] = (
+                _floats(section, key)[0] if key in section else seconds[key] / _SCALE[unit]
+            )
+    for key in ("horizon_hours", "slot_seconds"):
+        if not 0 < seconds[key] < math.inf:
+            raise ScenarioError(f"[scenario] {key} must be finite and positive, got {written[key]!r}")
+    slot = seconds["slot_seconds"]
+    for key, least in (("horizon_hours", 1), ("start_hours", 0)):
+        slots = seconds[key] / slot
+        if not 0 <= slots < math.inf or abs(slots - round(slots)) > 1e-9 or round(slots) < least:
+            raise ScenarioError(
+                f"[scenario] {key} must be a whole number of slots of slot_seconds, at least "
+                f"{least}, got {written[key]!r} hours and {written['slot_seconds']!r} seconds"
+            )
 
 
 def load_scenario(path: str) -> Scenario:

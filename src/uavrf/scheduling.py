@@ -23,8 +23,10 @@ per pair and returns the batch's energies in order.  It requests the
 deployments of the pairs it lacks from the plan at once, reads each
 deployment's own ``positions`` column, pads only when the fleet sizes
 differ, and groups those pairs by padded size.  A batch of new
-pairs builds its cost matrices in one stacked pass, one temporary per
-axis, and hands each matrix to the solver through
+pairs builds its cost matrices into one stacked array, in slices of
+rows whose temporaries (one float array and one bool mask) hold at most
+2^15 entries, so building a 398 x 398 matrix holds about 1.3 times its
+own bytes, not 3 times; it hands each matrix to the solver through
 :func:`solve_assignment`; a batch of pairs already solved under the same
 cost shape (below) is one gather and one row sum.  Every check stays:
 the two deployments share the depot and the subregion labels, each
@@ -210,24 +212,28 @@ def move_energy(p_from: Sequence[float], p_to: Sequence[float], energy: EnergyPa
 
 
 def _flight_energies(
-    origins: np.ndarray, destinations: np.ndarray, energy: EnergyParams
+    origins: np.ndarray, destinations: np.ndarray, energy: EnergyParams, out=None
 ) -> np.ndarray:
     """Move energies from ``origins`` to ``destinations``, (..., 3) point
-    arrays broadcast against each other.
+    arrays broadcast against each other, written into ``out`` if given.
 
     Each is hypot(dx, dy) * (p_h / v_h) plus the climb dz times
     (p_a / v_a) or the descent -dz times (p_d / v_d).  The cost matrix
     and the re-sum of a stored permutation both come from here, so a pair
-    of points gets the same bits whatever the shape of the arrays.
+    of points gets the same bits whatever the shape of the arrays.  Beside
+    the result it holds one float temporary of the broadcast shape, dy,
+    reused for dz, and one bool mask: the climbs, then the descents.
     """
-    dx = origins[..., 0] - destinations[..., 0]
-    cost = np.hypot(dx, origins[..., 1] - destinations[..., 1], out=dx)
+    dy = np.subtract(origins[..., 1], destinations[..., 1])
+    cost = np.subtract(origins[..., 0], destinations[..., 0], out=out)
+    np.hypot(cost, dy, out=cost)
     cost *= energy.p_horizontal / energy.v_horizontal
-    dz = destinations[..., 2] - origins[..., 2]
+    dz = np.subtract(destinations[..., 2], origins[..., 2], out=dy)
+    climbs = dz >= 0
+    np.multiply(dz, energy.p_ascend / energy.v_ascend, out=dz, where=climbs)
     # dz * -(p_d / v_d) has the bits of -dz * (p_d / v_d)
-    dz *= np.where(
-        dz >= 0, energy.p_ascend / energy.v_ascend, -(energy.p_descend / energy.v_descend)
-    )
+    descents = np.logical_not(climbs, out=climbs)
+    np.multiply(dz, -(energy.p_descend / energy.v_descend), out=dz, where=descents)
     cost += dz
     return cost
 
@@ -246,8 +252,9 @@ def cost_matrix(
     """Pairwise move energies, origins as rows and destinations as columns.
 
     Entry (k, l) is hypot(dx, dy) * (p_h / v_h) plus the climb dz times
-    (p_a / v_a) or the descent -dz times (p_d / v_d), computed with one
-    (n, n) temporary per axis.
+    (p_a / v_a) or the descent -dz times (p_d / v_d).  The rows are
+    filled in slices into the (n, n) result, the one n x n array held:
+    the temporaries hold at most ``_ROW_ENTRIES`` entries (or one row).
     """
     origins = _as_points(origins)
     destinations = _as_points(destinations)
@@ -255,7 +262,23 @@ def cost_matrix(
         raise ValueError(
             f"need equally many origins and destinations, got {len(origins)} and {len(destinations)}"
         )
-    return _flight_energies(origins[:, None], destinations, energy)
+    return _cost_block(origins[None], destinations[None], energy)[0]
+
+
+def _cost_block(origins: np.ndarray, destinations: np.ndarray, energy: EnergyParams) -> np.ndarray:
+    """The (B, n, n) cost matrices of B stacked (n, 3) origin and
+    destination sets, filled by ``_flight_energies`` in row slices of
+    at most ``_ROW_ENTRIES`` entries (at least one row); every entry has
+    the bits of a one-shot build."""
+    count, n, m = len(origins), origins.shape[1], destinations.shape[1]
+    block = np.empty((count, n, m))
+    rows = max(1, _ROW_ENTRIES // max(1, count * m))
+    for i0 in range(0, n, rows):
+        i1 = i0 + rows
+        _flight_energies(
+            origins[:, i0:i1, None], destinations[:, None], energy, out=block[:, i0:i1]
+        )
+    return block
 
 
 def solve_assignment(cost: np.ndarray) -> Assignment:
@@ -308,6 +331,9 @@ def mobility_energy_at(
 
 # cost entries in one stacked build of moves (2 MiB of floats)
 _BATCH_ENTRIES = 2**18
+
+# cost entries in one row slice of a cost build (256 KiB of floats)
+_ROW_ENTRIES = 2**15
 
 # suffix entries in one block of the plan's TAIL and FLOOR pass (256 KiB of floats)
 _SCAN_ENTRIES = 2**15
@@ -626,8 +652,8 @@ class _Moves:
         pairs not kept yet are computed in batches of one padded size, from
         deployments that one :meth:`SchedulePlan.deployments` request builds.
 
-        A batch of new pairs builds its cost matrices in one stacked
-        ``_flight_energies`` call and hands each to ``solve_assignment``;
+        A batch of new pairs builds its cost matrices into one stacked
+        array (``_cost_block``) and hands each to ``solve_assignment``;
         a batch of pairs with a stored permutation is one gather and one
         row sum, which has the bits of the 1-D sum.  A batch holds at most
         ``_BATCH_ENTRIES`` cost entries (at least one pair).
@@ -675,7 +701,7 @@ class _Moves:
             totals = _flight_energies(origins, moved, self.energy).sum(axis=1)
             self._pair_energy.update(zip(keys, totals.tolist()))
         else:
-            costs = _flight_energies(origins[:, :, None], destinations[:, None], self.energy)
+            costs = _cost_block(origins, destinations, self.energy)
             for key, cost in zip(keys, costs):
                 assignment = solve_assignment(cost)
                 buf = np.array(assignment.permutation, dtype=np.int32).tobytes()

@@ -229,6 +229,102 @@ def test_block_build_equals_one_column_builds(zones, band, data):
 
 @settings(max_examples=40, deadline=None)
 @given(
+    zones=st.integers(min_value=1, max_value=2),
+    band=st.sampled_from([(200.0, 2000.0), (27.0, 31.0)]),
+    bound=st.integers(min_value=1, max_value=1500),
+    data=st.data(),
+)
+def test_block_build_in_runs_equals_one_column_builds(zones, band, bound, data):
+    # with the run bound small, a block is built in runs of a few columns
+    # (one column at a time below a column's fleet): each deployment still
+    # has the columns and position bits of building its column alone, and
+    # no layout_positions call lays out more than one run's UAVs
+    subs = _ZONES[:zones]
+    pool = data.draw(st.lists(st.floats(*band), min_size=1, max_size=3))
+    picks = data.draw(
+        st.lists(st.tuples(*[st.sampled_from(pool)] * zones), min_size=1, max_size=8)
+    )
+    radii = np.array(picks).T
+    altitudes = radii * data.draw(st.floats(0.0, 3.0))
+    rsc = (500.0, 500.0, 0.0)
+    laid = []
+
+    def spy(rect, count, altitude):
+        laid.append(count * np.size(altitude))
+        return layout_positions(rect, count, altitude)
+
+    with mock.patch.object(layout, "_RUN_POSITIONS", bound):
+        with mock.patch.object(layout, "layout_positions", spy):
+            block = build_deployment(subs, radii, altitudes, rsc)
+    alone = [build_deployment(subs, radii[:, d], altitudes[:, d], rsc) for d in range(len(picks))]
+    assert len(block) == len(alone)
+    for dep, one in zip(block, alone):
+        assert (dep.labels, dep.radii, dep.altitudes, dep.counts) == (
+            one.labels, one.radii, one.altitudes, one.counts
+        )
+        assert dep.rsc_position == one.rsc_position
+        assert dep.positions.tobytes() == one.positions.tobytes()
+    assert max(laid) <= max(bound, max(dep.total_count for dep in block))
+
+
+@pytest.mark.parametrize(
+    "totals, bound, runs",
+    [
+        ([], 10, [(0, 0)]),
+        ([3, 3, 3], 9, [(0, 3)]),
+        ([3, 3, 3], 6, [(0, 2), (2, 3)]),
+        ([3, 3, 3], 5, [(0, 1), (1, 2), (2, 3)]),
+        ([2, 12, 2, 2], 10, [(0, 1), (1, 2), (2, 4)]),  # a column above the bound alone
+        ([12], 10, [(0, 1)]),
+    ],
+)
+def test_runs_of_columns(totals, bound, runs):
+    with mock.patch.object(layout, "_RUN_POSITIONS", bound):
+        assert layout._runs(iter(totals)) == runs
+
+
+def test_block_in_one_run_lays_out_each_size_once():
+    # a block within the bound makes one layout_positions call per zone
+    # and distinct fleet size, with every column of that size
+    radii = np.array([[40.0, 30.0, 40.0, 30.0], [40.0, 40.0, 40.0, 30.0]])
+    calls = []
+
+    def spy(rect, count, altitude):
+        calls.append((rect.x, count, len(altitude)))
+        return layout_positions(rect, count, altitude)
+
+    with mock.patch.object(layout, "layout_positions", spy):
+        build_deployment(_ZONES, radii, radii * 0.8, (0.0, 0.0, 0.0))
+    sizes = num_uavs(np.array([[z.area] for z in _ZONES]), radii).tolist()
+    assert sizes[0][0] != sizes[0][1] and sizes[1][0] != sizes[1][3]
+    assert calls == [
+        (0.0, sizes[0][0], 2), (0.0, sizes[0][1], 2), (500.0, sizes[1][0], 3), (500.0, sizes[1][3], 1)
+    ]
+
+
+def test_paper_day_block_build_holds_one_run_of_layouts():
+    # every UAV position of the day's deployments exists once beside at
+    # most one run's layout blocks, with the run bound at 2^12 positions
+    # (6 to 12 columns of 330-620 UAVs); building every column's layout
+    # before concatenating any would hold each position twice
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), "data", "paper_day.cfg"))
+    SchedulePlan(sc).deployments(range(sc.n_slots))  # lattice searches untraced
+    plan = SchedulePlan(sc)
+    bound = 2**12
+    with mock.patch.object(layout, "_RUN_POSITIONS", bound):
+        tracemalloc.start()
+        try:
+            built = plan.deployments(range(plan.n))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    positions = sum(dep.positions.nbytes for dep in built)
+    assert positions > 10 * bound * 24  # ten runs or more
+    assert peak < held + 2 * bound * 24 + 256 * 2**10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
     count=st.integers(min_value=1, max_value=40),
     altitudes=st.lists(st.floats(0.0, 1e4), min_size=0, max_size=5),
 )

@@ -56,12 +56,18 @@ def paper_day():
     return dataclasses.replace(reference_scenario(), density_bands=((0.1, 1.0),) * 2)
 
 
+def paper_week():
+    """The paper-density day over a week."""
+    return dataclasses.replace(paper_day(), horizon_s=7 * 86400.0)
+
+
 @pytest.mark.parametrize(
     "make, name",
     [
         (default_scenario, "default_scenario.cfg"),
         (reference_scenario, "reference_scenario.cfg"),
         (paper_day, "paper_day.cfg"),
+        (paper_week, "paper_week.cfg"),
     ],
 )
 def test_dump_bytes_pinned(make, name):
@@ -713,5 +719,30 @@ def test_invalid_values_name_their_section(tmp_path, text, message):
     with pytest.raises(ScenarioError, match="^" + re.escape(message) + "$"):
         parse_scenario(text)
     (tmp_path / "bad.cfg").write_text(text)
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"{message} (in ")):
+        load_scenario(str(tmp_path / "bad.cfg"))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("horizon_hours = -1", "horizon_hours must be finite and positive, got -1.0"),
+        ("slot_seconds = 0", "slot_seconds must be finite and positive, got 0.0"),
+        ("start_hours = 0.1",
+         "start_hours must be a whole number of slots of slot_seconds, at least 0, "
+         "got 0.1 hours and 600.0 seconds"),
+        ("horizon_hours = 0.25",
+         "horizon_hours must be a whole number of slots of slot_seconds, at least 1, "
+         "got 0.25 hours and 600.0 seconds"),
+    ],
+    ids=["horizon_hours", "slot_seconds", "start_hours", "whole-slots"],
+)
+def test_time_keys_name_themselves_in_the_file_units(tmp_path, line, message):
+    # the object checks seconds; the file's error names the key and its
+    # value as written, in hours or seconds, and the file after it
+    message = "[scenario] " + message
+    with pytest.raises(ScenarioError, match="^" + re.escape(message) + "$"):
+        parse_scenario(f"[scenario]\n{line}\n")
+    (tmp_path / "bad.cfg").write_text(f"[scenario]\n{line}\n")
     with pytest.raises(ScenarioError, match="^" + re.escape(f"{message} (in ")):
         load_scenario(str(tmp_path / "bad.cfg"))

@@ -461,11 +461,94 @@ def test_paper_size_pairs_match_reference_composition(before, after):
 
 
 def test_paper_size_pair_memory():
-    # one (n, n) temporary per axis: no (n, n, 3) difference tensor
+    # the (n, n) matrix and row slices: no (n, n, 3) difference tensor
     prev, nxt, energy = _paper_size_pair(465, 484)
     mobility_energy_at(prev, nxt, energy)  # warm up scipy
     _, peak = _traced_peak(lambda: mobility_energy_at(prev, nxt, energy))
     assert peak < 10e6
+
+
+def test_paper_ramp_fill_holds_one_matrix():
+    # the paper-density day's two slots from 09:00, a 370 -> 398 UAV move:
+    # the cost matrix is built in row slices into one (n, n) array, not
+    # with three (n, n) temporaries beside it (3.15 n^2 8 B)
+    sc = dataclasses.replace(
+        reference_scenario(),
+        density_bands=((0.1, 1.0),) * 2,
+        horizon_s=2 * 600.0,
+        start_s=9 * 3600.0,
+    )
+    plan = SchedulePlan(sc)
+    assert plan.fleet_sizes.tolist() == [370, 398]
+    plan.deployments(range(plan.n))  # lattice searches untraced
+    mobility_energy_at(plan.deployment(0), plan.deployment(0), sc.energy)  # warm up scipy
+    moves = _Moves(plan, sc.with_mobility_power(1.5).energy)
+    (value,), peak = _traced_peak(lambda: moves.fill([(0, 1)]))
+    value_at, _ = mobility_energy_at(plan.deployment(0), plan.deployment(1), moves.energy)
+    assert value.hex() == value_at.hex()
+    assert peak < 1.5 * 398 * 398 * 8
+
+
+def _one_shot_energies(origins, destinations, energy):
+    """The move energies as one unsliced pass computes them, three
+    temporaries of the broadcast shape: the reference for the bits."""
+    dx = origins[..., 0] - destinations[..., 0]
+    cost = np.hypot(dx, origins[..., 1] - destinations[..., 1], out=dx)
+    cost *= energy.p_horizontal / energy.v_horizontal
+    dz = destinations[..., 2] - origins[..., 2]
+    dz *= np.where(
+        dz >= 0, energy.p_ascend / energy.v_ascend, -(energy.p_descend / energy.v_descend)
+    )
+    cost += dz
+    return cost
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(1, 9),
+    pairs=st.lists(st.tuples(st.booleans(), st.integers(1, 9)), min_size=1, max_size=4),
+    row_entries=st.integers(1, 80),
+    vertical=st.booleans(),
+    ratios=st.tuples(*[st.floats(0.1, 10.0)] * 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sliced_costs_have_the_one_shot_bits(size, pairs, row_entries, vertical, ratios, seed):
+    # a batch of pairs of unequal fleets, padded with depot copies to one
+    # size and cut into row slices of a few entries: every entry has the
+    # one-shot bits, with pure vertical moves (equal xy) if drawn and
+    # descents always (the first pair's fleet drops from 100-200 m)
+    rng = np.random.default_rng(seed)
+    rsc = (float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0)), 0.0)
+    rect = Rect(0.0, 0.0, 100.0, 100.0)
+    zone = lambda count, low: _zone_deployment(
+        (rect,), (count,), (float(rng.uniform(low, low + 100.0)),), rng, True, rsc
+    )
+    padded = []
+    for shrinks, count in pairs:
+        before, after = (size, min(count, size)) if shrinks else (min(count, size), size)
+        prev, nxt = zone(before, 100.0), zone(after, 0.0 if not padded else 100.0)
+        if vertical:  # prev's ground points, nxt's altitude
+            points = np.resize(prev.positions, (after, 3))
+            points[:, 2] = nxt.positions[:, 2]
+            nxt = dataclasses.replace(nxt, positions=points)
+        padded.append(_padded_positions(prev, nxt))
+    origins = np.stack([a for a, _ in padded])
+    destinations = np.stack([b for _, b in padded])
+    energy = EnergyParams(
+        p_circuit=0.5, battery_j=1e5, p_horizontal=ratios[0], p_ascend=ratios[1],
+        p_descend=ratios[2], v_horizontal=ratios[3], v_ascend=ratios[4], v_descend=ratios[5],
+    )
+    want = _one_shot_energies(origins[:, :, None], destinations[:, None], energy)
+    original = scheduling._ROW_ENTRIES
+    scheduling._ROW_ENTRIES = row_entries
+    try:
+        block = scheduling._cost_block(origins, destinations, energy)
+        single = [cost_matrix(a, b, energy) for a, b in zip(origins, destinations)]
+    finally:
+        scheduling._ROW_ENTRIES = original
+    assert [v.hex() for v in block.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    for cost, entries in zip(single, want):
+        assert cost.tobytes() == entries.tobytes()
 
 
 def _fraction_shape(energy):
@@ -1762,8 +1845,8 @@ def test_consecutive_batches_hold_at_most_the_cap(monkeypatch):
     built = []
     flight = scheduling._flight_energies
 
-    def spy(*args):
-        out = flight(*args)
+    def spy(*args, **kwargs):
+        out = flight(*args, **kwargs)
         built.append(out.size)
         return out
 

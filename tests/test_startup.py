@@ -9,6 +9,7 @@ either import order, and that the public import still serves when the
 compiled module is not found.  Nor does the import load ``fractions``
 (with ``decimal``) or ``configparser``: the cost shapes are exact
 integer ratios, and only a parsed scenario file needs the parser.
+Nor does fig5 load ``numpy.ma``, which ``np.unique`` imports.
 """
 
 import os
@@ -48,6 +49,17 @@ def test_import_leaves_out_fractions_decimal_and_configparser():
         "import sys, uavrf, uavrf.experiments\n"
         "loaded = [m for m in ('fractions', 'decimal', 'configparser') if m in sys.modules]\n"
         "assert loaded == [], loaded\n"
+    )
+
+
+def test_fig5_leaves_out_numpy_ma():
+    # np.unique imports numpy.ma (about 8 ms and 1.3 MB); fig5 drops the
+    # repeated radii of a sorted array itself
+    run_fresh(
+        "import sys, tempfile, uavrf, uavrf.experiments\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    uavrf.experiments.run_rf_vs_radius(uavrf.default_scenario(), out)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
 
 
